@@ -32,8 +32,9 @@
 # SoA-table churn differentials), the scale suite at its small default N,
 # the observability suite (-L obs), the RPC conformance + fuzz battery
 # (-L rpc, whose malformed-frame corpus is the decoders' memory-safety
-# oracle), and the engine/sync tests, which
-# exercise the slab allocators' recycling paths hardest. The sanitizer
+# oracle), and every unit test (-L unit): the engine/sync/net tests
+# exercise the slab allocators' recycling paths and the intrusive waiter
+# lists (nodes living in suspended frames) hardest. The sanitizer
 # pass also replays scheduler_equiv.sh against the asan build: the typed
 # RPC layer must keep all 15 figures byte-identical under instrumentation
 # too (same simulation, same bytes).
@@ -149,7 +150,7 @@ if [[ "$run_default" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== chaos + retry + property + engine under ASan/UBSan =="
+  echo "== chaos + retry + property + unit under ASan/UBSan =="
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan -j "$(nproc)"
   ctest --preset asan-ubsan --no-tests=error -L chaos -j "$(nproc)"
@@ -161,8 +162,7 @@ if [[ "$run_asan" == 1 ]]; then
   ctest --preset asan-ubsan --no-tests=error -L staging -j "$(nproc)"
   ctest --preset asan-ubsan --no-tests=error -L elastic -j "$(nproc)"
   ctest --preset asan-ubsan --no-tests=error -L rpc -j "$(nproc)"
-  ctest --preset asan-ubsan --no-tests=error -j "$(nproc)" \
-    -R '^(Engine|Channel|Semaphore|Gate|Time|Rng)\.'
+  ctest --preset asan-ubsan --no-tests=error -L unit -j "$(nproc)"
 
   echo "== scheduler equivalence vs golden manifest (asan build) =="
   ./scripts/scheduler_equiv.sh build-asan

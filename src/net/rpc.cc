@@ -341,16 +341,7 @@ Channel::~Channel() {
   // teardown (actor kill, service destruction) when the frames those
   // callbacks capture may already be gone. Deadline timers must not
   // outlive us, though.
-  for (auto& [id, p] : calls_) p.deadline.cancel();
-}
-
-std::string Channel::index_key(std::string_view tag, std::string_view key) {
-  std::string k;
-  k.reserve(tag.size() + 1 + key.size());
-  k.append(tag);
-  k.push_back('\0');
-  k.append(key);
-  return k;
+  for (PendingCall& p : calls_) p.deadline.cancel();
 }
 
 Channel::TagEntry* Channel::find_tag(std::string_view tag) {
@@ -366,35 +357,37 @@ Channel::TagEntry* Channel::route(std::string_view tag) {
   return &tags_.back();
 }
 
+std::vector<Channel::PendingCall>::const_iterator Channel::find_pending(
+    std::string_view resp_tag, std::string_view key) const {
+  return std::find_if(calls_.begin(), calls_.end(),
+                      [&](const PendingCall& p) {
+                        return p.resp_tag == resp_tag && p.key == key;
+                      });
+}
+
 bool Channel::has_pending(std::string_view resp_tag,
                           std::string_view key) const {
-  const auto it = index_.find(index_key(resp_tag, key));
-  return it != index_.end() && !it->second.empty();
+  return find_pending(resp_tag, key) != calls_.end();
 }
 
 bool Channel::try_complete(const char* resp_tag, const std::string& key,
                            void* resp) {
-  const auto it = index_.find(index_key(resp_tag, key));
-  if (it == index_.end() || it->second.empty()) return false;
-  finish_call(it->second.front(), resp, RpcError::kCancelled /* unused */);
+  const auto it = find_pending(resp_tag, key);
+  if (it == calls_.end()) return false;
+  finish_call(it->id, resp, RpcError::kCancelled /* unused */);
   return true;
 }
 
-void Channel::unlink_index(const PendingCall& p) {
-  const auto it = index_.find(index_key(p.resp_tag, p.key));
-  if (it == index_.end()) return;
-  std::deque<CallId>& dq = it->second;
-  const auto dit = std::find(dq.begin(), dq.end(), p.id);
-  if (dit != dq.end()) dq.erase(dit);
-  if (dq.empty()) index_.erase(it);
+std::vector<Channel::PendingCall>::iterator Channel::find_call(CallId id) {
+  return std::find_if(calls_.begin(), calls_.end(),
+                      [id](const PendingCall& p) { return p.id == id; });
 }
 
 void Channel::finish_call(CallId id, void* resp, RpcError err) {
-  const auto it = calls_.find(id);
+  const auto it = find_call(id);
   if (it == calls_.end()) return;
-  PendingCall p = std::move(it->second);
+  PendingCall p = std::move(*it);
   calls_.erase(it);
-  unlink_index(p);
   p.deadline.cancel();
   if (p.credited && window_) window_->release();
   if (ChannelMetrics* mm = config_.metrics) {
@@ -428,21 +421,19 @@ void Channel::finish_call(CallId id, void* resp, RpcError err) {
 void Channel::on_deadline(CallId id) { finish_call(id, nullptr, RpcError::kTimeout); }
 
 void Channel::fail_all(RpcError err) {
-  while (!calls_.empty()) {
-    finish_call(calls_.begin()->first, nullptr, err);
-  }
+  while (!calls_.empty()) finish_call(calls_.front().id, nullptr, err);
 }
 
 void Channel::fail_responses(std::string_view resp_tag, RpcError err) {
   std::vector<CallId> ids;
-  for (const auto& [id, p] : calls_) {
-    if (resp_tag == p.resp_tag) ids.push_back(id);
+  for (const PendingCall& p : calls_) {
+    if (resp_tag == p.resp_tag) ids.push_back(p.id);
   }
   for (const CallId id : ids) finish_call(id, nullptr, err);
 }
 
 bool Channel::cancel(CallId id, RpcError err) {
-  if (calls_.find(id) == calls_.end()) return false;
+  if (find_call(id) == calls_.end()) return false;
   finish_call(id, nullptr, err);
   return true;
 }

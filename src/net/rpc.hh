@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -568,8 +567,7 @@ class Channel {
       p.span = config_.tracer->begin("rpc.call", config_.track);
       config_.tracer->attr(p.span, "method", M::kTag);
     }
-    index_[index_key(p.resp_tag, p.key)].push_back(id);
-    calls_.emplace(id, std::move(p));
+    calls_.push_back(std::move(p));
     if (ChannelMetrics* mm = config_.metrics) {
       if (mm->calls) mm->calls->inc();
       ++mm->inflight_now;
@@ -630,12 +628,14 @@ class Channel {
     if (!find_tag(M::kTag)) install_sync<M>(nullptr);
   }
 
-  static std::string index_key(std::string_view tag, std::string_view key);
   TagEntry* route(std::string_view tag);       // find-or-insert
   TagEntry* find_tag(std::string_view tag);    // nullptr if absent
+  /// Oldest pending call awaiting (resp_tag, key), or calls_.end().
+  std::vector<PendingCall>::const_iterator find_pending(
+      std::string_view resp_tag, std::string_view key) const;
+  std::vector<PendingCall>::iterator find_call(CallId id);
   bool try_complete(const char* resp_tag, const std::string& key, void* resp);
   void finish_call(CallId id, void* resp, RpcError err);
-  void unlink_index(const PendingCall& p);
   void on_deadline(CallId id);
   sim::Task<void> pump_until(WaitCore* st, CallId id, sim::Duration deadline);
   void note_orphan();
@@ -646,10 +646,11 @@ class Channel {
   SocketPtr sock_;
   Config config_;
   std::unique_ptr<sim::Semaphore> window_;
-  /// Ordered by id == issue order, so fail_all drains FIFO.
-  std::map<CallId, PendingCall> calls_;
-  /// (resp_tag NUL key) -> pending ids, FIFO per key.
-  std::map<std::string, std::deque<CallId>, std::less<>> index_;
+  /// Pending calls in issue order (ascending id), so fail_all drains FIFO
+  /// and a reply completes the first entry with its (resp_tag, key). A
+  /// channel rarely has more than one call in flight, so the scan is short
+  /// and the vector's capacity is reused call after call.
+  std::vector<PendingCall> calls_;
   /// Small linear table: a handful of verbs per endpoint, and a vector
   /// scan beats a node-based map at 10^5 channels (one per worker).
   std::vector<TagEntry> tags_;

@@ -44,9 +44,9 @@ void Socket::send(Message m) {
   pipe.park(std::move(m), deliver_at);
   // Still one engine event per send — the event heap's (time, seq) layout
   // is byte-identical to the per-message scheme — but the payload lives in
-  // the arena, and the closure is a single aliasing shared_ptr: 16 bytes,
-  // inside std::function's inline buffer, so a send allocates nothing on
-  // the delivery path. The earliest event of a same-instant burst drains
+  // the arena, and the closure is a single aliasing shared_ptr (16 bytes,
+  // inline in the event slot's sim::Callback), so the delivery event
+  // allocates nothing. The earliest event of a same-instant burst drains
   // the whole due batch (Pipe::flush); its siblings find the chain empty.
   net_->engine().call_at(
       deliver_at,
@@ -67,16 +67,6 @@ sim::Task<void> Socket::send_sync(Message m) {
       [p = std::shared_ptr<detail::Pipe>(conn_, &pipe)] { p->flush(); });
   const sim::Duration wait = sent_at - net_->engine().now();
   if (wait > 0) co_await sim::delay(wait);
-}
-
-sim::Task<std::optional<Message>> Socket::recv() {
-  if (!open_) co_return std::nullopt;
-  co_return co_await in().inbox.recv();
-}
-
-sim::Task<std::optional<Message>> Socket::recv_for(sim::Duration timeout) {
-  if (!open_) co_return std::nullopt;
-  co_return co_await in().inbox.recv_for(timeout);
 }
 
 bool Socket::eof() const { return in().inbox.closed() && in().inbox.empty(); }
@@ -106,11 +96,6 @@ Listener::Listener(Network& net, Address addr)
 
 Listener::~Listener() { close(); }
 
-sim::Task<SocketPtr> Listener::accept() {
-  auto s = co_await pending_.recv();
-  co_return s ? *s : nullptr;
-}
-
 void Listener::close() {
   if (!open_) return;
   open_ = false;
@@ -139,11 +124,23 @@ sim::Task<SocketPtr> Network::connect(NodeId from, Address to) {
   if (it == listeners_.end() || !it->second->open_) throw ConnectError(to);
   auto conn =
       std::make_shared<detail::Connection>(*engine_, arena_, from, to.node);
-  connections_.push_back(conn);
+  track(conn);
   auto client = std::make_shared<Socket>(*this, conn, /*is_a=*/true);
   auto server = std::make_shared<Socket>(*this, conn, /*is_a=*/false);
   it->second->pending_.push(std::move(server));
   co_return client;
+}
+
+void Network::track(const std::shared_ptr<detail::Connection>& conn) {
+  connections_.push_back(conn);
+  if (connections_.size() < prune_at_) return;
+  // Amortized O(1) per connect. Order is kept, so reset_node visits the
+  // live connections in the same order whether or not a sweep ran.
+  std::erase_if(connections_,
+                [](const std::weak_ptr<detail::Connection>& w) {
+                  return w.expired();
+                });
+  prune_at_ = std::max(kMinPrune, 2 * connections_.size());
 }
 
 // --- Fault hooks -------------------------------------------------------------

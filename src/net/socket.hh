@@ -156,12 +156,19 @@ class Socket {
   /// endpoint (used for bulk transfers whose sender must hold resources).
   sim::Task<void> send_sync(Message m);
 
+  /// The inbox's own awaiter: a blocking receive allocates nothing (no
+  /// coroutine frame, no wait state). On a locally closed socket it
+  /// completes at once with std::nullopt.
+  using RecvAwaiter = sim::Channel<Message>::RecvAwaiter;
+
   /// Receives the next message; std::nullopt = EOF (peer closed or died).
-  sim::Task<std::optional<Message>> recv();
+  RecvAwaiter recv() { return recv_for(-1); }
 
   /// recv with a timeout; std::nullopt = timeout *or* EOF. Callers that
   /// must distinguish check eof() afterwards.
-  sim::Task<std::optional<Message>> recv_for(sim::Duration timeout);
+  RecvAwaiter recv_for(sim::Duration timeout) {
+    return RecvAwaiter(open_ ? &in().inbox : nullptr, timeout);
+  }
 
   /// True once the peer has closed and the inbox has drained.
   bool eof() const;
@@ -191,8 +198,19 @@ class Listener {
 
   Address address() const { return addr_; }
 
-  /// Waits for the next inbound connection; nullopt if the listener closed.
-  sim::Task<SocketPtr> accept();
+  /// Awaiter of accept(): the pending-connection channel's receive, with
+  /// "closed" mapped to a null socket.
+  class AcceptAwaiter : public sim::Channel<SocketPtr>::RecvAwaiter {
+   public:
+    using RecvAwaiter::RecvAwaiter;
+    SocketPtr await_resume() {
+      std::optional<SocketPtr> s = RecvAwaiter::await_resume();
+      return s ? std::move(*s) : nullptr;
+    }
+  };
+
+  /// Waits for the next inbound connection; null if the listener closed.
+  AcceptAwaiter accept() { return AcceptAwaiter(&pending_, -1); }
 
   void close();
 
@@ -236,6 +254,10 @@ class Network {
   /// Number of live bound listeners (diagnostics).
   std::size_t listener_count() const { return listeners_.size(); }
 
+  /// Connections tracked for reset_node: the live ones plus dead ones not
+  /// yet pruned, at most about twice the live count (diagnostics).
+  std::size_t connection_count() const { return connections_.size(); }
+
   // --- Fault hooks ------------------------------------------------------
 
   /// Freezes `node`'s traffic for `d`: sends originating there serialize
@@ -256,13 +278,20 @@ class Network {
   friend class Listener;
   friend class Socket;
   void unbind(Address addr) { listeners_.erase(addr); }
+  void track(const std::shared_ptr<detail::Connection>& conn);
+
+  /// The registry is swept no earlier than this size.
+  static constexpr std::size_t kMinPrune = 64;
 
   sim::Engine* engine_;
   std::shared_ptr<const Fabric> fabric_;
   std::shared_ptr<MessageArena> arena_;
   std::map<Address, Listener*> listeners_;
-  /// Live connections, for reset_node; pruned opportunistically.
+  /// Connections in creation order, for reset_node. Dead entries pin
+  /// their connection's make_shared block, so track() prunes them each
+  /// time the list doubles since the last sweep.
   std::vector<std::weak_ptr<detail::Connection>> connections_;
+  std::size_t prune_at_ = kMinPrune;
   std::map<NodeId, sim::Time> stalled_;
 };
 

@@ -32,7 +32,7 @@ void PmiClient::put(const std::string& key, const std::string& value) {
 
 sim::Task<std::string> PmiClient::get(const std::string& key) {
   // Interleaved barrier_out or stale value replies route through the
-  // channel's correlation index and drop as orphans — the defensive
+  // channel's correlation scan and drop as orphans — the defensive
   // skips the hand-written receive loop used to make.
   auto r = co_await chan_->call(net::rpc::PmiGet{key});
   if (!r.ok()) throw std::runtime_error("PMI: lost connection to mpiexec");

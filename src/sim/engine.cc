@@ -48,8 +48,7 @@ void Engine::free_event_slot(std::uint32_t slot) {
   // Move the closure out before touching slab metadata: its destructor may
   // call back into the engine (cancel other timers, even allocate slots),
   // so it must run against a consistent slab — after this slot is free.
-  std::function<void()> doomed = std::move(s.fn);
-  s.fn = nullptr;
+  Callback doomed = std::move(s.fn);
   s.handle = {};
   s.ctx = nullptr;
   s.kind = EventSlot::kFree;
@@ -106,7 +105,7 @@ void Engine::schedule(Time t, Resumption r) {
   push_entry(t, slot);
 }
 
-TimerHandle Engine::call_at(Time t, std::function<void()> fn) {
+TimerHandle Engine::call_at(Time t, Callback fn) {
   assert(t >= now_);
   const std::uint32_t slot = alloc_event_slot();
   EventSlot& s = slots_[slot];
@@ -150,7 +149,6 @@ ActorId Engine::spawn(std::string name, Task<void> body) {
   actor.ctx = std::make_unique<ActorContext>();
   actor.ctx->engine = this;
   actor.ctx->id = id;
-  actor.ctx->name = actor.name;
   actor.ctx->slot = slot;
   actor.ctx->gen = as.gen;
   actor.root = body.release();
@@ -249,7 +247,7 @@ void Engine::dispatch(std::uint32_t slot) {
     h.resume();
     running_actor_ = 0;
   } else {
-    std::function<void()> fn = std::move(s.fn);
+    Callback fn = std::move(s.fn);
     free_event_slot(slot);
     ++events_executed_;
     fn();

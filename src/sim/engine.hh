@@ -30,13 +30,13 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/callback.hh"
 #include "sim/task.hh"
 #include "sim/time.hh"
 
@@ -145,9 +145,10 @@ class Engine {
   /// the join awaitable; requires the actor to be live.
   void add_joiner(ActorId id, Resumption r);
 
-  /// Queues a plain callback at absolute time `t`.
-  TimerHandle call_at(Time t, std::function<void()> fn);
-  TimerHandle call_in(Duration d, std::function<void()> fn) {
+  /// Queues a plain callback at absolute time `t`. Closures up to
+  /// Callback::kInlineBytes are stored in the event slot without allocating.
+  TimerHandle call_at(Time t, Callback fn);
+  TimerHandle call_in(Duration d, Callback fn) {
     return call_at(now_ + d, std::move(fn));
   }
 
@@ -257,7 +258,7 @@ class Engine {
     std::uint32_t actor_slot = 0;
     std::uint32_t actor_gen = 0;
     // kCallback payload:
-    std::function<void()> fn;
+    Callback fn;
     /// Absolute fire time, mirrored from the heap entry so event_time()
     /// can answer without searching the heap.
     Time at = 0;

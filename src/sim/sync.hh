@@ -10,8 +10,6 @@
 #pragma once
 
 #include <cassert>
-#include <deque>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -62,6 +60,124 @@ class Gate {
   std::vector<Resumption> waiters_;
 };
 
+namespace detail {
+
+class WaitList;
+
+/// Link of an intrusive FIFO of blocked coroutines. Awaiters derive from
+/// it, so a suspended coroutine's node lives in its own frame and blocking
+/// allocates nothing. A node still linked when its frame is destroyed (its
+/// actor was killed) unlinks itself; a list destroyed under linked nodes
+/// detaches them, so neither side can dangle.
+class WaitNode {
+ public:
+  WaitNode() = default;
+  WaitNode(const WaitNode&) = delete;
+  WaitNode& operator=(const WaitNode&) = delete;
+  ~WaitNode() { unlink(); }
+
+  inline void unlink();
+
+  /// The coroutine to wake; set by the awaiter when it suspends.
+  Resumption resume;
+
+ private:
+  friend class WaitList;
+  WaitList* list_ = nullptr;
+  WaitNode* prev_ = nullptr;
+  WaitNode* next_ = nullptr;
+};
+
+class WaitList {
+ public:
+  WaitList() = default;
+  WaitList(const WaitList&) = delete;
+  WaitList& operator=(const WaitList&) = delete;
+  ~WaitList() {
+    while (head_ != nullptr) pop_front();
+  }
+
+  bool empty() const noexcept { return head_ == nullptr; }
+  std::size_t size() const noexcept { return size_; }
+
+  void push_back(WaitNode* n) {
+    assert(n->list_ == nullptr);
+    n->list_ = this;
+    n->prev_ = tail_;
+    n->next_ = nullptr;
+    (tail_ != nullptr ? tail_->next_ : head_) = n;
+    tail_ = n;
+    ++size_;
+  }
+
+  /// Unlinks and returns the oldest node. Requires !empty().
+  WaitNode* pop_front() {
+    WaitNode* n = head_;
+    remove(n);
+    return n;
+  }
+
+ private:
+  friend class WaitNode;
+
+  void remove(WaitNode* n) {
+    assert(n->list_ == this);
+    (n->prev_ != nullptr ? n->prev_->next_ : head_) = n->next_;
+    (n->next_ != nullptr ? n->next_->prev_ : tail_) = n->prev_;
+    n->list_ = nullptr;
+    n->prev_ = n->next_ = nullptr;
+    --size_;
+  }
+
+  WaitNode* head_ = nullptr;
+  WaitNode* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+inline void WaitNode::unlink() {
+  if (list_ != nullptr) list_->remove(this);
+}
+
+/// FIFO ring over a power-of-two vector. It owns no heap memory until the
+/// first push, so an idle channel costs nothing, and once it has grown to
+/// a channel's working depth push/pop never allocate.
+template <typename T>
+class Ring {
+ public:
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
+
+  void push(T value) {
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(value);
+    ++size_;
+  }
+
+  /// Removes and returns the oldest value. Requires !empty().
+  T pop() {
+    T value = std::move(slots_[head_]);
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
+    return value;
+  }
+
+ private:
+  void grow() {
+    std::vector<T> next(slots_.empty() ? 4 : slots_.size() * 2);
+    for (std::size_t i = 0; i < size_; ++i) {
+      next[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_ = std::move(next);
+    head_ = 0;
+  }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
+}  // namespace detail
+
 /// Unbounded FIFO message channel. Senders never block; receivers block
 /// until a value arrives, the channel is closed, or (recv_for) a timeout
 /// elapses. Receivers whose actor has been killed are skipped.
@@ -79,15 +195,14 @@ class Channel {
   void push(T value) {
     assert(!closed_ && "push on closed channel");
     while (!waiters_.empty()) {
-      WaitNode node = std::move(waiters_.front());
-      waiters_.pop_front();
-      if (node.state->settled || node.resume.expired()) continue;
-      node.state->settled = true;
-      node.state->value = std::move(value);
-      engine_->schedule(engine_->now(), std::move(node.resume));
+      auto* w = static_cast<RecvAwaiter*>(waiters_.pop_front());
+      if (w->resume.expired()) continue;
+      w->settled_ = true;
+      w->value_ = std::move(value);
+      engine_->schedule(engine_->now(), w->resume);
       return;
     }
-    buffer_.push_back(std::move(value));
+    buffer_.push(std::move(value));
   }
 
   /// Closes the channel: pending waiters (and future receives once the
@@ -95,85 +210,85 @@ class Channel {
   void close() {
     if (closed_) return;
     closed_ = true;
-    for (WaitNode& node : waiters_) {
-      if (node.state->settled) continue;
-      node.state->settled = true;  // value stays nullopt -> "closed"
-      engine_->schedule(engine_->now(), std::move(node.resume));
+    while (!waiters_.empty()) {
+      auto* w = static_cast<RecvAwaiter*>(waiters_.pop_front());
+      w->settled_ = true;  // value stays nullopt -> "closed"
+      engine_->schedule(engine_->now(), w->resume);
     }
-    waiters_.clear();
   }
 
   bool closed() const noexcept { return closed_; }
   bool empty() const noexcept { return buffer_.empty(); }
   std::size_t size() const noexcept { return buffer_.size(); }
 
-  /// `co_await ch.recv()` -> std::optional<T>; nullopt means closed.
-  auto recv() { return RecvAwaiter{this, -1}; }
+  /// Awaiter of recv()/recv_for(), and the receiver's wait node: it lives
+  /// in the suspended frame, so a blocking receive allocates nothing. A
+  /// null channel stands for a closed endpoint (completes with nullopt).
+  class RecvAwaiter : public detail::WaitNode {
+   public:
+    RecvAwaiter(Channel* ch, Duration timeout) : ch_(ch), timeout_(timeout) {}
 
-  /// `co_await ch.recv_for(d)` -> std::optional<T>; nullopt means timeout
-  /// or closed. `d < 0` means wait forever.
-  auto recv_for(Duration timeout) { return RecvAwaiter{this, timeout}; }
-
- private:
-  struct RecvState {
-    std::optional<T> value;
-    bool settled = false;
-  };
-
-  struct WaitNode {
-    Resumption resume;
-    std::shared_ptr<RecvState> state;
-  };
-
-  struct RecvAwaiter {
-    RecvAwaiter(Channel* ch, Duration timeout) : ch(ch), timeout(timeout) {}
-    Channel* ch;
-    Duration timeout;
-    std::shared_ptr<RecvState> state;
-    std::optional<T> immediate;
-    TimerHandle timer;
+    ~RecvAwaiter() {
+      // A frame destroyed mid-wait belongs to a dead actor, whose pending
+      // timer must still fire (as a no-op) to keep the event schedule; it
+      // checks the actor before touching this awaiter. Otherwise the timer
+      // was cancelled in await_resume already.
+      if (!resume.expired()) timer_.cancel();
+    }
 
     bool await_ready() {
-      if (!ch->buffer_.empty()) {
-        immediate = std::move(ch->buffer_.front());
-        ch->buffer_.pop_front();
+      if (ch_ == nullptr) return true;
+      if (!ch_->buffer_.empty()) {
+        value_ = ch_->buffer_.pop();
         return true;
       }
-      if (ch->closed_ || timeout == 0) return true;  // nullopt
-      return false;
+      return ch_->closed_ || timeout_ == 0;  // nullopt
     }
 
     template <typename Promise>
     void await_suspend(std::coroutine_handle<Promise> h) {
-      state = std::make_shared<RecvState>();
-      Resumption r = Resumption::of(h, h.promise().context());
-      if (timeout >= 0) {
-        Engine* engine = ch->engine_;
-        // The timer holds its own copies; if it fires first it settles the
-        // state so a later push() skips this node.
-        timer = engine->call_at(
-            engine->now() + timeout,
-            [state = state, r]() mutable {
-              if (state->settled) return;
-              state->settled = true;  // value stays nullopt -> "timeout"
-              if (!r.expired()) {
-                r.engine->schedule(r.engine->now(), std::move(r));
-              }
+      resume = Resumption::of(h, h.promise().context());
+      if (timeout_ >= 0) {
+        Engine* engine = resume.engine;
+        timer_ = engine->call_at(
+            engine->now() + timeout_,
+            [self = this, engine, slot = resume.actor_slot,
+             gen = resume.actor_gen] {
+              if (!engine->actor_slot_live(slot, gen)) return;
+              if (self->settled_) return;
+              self->settled_ = true;  // value stays nullopt -> "timeout"
+              self->unlink();
+              engine->schedule(engine->now(), self->resume);
             });
       }
-      ch->waiters_.push_back(WaitNode{std::move(r), state});
+      ch_->waiters_.push_back(this);
     }
 
     std::optional<T> await_resume() {
-      if (!state) return std::move(immediate);
-      timer.cancel();
-      return std::move(state->value);
+      timer_.cancel();
+      return std::move(value_);
     }
+
+   private:
+    friend class Channel;
+    Channel* ch_;
+    Duration timeout_;
+    bool settled_ = false;
+    std::optional<T> value_;
+    TimerHandle timer_;
   };
 
+  /// `co_await ch.recv()` -> std::optional<T>; nullopt means closed.
+  RecvAwaiter recv() { return RecvAwaiter(this, -1); }
+
+  /// `co_await ch.recv_for(d)` -> std::optional<T>; nullopt means timeout
+  /// or closed. `d < 0` means wait forever.
+  RecvAwaiter recv_for(Duration timeout) { return RecvAwaiter(this, timeout); }
+
+ private:
   Engine* engine_;
-  std::deque<T> buffer_;
-  std::deque<WaitNode> waiters_;
+  detail::Ring<T> buffer_;
+  detail::WaitList waiters_;
   bool closed_ = false;
 };
 
@@ -191,8 +306,43 @@ class Semaphore {
   std::size_t available() const noexcept { return available_; }
   std::size_t waiting() const noexcept { return waiters_.size(); }
 
+  /// Awaiter of acquire(), and the waiter's node in the FIFO (see
+  /// Channel::RecvAwaiter).
+  class AcquireAwaiter : public detail::WaitNode {
+   public:
+    explicit AcquireAwaiter(Semaphore* sem) : sem_(sem) {}
+
+    ~AcquireAwaiter() {
+      // Frame destroyed after the permit was handed over but before the
+      // coroutine resumed: give the permit back.
+      if (granted_ && !consumed_) sem_->release();
+    }
+
+    bool await_ready() {
+      if (sem_->available_ > 0) {
+        --sem_->available_;
+        return true;
+      }
+      return false;
+    }
+
+    template <typename Promise>
+    void await_suspend(std::coroutine_handle<Promise> h) {
+      resume = Resumption::of(h, h.promise().context());
+      sem_->waiters_.push_back(this);
+    }
+
+    void await_resume() noexcept { consumed_ = true; }
+
+   private:
+    friend class Semaphore;
+    Semaphore* sem_;
+    bool granted_ = false;
+    bool consumed_ = false;
+  };
+
   /// `co_await sem.acquire()`: obtains one permit (FIFO order).
-  auto acquire() { return AcquireAwaiter{this}; }
+  AcquireAwaiter acquire() { return AcquireAwaiter(this); }
 
   /// Claims a permit iff one is free right now; never suspends.
   bool try_acquire() {
@@ -204,63 +354,19 @@ class Semaphore {
   /// Returns one permit, handing it to the oldest live waiter if any.
   void release() {
     while (!waiters_.empty()) {
-      WaitNode node = std::move(waiters_.front());
-      waiters_.pop_front();
-      if (node.state->settled || node.resume.expired()) continue;
-      node.state->settled = true;
-      node.state->granted = true;
-      engine_->schedule(engine_->now(), std::move(node.resume));
+      auto* w = static_cast<AcquireAwaiter*>(waiters_.pop_front());
+      if (w->resume.expired()) continue;
+      w->granted_ = true;
+      engine_->schedule(engine_->now(), w->resume);
       return;  // permit handed over directly
     }
     ++available_;
   }
 
  private:
-  struct AcquireState {
-    bool settled = false;
-    bool granted = false;
-    bool consumed = false;
-  };
-
-  struct WaitNode {
-    Resumption resume;
-    std::shared_ptr<AcquireState> state;
-  };
-
-  struct AcquireAwaiter {
-    explicit AcquireAwaiter(Semaphore* sem) : sem(sem) {}
-    Semaphore* sem;
-    std::shared_ptr<AcquireState> state;
-
-    bool await_ready() {
-      if (sem->available_ > 0) {
-        --sem->available_;
-        return true;
-      }
-      return false;
-    }
-
-    template <typename Promise>
-    void await_suspend(std::coroutine_handle<Promise> h) {
-      state = std::make_shared<AcquireState>();
-      sem->waiters_.push_back(
-          WaitNode{Resumption::of(h, h.promise().context()), state});
-    }
-
-    void await_resume() {
-      if (state) state->consumed = true;
-    }
-
-    ~AcquireAwaiter() {
-      // Frame destroyed after the permit was handed over but before the
-      // coroutine resumed: give the permit back.
-      if (state && state->granted && !state->consumed) sem->release();
-    }
-  };
-
   Engine* engine_;
   std::size_t available_;
-  std::deque<WaitNode> waiters_;
+  detail::WaitList waiters_;
 };
 
 /// RAII permit holder: `auto permit = co_await Permit::acquire(sem);`

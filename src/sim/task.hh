@@ -10,10 +10,10 @@
 #pragma once
 
 #include <coroutine>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <optional>
-#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -35,7 +35,6 @@ void engine_actor_finished(Engine& engine, std::uint64_t actor_id,
 struct ActorContext {
   Engine* engine = nullptr;
   std::uint64_t id = 0;
-  std::string name;
   std::uint32_t slot = 0;
   std::uint32_t gen = 0;
 };

@@ -1,0 +1,193 @@
+// Allocation budget of the simulated message path.
+//
+// This binary replaces the global operator new with a counting one, so a
+// test can assert how many heap allocations a steady-state operation
+// costs. Putting an allocation back on the send -> deliver -> recv path (a
+// heap closure per delivery event, a wait state per blocked receive, a
+// coroutine frame per socket receive) fails here, in ctest, and not only
+// in the host-cost benchmark.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+
+#include "net/fabric.hh"
+#include "net/rpc.hh"
+#include "net/socket.hh"
+#include "sim/sim.hh"
+
+namespace {
+std::size_t g_allocs = 0;
+}  // namespace
+
+// Out of line, so GCC does not pair an inlined free() with the new
+// expression it sees (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace jets::net {
+namespace {
+
+using sim::Engine;
+using sim::Task;
+
+/// Heap allocations made while running `fn`.
+template <typename F>
+std::size_t allocations_in(F&& fn) {
+  const std::size_t before = g_allocs;
+  fn();
+  return g_allocs - before;
+}
+
+/// An established connection from node 0 (client) to node 1 (server).
+class AllocBudget : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    engine.spawn("accept", [](Listener& l, SocketPtr& out) -> Task<void> {
+      out = co_await l.accept();
+    }(*listener, server));
+    engine.spawn("connect", [](Network& net, SocketPtr& out) -> Task<void> {
+      out = co_await net.connect(0, {1, 5000});
+    }(net, client));
+    engine.run();
+    ASSERT_NE(client, nullptr);
+    ASSERT_NE(server, nullptr);
+  }
+  // Blocked readers hold sockets in their frames: destroy those frames
+  // while the network is still alive.
+  void TearDown() override { engine.shutdown(); }
+
+  Engine engine;
+  Network net{engine, std::make_shared<EthernetFabric>()};
+  std::unique_ptr<Listener> listener = net.listen({1, 5000});
+  SocketPtr client;
+  SocketPtr server;
+};
+
+TEST_F(AllocBudget, SteadyStateSendDeliverRecvAllocatesNothing) {
+  // The reader naps after each message, so a burst finds it both blocked
+  // (first message: direct hand-off) and busy (the rest: buffered).
+  int received = 0;
+  engine.spawn("reader", [](SocketPtr s, int& n) -> Task<void> {
+    while (co_await s->recv()) {
+      ++n;
+      co_await sim::delay(sim::milliseconds(1));
+    }
+  }(server, received));
+  auto burst = [&] {
+    for (int i = 0; i < 8; ++i) client->send(Message("m"));
+    engine.run();
+  };
+  burst();  // warm-up: event slab, index heap, arena slots, inbox ring
+  EXPECT_EQ(allocations_in(burst), 0u);
+  EXPECT_EQ(received, 16);
+}
+
+TEST_F(AllocBudget, BlockingReceivesAllocateNothing) {
+  // One message at a time, so every receive suspends first: a plain recv,
+  // a timed recv that a message satisfies, and one that times out.
+  int got = 0;
+  int timeouts = 0;
+  engine.spawn("reader", [](SocketPtr s, int& got, int& timeouts)
+                             -> Task<void> {
+    for (;;) {
+      if (!co_await s->recv()) co_return;
+      ++got;
+      if (co_await s->recv_for(sim::seconds(1))) ++got;
+      if (!co_await s->recv_for(sim::milliseconds(1))) ++timeouts;
+    }
+  }(server, got, timeouts));
+  auto rounds = [&] {
+    for (int i = 0; i < 20; ++i) {
+      client->send(Message("a"));
+      engine.run_until(engine.now() + sim::milliseconds(100));
+      client->send(Message("b"));
+      engine.run_until(engine.now() + sim::milliseconds(100));
+    }
+  };
+  rounds();  // warm-up, including the cancelled timers' heap tombstones
+  EXPECT_EQ(allocations_in(rounds), 0u);
+  EXPECT_EQ(got, 80);
+  EXPECT_EQ(timeouts, 40);
+}
+
+TEST(AllocBudgetCallback, HotClosuresStayInline) {
+  Engine e;
+  auto hits = std::make_shared<int>(0);
+  auto warm = [&] {
+    for (int i = 0; i < 3; ++i) e.call_in(1, [] {});
+    e.run();
+  };
+  warm();
+  // Non-trivially-copyable captures up to Callback::kInlineBytes: the
+  // shapes of a socket delivery (a shared_ptr) and an EOF (shared_ptr and
+  // a flag). std::function would put each on the heap.
+  EXPECT_EQ(allocations_in([&] {
+              e.call_in(1, [hits] { ++*hits; });
+              e.call_in(2, [hits, twice = true] { *hits += twice ? 2 : 1; });
+              e.run();
+            }),
+            0u);
+  EXPECT_EQ(*hits, 3);
+  // Larger closures spill to the heap: one allocation each.
+  const std::array<std::uint64_t, 3> big{1, 2, 3};
+  EXPECT_EQ(allocations_in([&] {
+              e.call_in(1, [hits, big] { *hits += static_cast<int>(big[2]); });
+              e.run();
+            }),
+            1u);
+  EXPECT_EQ(*hits, 6);
+}
+
+constexpr std::size_t kAllocsPerCall = 7;
+
+TEST_F(AllocBudget, RpcCallReplyCostIsPinned) {
+  // A pump-mode PMI get against a raw-socket responder. The round trip's
+  // allocations, both sides: the call() and pump_until() coroutine frames,
+  // the shared wait state, the completion callback and its type-erasing
+  // wrapper, and the two encoded frames' argument vectors. Correlation
+  // (the scan of the pending calls) allocates nothing.
+  engine.spawn("kvs", [](SocketPtr s) -> Task<void> {
+    while (auto m = co_await s->recv()) {
+      s->send(rpc::PmiValue(m->args.at(0), "0 5000").encode());
+    }
+  }(server));
+  rpc::Channel chan(engine, client);
+  int ok = 0;
+  auto calls = [&](int n) {
+    engine.spawn("client", [](rpc::Channel& chan, int n, int& ok)
+                               -> Task<void> {
+      for (int i = 0; i < n; ++i) {
+        auto r = co_await chan.call(rpc::PmiGet("card.1"));
+        if (r.ok() && r.value().value == "0 5000") ++ok;
+      }
+    }(chan, n, ok));
+    engine.run();
+  };
+  calls(4);  // warm-up: routes, the pending-call vector, slabs
+  const std::size_t spawn_cost = allocations_in([&] { calls(0); });
+  const std::size_t ten_calls = allocations_in([&] { calls(10); }) - spawn_cost;
+  EXPECT_EQ(ok, 14);
+  EXPECT_EQ(chan.in_flight(), 0u);
+  EXPECT_EQ(ten_calls, 10 * kAllocsPerCall);
+}
+
+}  // namespace
+}  // namespace jets::net

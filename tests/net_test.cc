@@ -203,6 +203,76 @@ TEST_F(SocketTest, ListenerCloseUnbindsPort) {
   EXPECT_EQ(net.listener_count(), 1u);
 }
 
+TEST_F(SocketTest, ListenerCloseWakesPendingAcceptWithNull) {
+  auto listener = net.listen({1, 5000});
+  bool woke_null = false;
+  Time woke_at = -1;
+  engine.spawn("server", [](Engine& e, Listener& l, bool& null, Time& at)
+                   -> Task<void> {
+    SocketPtr s = co_await l.accept();
+    null = s == nullptr;
+    at = e.now();
+  }(engine, *listener, woke_null, woke_at));
+  engine.call_at(sim::seconds(2), [&] { listener->close(); });
+  engine.run();
+  EXPECT_TRUE(woke_null);
+  EXPECT_EQ(woke_at, sim::seconds(2));
+  EXPECT_EQ(net.listener_count(), 0u);
+}
+
+TEST_F(SocketTest, RecvOnLocallyClosedSocketReturnsNulloptAtOnce) {
+  auto listener = net.listen({1, 5000});
+  engine.spawn("server", [](Listener& l) -> Task<void> {
+    SocketPtr s = co_await l.accept();
+    s->send(Message("late"));  // must not reach a reader that closed
+    co_await sim::delay(sim::seconds(10));
+  }(*listener));
+  bool got_nullopt = false;
+  bool timed_nullopt = false;
+  Time done_at = -1;
+  engine.spawn("client", [](Engine& e, Network& net, bool& plain, bool& timed,
+                            Time& at) -> Task<void> {
+    SocketPtr s = co_await net.connect(0, {1, 5000});
+    co_await sim::delay(sim::seconds(1));  // "late" is buffered by now
+    s->close();
+    const Time closed_at = e.now();
+    plain = !(co_await s->recv()).has_value();
+    timed = !(co_await s->recv_for(sim::seconds(5))).has_value();
+    at = e.now() - closed_at;
+  }(engine, net, got_nullopt, timed_nullopt, done_at));
+  engine.run();
+  EXPECT_TRUE(got_nullopt);
+  EXPECT_TRUE(timed_nullopt);
+  EXPECT_EQ(done_at, 0);  // neither receive suspended
+}
+
+TEST_F(SocketTest, ConnectionRegistryStaysBoundedByLiveConnections) {
+  // Every connect is tracked for reset_node. Dead entries pin their
+  // connection's memory, so the registry prunes them each time it doubles:
+  // after many short-lived connections it holds O(live) entries, and the
+  // live ones are still all reachable by reset_node.
+  auto listener = net.listen({1, 5000});
+  engine.spawn("server", [](Listener& l) -> Task<void> {
+    for (;;) {
+      SocketPtr s = co_await l.accept();
+      if (!s) co_return;  // dropping `s` closes the server end
+    }
+  }(*listener));
+  std::vector<SocketPtr> held;
+  engine.spawn("client", [](Network& net, std::vector<SocketPtr>& held)
+                   -> Task<void> {
+    for (int i = 0; i < 2000; ++i) {
+      SocketPtr s = co_await net.connect(0, {1, 5000});
+      if (i % 10 == 0) held.push_back(std::move(s));  // 200 stay open
+    }
+  }(net, held));
+  engine.run();
+  ASSERT_EQ(held.size(), 200u);
+  EXPECT_GE(net.connection_count(), held.size());
+  EXPECT_LE(net.connection_count(), 2 * held.size() + 64);
+  EXPECT_EQ(net.reset_node(1), held.size());
+}
+
 TEST_F(SocketTest, ArenaDrainsWhenReaderClosesMidBatch) {
   // A burst of sends is parked in the message arena as one FIFO chain per
   // pipe; if the reader closes its end partway through, the undelivered

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/sim.hh"
@@ -177,6 +178,94 @@ TEST(Channel, PushSkipsKilledWaiters) {
   EXPECT_EQ(got, std::optional<int>(5));
 }
 
+TEST(Channel, KilledReceiverIsSkippedInFifoOrder) {
+  // Waiters are intrusive nodes in their suspended frames; killing one
+  // unlinks it, and the values go to the survivors in arrival order.
+  Engine e;
+  Channel<int> ch(e);
+  std::vector<std::pair<int, int>> got;  // (receiver, value)
+  std::vector<ActorId> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(e.spawn("r", [](Channel<int>& ch, int me,
+                                  std::vector<std::pair<int, int>>& got)
+                                   -> Task<void> {
+      auto v = co_await ch.recv();
+      if (v) got.emplace_back(me, *v);
+    }(ch, i, got)));
+  }
+  e.call_at(seconds(1), [&] { e.kill(ids[0]); });
+  e.call_at(seconds(2), [&] {
+    ch.push(10);
+    ch.push(20);
+    ch.push(30);  // no waiter left: buffered
+  });
+  e.run();
+  EXPECT_EQ(got, (std::vector<std::pair<int, int>>{{1, 10}, {2, 20}}));
+  EXPECT_EQ(ch.size(), 1u);
+}
+
+TEST(Channel, DestroyedUnderBlockedReceiverIsSafe) {
+  // The channel dies first: it detaches its waiters, so neither the later
+  // kill of the blocked receiver nor the timed receiver's deadline touches
+  // freed memory (checked under ASan). The timed receiver still wakes at
+  // its deadline with nullopt.
+  Engine e;
+  auto ch = std::make_unique<Channel<int>>(e);
+  ActorId blocked = e.spawn("blocked", [](Channel<int>& ch) -> Task<void> {
+    (void)co_await ch.recv();
+    ADD_FAILURE() << "receiver on a destroyed channel resumed";
+  }(*ch));
+  Time timed_out_at = -1;
+  e.spawn("timed", [](Engine& e, Channel<int>& ch, Time& at) -> Task<void> {
+    auto v = co_await ch.recv_for(seconds(5));
+    EXPECT_FALSE(v.has_value());
+    at = e.now();
+  }(e, *ch, timed_out_at));
+  e.call_at(seconds(1), [&] { ch.reset(); });
+  e.call_at(seconds(2), [&] { e.kill(blocked); });
+  e.run();
+  EXPECT_EQ(timed_out_at, seconds(5));
+  EXPECT_EQ(e.live_actor_count(), 0u);
+}
+
+TEST(Channel, TimedOutRecvForDoesNotTakeLaterPush) {
+  Engine e;
+  Channel<int> ch(e);
+  std::vector<std::optional<int>> got;
+  e.spawn("r", [](Channel<int>& ch, std::vector<std::optional<int>>& got)
+                   -> Task<void> {
+    got.push_back(co_await ch.recv_for(seconds(1)));
+    co_await delay(seconds(2));
+    got.push_back(co_await ch.recv_for(seconds(1)));
+  }(ch, got));
+  e.call_at(seconds(2), [&] { ch.push(7); });
+  e.run();
+  // The push at t=2 found no waiter (the timed-out node had unlinked) and
+  // was buffered for the next receive.
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], std::nullopt);
+  EXPECT_EQ(got[1], std::optional<int>(7));
+  EXPECT_TRUE(ch.empty());
+}
+
+TEST(Channel, KilledTimedReceiverKeepsItsDeadlineEvent) {
+  // A timed receive killed mid-wait leaves its deadline event in the
+  // queue: it fires as a no-op at the deadline (advancing the clock, as it
+  // always has) without touching the destroyed frame.
+  Engine e;
+  Channel<int> ch(e);
+  ActorId victim = e.spawn("victim", [](Channel<int>& ch) -> Task<void> {
+    (void)co_await ch.recv_for(seconds(5));
+    ADD_FAILURE() << "killed receiver resumed";
+  }(ch));
+  e.call_at(seconds(1), [&] { e.kill(victim); });
+  e.run();
+  EXPECT_EQ(e.now(), seconds(5));
+  EXPECT_EQ(e.cancelled_events(), 0u);
+  ch.push(1);  // no stale node left behind
+  EXPECT_EQ(ch.size(), 1u);
+}
+
 TEST(Semaphore, LimitsConcurrency) {
   Engine e;
   Semaphore sem(e, 2);
@@ -222,6 +311,36 @@ TEST(Semaphore, KilledWaiterDoesNotConsumePermit) {
   e.run();
   EXPECT_TRUE(survivor_ran);
   EXPECT_EQ(sem.available(), 1u);
+}
+
+TEST(Semaphore, GrantToKilledWaiterPassesToNext) {
+  // The holder hands its permit to the first waiter and kills it before it
+  // resumes: the granted-but-unconsumed permit moves on to the next
+  // waiter instead of leaking.
+  Engine e;
+  Semaphore sem(e, 1);
+  ActorId first = 0;
+  bool second_ran = false;
+  e.spawn("holder", [](Engine& e, Semaphore& sem, ActorId& first) -> Task<void> {
+    co_await sem.acquire();
+    co_await delay(seconds(1));
+    sem.release();  // granted to `first`, whose resumption is queued
+    e.kill(first);
+  }(e, sem, first));
+  first = e.spawn("first", [](Semaphore& sem) -> Task<void> {
+    co_await sem.acquire();
+    ADD_FAILURE() << "killed waiter resumed";
+    sem.release();
+  }(sem));
+  e.spawn("second", [](Semaphore& sem, bool& ran) -> Task<void> {
+    co_await sem.acquire();
+    ran = true;
+    sem.release();
+  }(sem, second_ran));
+  e.run();
+  EXPECT_TRUE(second_ran);
+  EXPECT_EQ(sem.available(), 1u);
+  EXPECT_EQ(sem.waiting(), 0u);
 }
 
 TEST(Semaphore, PermitGuardReleasesOnKill) {
