@@ -15,13 +15,18 @@
 # the untraced run (tracing must not perturb the simulation). On top of
 # that, scheduler_equiv.sh replays all 15 figure benches against the
 # committed golden manifest (hot-path refactors must not move a byte),
-# and the scale suite re-runs at 10^5 workers — release build only,
-# under a wall-clock budget. The default preset also runs a crash-recovery
-# smoke: the fig10 recover scenario (JETS_RECOVER=1) must report replay
-# digest/snapshot byte-equality and verbatim preservation of pre-crash
-# settled records, and a staging smoke: the JETS_STAGING=1 abl_staging
-# sweep must be byte-identical across two runs (warm-cache determinism)
-# and its cold/warm dedup factor at least 10x, and an elastic smoke: the
+# the host-cost benchmark self-tests (perfbench/run.py --self-test: it
+# builds src/ with its own -Wall -Wextra -Wpedantic flags, then checks
+# that counts and digests repeat, that traced and untraced passes agree
+# on the modelled outputs, and that the metric names match
+# BENCHMARK.json), and the scale suite re-runs at 10^5 workers — release
+# build only, under a wall-clock budget. The default preset also runs a
+# crash-recovery smoke: the fig10 recover scenario (JETS_RECOVER=1) must
+# report replay digest/snapshot byte-equality and verbatim preservation of
+# pre-crash settled records, and a staging smoke: the JETS_STAGING=1
+# abl_staging sweep must be byte-identical across two runs (warm-cache
+# determinism) and its cold/warm dedup factor at least 10x, and an
+# elastic smoke: the
 # JETS_ELASTIC=1 fig07 scenario must be byte-identical across two runs and
 # lose zero jobs to walltime expiry under allocation chaos. The sanitizer
 # pass re-runs the fault-heavy
@@ -143,6 +148,9 @@ if [[ "$run_default" == 1 ]]; then
 
   echo "== scheduler equivalence: 15 figures vs golden manifest =="
   ./scripts/scheduler_equiv.sh build
+
+  echo "== benchmark self-test: perfbench builds and repeats its counts =="
+  python3 perfbench/run.py --self-test
 
   echo "== scale suite at 10^5 workers (release build, 10 min budget) =="
   JETS_SCALE_N=100000 timeout 600 ./build/tests/scale_test

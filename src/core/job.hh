@@ -147,10 +147,16 @@ struct JobSpec {
   /// never started that the walltime is guaranteed to kill.
   sim::Duration expected_runtime = 0;
 
+  /// nprocs >= 1 and ppn >= 1: what workers_needed() assumes. The job-file
+  /// parser enforces it per line; Service::submit and the snapshot reader
+  /// check it here (a zero ppn would divide by zero).
+  bool shape_valid() const { return nprocs >= 1 && ppn >= 1; }
+
   /// Number of workers (pilot slots) this job occupies while running.
+  /// Requires shape_valid(); cannot overflow near INT_MAX.
   int workers_needed() const {
     if (kind == JobKind::kSequential) return 1;
-    return (nprocs + ppn - 1) / ppn;
+    return (nprocs - 1) / ppn + 1;
   }
 
   friend bool operator==(const JobSpec&, const JobSpec&) = default;

@@ -152,6 +152,9 @@ void Service::start() {
 
 JobId Service::submit(JobSpec spec) {
   if (spec.argv.empty()) throw std::invalid_argument("job with empty argv");
+  if (!spec.shape_valid()) {
+    throw std::invalid_argument("job needs nprocs >= 1 and ppn >= 1");
+  }
   Job job;
   job.rec.spec = std::move(spec);
   job.rec.submitted_at = machine_->engine().now();

@@ -77,7 +77,8 @@
 
 namespace jets::core {
 
-struct Snapshot;  // core/snapshot.hh
+struct Snapshot;    // core/snapshot.hh
+class Checkpoint;  // core/snapshot.hh
 
 /// Queue discipline for picking the next job to place.
 enum class SchedPolicy {
@@ -170,11 +171,12 @@ class Service {
           Config config);
   Service(os::Machine& machine, const os::AppRegistry& apps, os::NodeId host);
   /// Recovery constructor: builds a fresh service whose scheduler state is
-  /// restored from `snap` (see core/snapshot.hh). Call start() afterwards —
-  /// it rebinds the *checkpointed* listen address so surviving pilots can
-  /// redial it. Throws SnapshotError if the snapshot is malformed.
+  /// restored from `snap` (see core/snapshot.hh), moving its job records
+  /// into the new table. Call start() afterwards — it rebinds the
+  /// *checkpointed* listen address so surviving pilots can redial it.
+  /// Throws SnapshotError if the snapshot is malformed.
   Service(os::Machine& machine, const os::AppRegistry& apps, os::NodeId host,
-          Config config, const Snapshot& snap);
+          Config config, Snapshot snap);
   ~Service();
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
@@ -187,7 +189,9 @@ class Service {
   Hooks& hooks() { return hooks_; }
 
   /// Enqueues a job; returns its id. Jobs may be submitted at any time,
-  /// including while earlier jobs run (dynamic workloads).
+  /// including while earlier jobs run (dynamic workloads). Throws
+  /// std::invalid_argument for an empty argv or a spec that fails
+  /// JobSpec::shape_valid().
   JobId submit(JobSpec spec);
   std::vector<JobId> submit_batch(const std::vector<JobSpec>& specs);
 
@@ -208,13 +212,14 @@ class Service {
   const JobRecord& record(JobId id) const { return jobs_.at(id).rec; }
   std::vector<JobRecord> records() const;
 
-  /// Serializes the full scheduler state — job table with retry budgets and
+  /// Writes the full scheduler state — job table with retry budgets and
   /// attempt history, worker table, pending-queue order, blacklist state,
   /// service-owned timer deadlines, the retry rng stream, counters, and the
-  /// obs span journal — into a versioned Snapshot (core/snapshot.hh).
+  /// obs span journal — as a versioned image (core/snapshot.hh), in one
+  /// pass from the live tables into one presized buffer.
   /// Pure: takes no locks (single-threaded), schedules no events, draws no
   /// randomness, mutates nothing, so checkpointing cannot perturb the run.
-  Snapshot checkpoint() const;
+  Checkpoint checkpoint() const;
 
   /// The metrics registry this service reports to: Config::metrics when
   /// set, otherwise a private one. All the counter accessors below are
@@ -551,13 +556,18 @@ class Service {
     bool empty() const { return live_ == 0; }
     std::size_t size() const { return live_; }
     std::size_t physical_size() const { return fifo_.size(); }
+    /// Visits pooled workers in FIFO order; stale entries are skipped.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      for (const FifoEntry& e : fifo_) {
+        if (is_live(e)) fn(e.wid);
+      }
+    }
     /// Live FIFO view for the consistency test hook (cold path).
     std::vector<WorkerId> live_fifo() const {
       std::vector<WorkerId> out;
       out.reserve(live_);
-      for (const FifoEntry& e : fifo_) {
-        if (is_live(e)) out.push_back(e.wid);
-      }
+      for_each([&](WorkerId wid) { out.push_back(wid); });
       return out;
     }
     const std::vector<Entry>& index() const { return by_node_; }
@@ -749,9 +759,12 @@ class Service {
   /// Binds metrics_/m_* to Config::metrics or a private registry.
   void init_metrics();
   /// Restore path (defined in snapshot.cc with the codec): rebuilds every
-  /// table, queue, counter, and timer from a parsed snapshot. Only the
-  /// recovery constructor calls it, on a freshly constructed service.
-  void apply_snapshot(const Snapshot& snap);
+  /// table, queue, counter, and timer from a parsed snapshot, moving the
+  /// job records out of it. Only the recovery constructor calls it, on a
+  /// freshly constructed service.
+  void apply_snapshot(Snapshot&& snap);
+  /// The live tables as the snapshot encoder's row source (snapshot.cc).
+  class ImageRows;
   /// Fires once restore_grace after a restore: drops ghost workers that
   /// never redialed, requeueing their jobs with kServiceRestart.
   void reconcile_ghosts();

@@ -1,13 +1,20 @@
 // Versioned, self-describing binary serialization of the full Service
 // scheduler state — the checkpoint half of crash recovery (ROADMAP item 5).
 //
-// A Snapshot is an explicit inventory of every piece of mutable scheduler
+// The image is an explicit inventory of every piece of mutable scheduler
 // state: the append-only job table (records, per-attempt FailureReason
 // history, retry/backoff budgets), the worker table keyed by registration
 // seq (SlotMap handles are process-local and never serialized), the
 // pending-queue FIFO order, blacklist/probation state, the deadlines of
 // every service-owned engine timer (re-armed on restore), the retry rng
 // stream, the metrics counters, and the obs span journal.
+//
+// Service::checkpoint() writes the image in one pass straight from the
+// live tables and returns it as a Checkpoint. Snapshot is the decoded
+// view (what parse() returns and restore consumes) and, through
+// serialize(), the reference encoder for hand-built states. Both encoders
+// run the same encoder body and row writers; they differ only in where the
+// rows come from, so parse(img).serialize() == img for every live image.
 //
 // Wire format (all integers little-endian, fixed-width):
 //
@@ -171,10 +178,28 @@ struct Snapshot {
   /// imports it so the restored run's trace stays contiguous.
   std::vector<obs::Span> journal;
 
+  /// Reference encoder: the image of this decoded state.
   std::vector<std::uint8_t> serialize() const;
+  /// Decodes an image. Throws SnapshotError on malformed input; row counts
+  /// only size reservations up to what the remaining bytes could hold.
   static Snapshot parse(const std::vector<std::uint8_t>& bytes);
 
   friend bool operator==(const Snapshot&, const Snapshot&) = default;
+};
+
+/// A checkpoint image as Service::checkpoint() wrote it. serialize() hands
+/// over the bytes, moving them out when called on a temporary
+/// (`jets.checkpoint().serialize()` copies nothing).
+class Checkpoint {
+ public:
+  explicit Checkpoint(std::vector<std::uint8_t> image)
+      : image_(std::move(image)) {}
+
+  const std::vector<std::uint8_t>& serialize() const& { return image_; }
+  std::vector<std::uint8_t> serialize() && { return std::move(image_); }
+
+ private:
+  std::vector<std::uint8_t> image_;
 };
 
 }  // namespace jets::core

@@ -94,7 +94,7 @@ sim::Task<BatchReport> StandaloneJets::run_input(const std::string& input_text) 
   co_return co_await run_batch(parse_job_list(input_text, options_.default_ppn));
 }
 
-Snapshot StandaloneJets::checkpoint() const {
+Checkpoint StandaloneJets::checkpoint() const {
   if (!service_) throw std::logic_error("StandaloneJets: service is down");
   return service_->checkpoint();
 }
@@ -104,11 +104,11 @@ void StandaloneJets::crash_service() {
   service_.reset();  // ~Service kills actors, disarms timers, frees the port
 }
 
-void StandaloneJets::restore_service(const Snapshot& snap) {
+void StandaloneJets::restore_service(Snapshot snap) {
   if (service_) throw std::logic_error("StandaloneJets: service still up");
   service_ = std::make_unique<Service>(*machine_, *apps_,
                                        machine_->login_node(),
-                                       options_.service, snap);
+                                       options_.service, std::move(snap));
   service_->start();
 }
 

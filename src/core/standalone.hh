@@ -85,15 +85,16 @@ class StandaloneJets {
   // or wait_job() when the service crashes are never resumed (their gates
   // die with it, exactly like RPC clients of a crashed scheduler); recovery
   // harnesses poll the service's counters instead.
-  /// Snapshot of the live service's scheduler state (see core/snapshot.hh).
-  Snapshot checkpoint() const;
+  /// Image of the live service's scheduler state (see core/snapshot.hh).
+  Checkpoint checkpoint() const;
   /// Destroys the service mid-run: actors die, timers disarm, the listen
   /// port closes. Workers see EOF and (when configured with
   /// reconnect_backoff) start redialing.
   void crash_service();
-  /// Fresh service restored from `snap`, started on the checkpointed listen
-  /// address so redialing pilots find it. Requires service_up() == false.
-  void restore_service(const Snapshot& snap);
+  /// Fresh service restored from `snap` (its job records are moved into the
+  /// new table), started on the checkpointed listen address so redialing
+  /// pilots find it. Requires service_up() == false.
+  void restore_service(Snapshot snap);
   bool service_up() const { return service_ != nullptr; }
 
  private:

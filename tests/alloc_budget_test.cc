@@ -1,11 +1,13 @@
-// Allocation budget of the simulated message path.
+// Allocation budget of the simulated message path and of a service
+// checkpoint.
 //
 // This binary replaces the global operator new with a counting one, so a
 // test can assert how many heap allocations a steady-state operation
 // costs. Putting an allocation back on the send -> deliver -> recv path (a
 // heap closure per delivery event, a wait state per blocked receive, a
-// coroutine frame per socket receive) fails here, in ctest, and not only
-// in the host-cost benchmark.
+// coroutine frame per socket receive), or a per-job copy back into
+// checkpoint(), fails here, in ctest, and not only in the host-cost
+// benchmark.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,13 +16,23 @@
 #include <memory>
 #include <new>
 
+#include "core/snapshot.hh"
 #include "net/fabric.hh"
 #include "net/rpc.hh"
 #include "net/socket.hh"
 #include "sim/sim.hh"
+#include "testutil.hh"
 
 namespace {
 std::size_t g_allocs = 0;
+
+/// Heap allocations made while running `fn`.
+template <typename F>
+std::size_t allocations_in(F&& fn) {
+  const std::size_t before = g_allocs;
+  fn();
+  return g_allocs - before;
+}
 }  // namespace
 
 // Out of line, so GCC does not pair an inlined free() with the new
@@ -47,14 +59,6 @@ namespace {
 
 using sim::Engine;
 using sim::Task;
-
-/// Heap allocations made while running `fn`.
-template <typename F>
-std::size_t allocations_in(F&& fn) {
-  const std::size_t before = g_allocs;
-  fn();
-  return g_allocs - before;
-}
 
 /// An established connection from node 0 (client) to node 1 (server).
 class AllocBudget : public ::testing::Test {
@@ -191,3 +195,31 @@ TEST_F(AllocBudget, RpcCallReplyCostIsPinned) {
 
 }  // namespace
 }  // namespace jets::net
+
+namespace jets::core {
+namespace {
+
+/// Allocations of one checkpoint image for a service on 4 workers that has
+/// settled `jobs` jobs.
+std::size_t checkpoint_allocations(std::size_t jobs) {
+  test::ServiceBed bed(os::Machine::breadboard(4), {{"sleep", 16'384}});
+  StandaloneJets jets(bed.machine, bed.apps, test::ServiceBed::fast_options());
+  test::ServiceBed::enlist(jets, 4);
+  const BatchReport report = bed.run(
+      jets, std::vector<JobSpec>(jobs, test::seq_job({"sleep", "0.01"})));
+  EXPECT_EQ(report.completed, jobs);
+  return allocations_in([&] { (void)jets.checkpoint().serialize(); });
+}
+
+TEST(AllocBudgetCheckpoint, AllocationsDoNotGrowWithTheJobTable) {
+  // The image is written straight from the live tables into one buffer
+  // sized from the job count, so ten times the jobs costs the same
+  // allocations; the slack allows one more growth of the image buffer.
+  const std::size_t small = checkpoint_allocations(200);
+  const std::size_t large = checkpoint_allocations(2'000);
+  EXPECT_LE(large, small + 2) << "200 jobs: " << small << ", 2000: " << large;
+  EXPECT_LE(small, large + 2) << "200 jobs: " << small << ", 2000: " << large;
+}
+
+}  // namespace
+}  // namespace jets::core

@@ -400,6 +400,27 @@ TEST(Standalone, WaitJobOnSettledOrUnknownJobReturnsImmediately) {
   EXPECT_EQ(bed.engine.now(), settled_at);
 }
 
+TEST(Standalone, SubmitRejectsSpecsWithoutAValidShape) {
+  JetsBed bed(os::Machine::breadboard(2));
+  StandaloneJets jets(bed.machine, bed.apps, bed.fast_options());
+  jets.start(JetsBed::nodes(2));
+  Service& svc = jets.service();
+  // ppn 0 used to divide by zero in workers_needed(); negative values gave
+  // nonsense widths (nprocs 4 at ppn -3 needed 0 workers).
+  for (const auto& [nprocs, ppn] : {std::pair{4, 0}, std::pair{4, -3},
+                                    std::pair{0, 1}, std::pair{-2, 2}}) {
+    EXPECT_THROW(svc.submit(mpi_job(nprocs, {"mpi_sleep", "1"}, ppn)),
+                 std::invalid_argument)
+        << "nprocs=" << nprocs << " ppn=" << ppn;
+  }
+  EXPECT_EQ(svc.job_table_size(), 0u);
+  EXPECT_EQ(svc.pending_jobs(), 0u);
+  // The width no longer overflows near INT_MAX.
+  const int max = std::numeric_limits<int>::max();
+  EXPECT_EQ(mpi_job(max, {"mpi_sleep"}, max).workers_needed(), 1);
+  EXPECT_EQ(mpi_job(max, {"mpi_sleep"}, 2).workers_needed(), max / 2 + 1);
+}
+
 TEST(Standalone, UtilizationHighForOneSecondTasks) {
   // The headline Fig 7 claim: ~90 % utilization for single-second MPI
   // tasks through JETS.

@@ -4,7 +4,10 @@
 // chaos-driven service-crash-and-recover fault class. The invariants:
 //
 //   * Snapshot == parse(serialize(Snapshot)) for arbitrary state;
-//   * taking a checkpoint perturbs nothing (same digests with/without);
+//   * the live encoder and the reference encoder agree byte for byte:
+//     parse(img).serialize() == img for every checkpoint image;
+//   * taking a checkpoint perturbs nothing (same digests with/without,
+//     and a second checkpoint at the same instant is the same image);
 //   * two same-seed runs checkpoint byte-identically (replay determinism);
 //   * a crash + restore loses no jobs: every submitted job still settles,
 //     and service-restart attempts are charged to no retry budget.
@@ -16,6 +19,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -53,6 +57,11 @@ std::uint64_t fold_digests(const Service& svc, const std::vector<JobId>& ids) {
     h = (h ^ record_digest(svc.record(id))) * 1099511628211ull;
   }
   return h;
+}
+
+/// The live service's checkpoint image, decoded.
+Snapshot decoded_checkpoint(const StandaloneJets& jets) {
+  return Snapshot::parse(jets.checkpoint().serialize());
 }
 
 /// Polls the service until all `n` jobs settle (wait_all() waiters die with
@@ -200,11 +209,99 @@ TEST(SnapshotCodec, RejectsBadEnums) {
   EXPECT_THROW(Snapshot::parse(s2.serialize()), SnapshotError);
 }
 
+TEST(SnapshotCodec, RejectsJobShapesThatCannotBeQueued) {
+  // Job 3 of the sample is queued, so restoring it computes its width. At
+  // ppn 0 that used to divide by zero; negative values gave nonsense
+  // widths. The reader rejects both before any service sees them.
+  for (const auto& [nprocs, ppn] : {std::pair{4, 0}, std::pair{4, -3},
+                                    std::pair{0, 1}, std::pair{-1, 2}}) {
+    Snapshot s = sample_snapshot();
+    JobSpec& spec = s.jobs[2].rec.spec;
+    spec.kind = JobKind::kMpi;
+    spec.nprocs = nprocs;
+    spec.ppn = ppn;
+    const std::vector<std::uint8_t> img = s.serialize();
+    RecoveryBed bed(4);
+    EXPECT_THROW(Service(bed.machine, bed.apps, bed.machine.login_node(),
+                         Service::Config{}, Snapshot::parse(img)),
+                 SnapshotError)
+        << "nprocs=" << nprocs << " ppn=" << ppn;
+  }
+}
+
+/// Payload offset of the section tagged `tag` (wire tags: 3 = jobs).
+std::size_t section_payload(const std::vector<std::uint8_t>& img,
+                            std::uint16_t tag) {
+  std::size_t at = 9;  // magic u32, version u32, flags u8
+  while (at + 10 <= img.size()) {
+    const auto t = static_cast<std::uint16_t>(img[at] | img[at + 1] << 8);
+    std::uint64_t len = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      len |= std::uint64_t{img[at + 2 + i]} << (8 * i);
+    }
+    if (t == tag) return at + 10;
+    at += 10 + static_cast<std::size_t>(len);
+  }
+  ADD_FAILURE() << "no section " << tag;
+  return 0;
+}
+
+/// Offset of the first occurrence of `pattern` in `img`.
+std::size_t find_bytes(const std::vector<std::uint8_t>& img,
+                       const std::vector<std::uint8_t>& pattern) {
+  const auto it =
+      std::search(img.begin(), img.end(), pattern.begin(), pattern.end());
+  EXPECT_NE(it, img.end());
+  return static_cast<std::size_t>(it - img.begin());
+}
+
+void put_le(std::vector<std::uint8_t>& img, std::size_t at, std::uint64_t v,
+            int width) {
+  for (int i = 0; i < width; ++i) {
+    img[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+TEST(SnapshotCodec, HostileCountsThrowWithoutLargeReservations) {
+  // parse() reserves each vector from its wire count, clamped to the rows
+  // the remaining bytes could hold. Unclamped, these counts would reserve
+  // hundreds of gigabytes (bad_alloc or length_error, not SnapshotError,
+  // and an allocator abort in the sanitizer lane).
+  Snapshot s = sample_snapshot();
+  constexpr std::int64_t kMarker = 0x0102030405060708;
+  s.jobs[0].rec.history[0].started_at = kMarker;
+  const std::vector<std::uint8_t> img = s.serialize();
+
+  const std::size_t jobs_at = section_payload(img, 3);  // u64 job count
+  // argv[0] of job 1 is "mpi_sleep": its u32 length, and the u32 argc
+  // before that.
+  const std::string arg0 = "mpi_sleep";
+  const std::size_t argc_at =
+      find_bytes(img, std::vector<std::uint8_t>(arg0.begin(), arg0.end())) - 8;
+  // history[0] of job 1 starts with attempt i32, then started_at; the u32
+  // history count precedes it.
+  std::vector<std::uint8_t> marker(8);
+  put_le(marker, 0, static_cast<std::uint64_t>(kMarker), 8);
+  const std::size_t history_at = find_bytes(img, marker) - 8;
+
+  for (const auto& [at, width, what] :
+       {std::tuple{jobs_at, 8, "job count"},
+        std::tuple{argc_at, 4, "argv count"},
+        std::tuple{history_at, 4, "history count"}}) {
+    std::vector<std::uint8_t> hostile = img;
+    put_le(hostile, at, 0xFFFFFFFFu, width);
+    EXPECT_THROW(Snapshot::parse(hostile), SnapshotError) << what;
+  }
+}
+
 // --- Checkpoint purity and replay determinism --------------------------------
 
 struct DigestRun {
   std::uint64_t digest = 0;
   std::vector<std::vector<std::uint8_t>> snaps;
+  /// A second checkpoint taken at the same instant as each of `snaps`.
+  std::vector<std::vector<std::uint8_t>> retakes;
   std::size_t completed = 0;
 };
 
@@ -227,6 +324,7 @@ DigestRun run_batch_with_checkpoints(bool checkpoint) {
                        for (int k = 0; k < 2; ++k) {
                          co_await sim::delay(sim::seconds(2));
                          out.snaps.push_back(jets.checkpoint().serialize());
+                         out.retakes.push_back(jets.checkpoint().serialize());
                        }
                      }(jets, out));
   }
@@ -246,6 +344,16 @@ TEST(Recovery, CheckpointIsObservationOnly) {
   EXPECT_EQ(observed.completed, 12u);
   // Taking checkpoints must not change the schedule.
   EXPECT_EQ(plain.digest, observed.digest);
+  // Nor the state the next checkpoint sees: a retake at the same instant
+  // is the same image, and the reference encoder reproduces it exactly.
+  ASSERT_EQ(observed.snaps.size(), 2u);
+  ASSERT_EQ(observed.retakes.size(), 2u);
+  for (std::size_t i = 0; i < observed.snaps.size(); ++i) {
+    EXPECT_EQ(observed.snaps[i], observed.retakes[i]) << "checkpoint " << i;
+    EXPECT_EQ(Snapshot::parse(observed.snaps[i]).serialize(),
+              observed.snaps[i])
+        << "checkpoint " << i;
+  }
 }
 
 TEST(Recovery, ReplayCheckpointsAreByteIdentical) {
@@ -278,10 +386,10 @@ TEST(Recovery, RestoreRoundTripPreservesSchedulerState) {
                      co_await jets.wait_workers();
                      jets.service().submit_batch(jobs);
                      co_await sim::delay(sim::seconds(1));
-                     before = jets.checkpoint();
+                     before = decoded_checkpoint(jets);
                      jets.crash_service();
                      jets.restore_service(before);
-                     after = jets.checkpoint();
+                     after = decoded_checkpoint(jets);
                    }(jets, std::move(jobs), before, after));
   bed.engine.spawn("poller", settle_poller(&jets, 8));
   bed.engine.run_until(sim::seconds(120));
@@ -335,10 +443,10 @@ TEST(Recovery, SeqJobsInFlightAreRescuedAcrossCrash) {
                      // tasks, so every pilot still holds its task when the
                      // restored service comes back.
                      co_await sim::delay(sim::seconds(3));
-                     Snapshot snap = jets.checkpoint();
+                     Snapshot snap = decoded_checkpoint(jets);
                      jets.crash_service();
                      co_await sim::delay(sim::seconds(2));
-                     jets.restore_service(snap);
+                     jets.restore_service(std::move(snap));
                    }(jets, std::move(jobs)));
   bed.engine.spawn("poller", settle_poller(&jets, 4));
   bed.engine.run_until(sim::seconds(120));
@@ -378,10 +486,10 @@ TEST(Recovery, ServiceRestartChargesNoRetryBudget) {
                      co_await jets.wait_workers();
                      jets.service().submit_batch(jobs);
                      co_await sim::delay(sim::seconds(2));
-                     Snapshot snap = jets.checkpoint();
+                     Snapshot snap = decoded_checkpoint(jets);
                      jets.crash_service();
                      co_await sim::delay(sim::seconds(1));
-                     jets.restore_service(snap);
+                     jets.restore_service(std::move(snap));
                    }(jets, std::move(jobs)));
   bed.engine.spawn("poller", settle_poller(&jets, 6));
   bed.engine.run_until(sim::seconds(300));
@@ -417,9 +525,9 @@ TEST(Recovery, GhostsDroppedWhenPilotsNeverRedial) {
                      co_await jets.wait_workers();
                      jets.service().submit_batch(jobs);
                      co_await sim::delay(sim::seconds(2));
-                     Snapshot snap = jets.checkpoint();
+                     Snapshot snap = decoded_checkpoint(jets);
                      jets.crash_service();
-                     jets.restore_service(snap);
+                     jets.restore_service(std::move(snap));
                    }(jets, std::move(jobs)));
   bed.engine.run_until(sim::seconds(60));
 
@@ -469,14 +577,98 @@ TEST(Recovery, MidRunServiceDestructionDisarmsEverything) {
                      co_await sim::delay(sim::seconds(1));
                      // Restore briefly (arms the reconcile timer), then
                      // kill the service for good while it is still armed.
-                     Snapshot snap = jets.checkpoint();
+                     Snapshot snap = decoded_checkpoint(jets);
                      jets.crash_service();
-                     jets.restore_service(snap);
+                     jets.restore_service(std::move(snap));
                      co_await sim::delay(sim::seconds(1));
                      jets.crash_service();
                    }(jets, std::move(jobs)));
   bed.engine.run_until(sim::seconds(90));
   EXPECT_FALSE(jets.service_up());
+}
+
+// --- The two encoders --------------------------------------------------------
+
+TEST(SnapshotOracle, LiveImagesMatchTheReferenceEncoder) {
+  // checkpoint() writes straight from the live tables; Snapshot::serialize
+  // writes the decoded vectors. On a state that fills every section —
+  // staged inputs with residency, elastic horizons and a drain, per-job
+  // retry overrides with failed attempts, armed deadlines, ghosts after a
+  // restore, and a tracer's span journal — the two must agree byte for
+  // byte.
+  constexpr std::size_t kNodes = 4;
+  RecoveryBed bed(kNodes);
+  bed.machine.shared_fs().put("ens_input", 2'000'000);
+  obs::Tracer tracer(bed.engine);
+  bed.machine.set_tracer(&tracer);
+  StandaloneJets jets(bed.machine, bed.apps, recover_options());
+  RecoveryBed::enlist(jets, kNodes);
+
+  std::vector<JobSpec> jobs;
+  RetryPolicy poison;
+  poison.max_attempts = 6;
+  poison.backoff_base = sim::milliseconds(300);
+  poison.backoff_jitter = 0.5;
+  for (int i = 0; i < 2; ++i) {
+    JobSpec s = seq_job({"no_such_app", std::to_string(i)});
+    s.retry = poison;
+    jobs.push_back(std::move(s));
+  }
+  for (int i = 0; i < 8; ++i) {
+    JobSpec s = seq_job({"sleep", i % 2 == 0 ? "1" : "3"});
+    s.stage_files = {"ens_input"};
+    s.timeout = sim::seconds(120);
+    jobs.push_back(std::move(s));
+  }
+  jobs.push_back(mpi_job(2, {"mpi_sleep", "2"}));
+
+  std::vector<std::vector<std::uint8_t>> images;
+  bed.engine.spawn(
+      "driver",
+      [](sim::Engine& engine, StandaloneJets& jets, std::vector<JobSpec> jobs,
+         std::vector<std::vector<std::uint8_t>>& images) -> sim::Task<void> {
+        co_await jets.wait_workers();
+        Service& svc = jets.service();
+        svc.set_elastic_capacity(2 * kNodes);
+        svc.set_node_expiry(0, engine.now() + sim::seconds(300));
+        svc.drain_nodes({3}, engine.now() + sim::seconds(60));
+        svc.submit_batch(jobs);
+        for (int k = 0; k < 3; ++k) {
+          co_await sim::delay(sim::milliseconds(700));
+          images.push_back(jets.checkpoint().serialize());
+        }
+        jets.crash_service();
+        jets.restore_service(Snapshot::parse(images.back()));
+        // Every worker a ghost, then after the pilots redialed.
+        images.push_back(jets.checkpoint().serialize());
+        co_await sim::delay(sim::seconds(2));
+        images.push_back(jets.checkpoint().serialize());
+      }(bed.engine, jets, std::move(jobs), images));
+  bed.engine.run_until(sim::seconds(60));
+
+  ASSERT_EQ(images.size(), 5u);
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    EXPECT_EQ(Snapshot::parse(images[i]).serialize(), images[i])
+        << "image " << i;
+  }
+  // The state really did fill every section.
+  const Snapshot rich = Snapshot::parse(images[2]);
+  EXPECT_FALSE(rich.blobs.empty());
+  EXPECT_FALSE(rich.node_caches.empty());
+  EXPECT_EQ(rich.elastic.size(), 2u);
+  EXPECT_EQ(rich.elastic_capacity, 2 * kNodes);
+  EXPECT_FALSE(rich.journal.empty());
+  EXPECT_FALSE(rich.queue_order.empty());
+  EXPECT_TRUE(
+      std::any_of(rich.jobs.begin(), rich.jobs.end(), [](const JobSnap& j) {
+        return j.rec.spec.retry && j.rec.app_failures > 0 &&
+               !j.rec.history.empty();
+      }));
+  EXPECT_TRUE(std::any_of(rich.jobs.begin(), rich.jobs.end(),
+                          [](const JobSnap& j) { return j.timeout_at >= 0; }));
+  const Snapshot ghosts = Snapshot::parse(images[3]);
+  ASSERT_EQ(ghosts.workers.size(), kNodes);
+  for (const WorkerSnap& w : ghosts.workers) EXPECT_FALSE(w.connected);
 }
 
 // --- Journal continuity ------------------------------------------------------
@@ -622,15 +814,14 @@ TEST(Recovery, PropertyFaultSpectrumSurvivesCrashRestore) {
           chaos.start();
           jets.service().submit_batch(jobs);
           co_await sim::delay(crash_at);
-          Snapshot snap = jets.checkpoint();
-          // The snapshot must survive its own wire format. (EXPECT, not
-          // ASSERT: fatal-failure macros return void, which a coroutine
-          // body cannot.)
-          EXPECT_EQ(Snapshot::parse(snap.serialize()).serialize(),
-                    snap.serialize());
+          const std::vector<std::uint8_t> img = jets.checkpoint().serialize();
+          // The reference encoder must reproduce the live image. (EXPECT,
+          // not ASSERT: fatal-failure macros return void, which a
+          // coroutine body cannot.)
+          EXPECT_EQ(Snapshot::parse(img).serialize(), img);
           jets.crash_service();
           co_await sim::delay(sim::seconds(1));
-          jets.restore_service(snap);
+          jets.restore_service(Snapshot::parse(img));
         }(jets, chaos, std::move(jobs), crash_at));
     bed.engine.spawn("poller", settle_poller(&jets, kJobs));
     bed.engine.run_until(sim::seconds(600));

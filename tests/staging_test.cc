@@ -518,9 +518,9 @@ TEST(StagingSnapshot, RestoreCarriesResidencyAcrossACrash) {
   ASSERT_EQ(r1.completed, 1u);
   ASSERT_EQ(jets.service().stage_pushes(), 1u);
 
-  const Snapshot snap = jets.checkpoint();
+  const std::vector<std::uint8_t> img = jets.checkpoint().serialize();
   jets.crash_service();
-  jets.restore_service(snap);
+  jets.restore_service(Snapshot::parse(img));
 
   BatchReport r2;
   bed.engine.spawn("driver",
