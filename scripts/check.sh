@@ -5,7 +5,9 @@
 #   scripts/check.sh --asan     # also build asan-ubsan and run chaos+retry
 #   scripts/check.sh --all      # both of the above
 #
-# The default preset run is the ROADMAP tier-1 gate: every ctest entry
+# Both presets build with -Werror (JETS_WERROR=ON in CMakePresets.json),
+# so a warning anywhere in src/, bench/, examples/ or tests/ fails the
+# lane. The default preset run is the ROADMAP tier-1 gate: every ctest entry
 # (labels unit, property, chaos, retry, obs, scale, recovery, staging,
 # elastic, rpc) must pass, and the
 # determinism smoke re-runs fig06_seq_rate twice and byte-diffs the

@@ -283,7 +283,7 @@ sim::Task<void> Service::stage_to_workers(const std::string& path) {
     req.legacy = true;
     req.payload = *size;
     const auto sent = w.rpc->call_cb<net::rpc::StageReq>(
-        req, [this, node = w.node, digest](auto r) {
+        std::move(req), [this, node = w.node, digest](auto r) {
           stage_call_settled(node, digest, std::move(r));
         });
     if (!sent.ok()) {  // raced a close: write the pair off immediately
@@ -405,7 +405,7 @@ sim::Task<void> Service::stage_job_inputs(
       req.header = h;
       req.payload = payload;
       const auto sent = w->rpc->call_cb<net::rpc::StageReq>(
-          req, [this, node = node, digest](auto r) {
+          std::move(req), [this, node = node, digest](auto r) {
             stage_call_settled(node, digest, std::move(r));
           });
       if (!sent.ok()) {  // raced a close: write the pair off immediately
@@ -874,7 +874,7 @@ sim::Task<void> Service::place_job(JobId id) {
     run.argv = spec.argv;
     run.vars = spec.vars;
     const auto sent = w->rpc->call_cb<net::rpc::TaskRun>(
-        run,
+        std::move(run),
         [this](net::rpc::Expected<net::rpc::TaskDone, net::rpc::RpcError> r) {
           // Errors (kPeerClosed drain) need no action here: the disconnect
           // bookkeeping fails the attempt at its historical point.
@@ -907,7 +907,7 @@ sim::Task<void> Service::place_job(JobId id) {
     mspec.trace_parent = job.span_attempt;
     job.mpx = std::make_shared<pmi::Mpiexec>(*machine_, *apps_, host_, mspec);
     job.mpx->start();
-    const auto cmds = job.mpx->proxy_commands();
+    auto cmds = job.mpx->proxy_commands();
     for (std::size_t k = 0; k < cmds.size(); ++k) {
       const WorkerId wid = claimed.at(k);
       const std::string tid = "t" + std::to_string(next_task_++);
@@ -932,8 +932,8 @@ sim::Task<void> Service::place_job(JobId id) {
       // that), so gang runs are notifies, not calls.
       net::rpc::TaskRun run;
       run.task_id = tid;
-      run.argv = cmds[k];
-      (void)w->rpc->notify(run);
+      run.argv = std::move(cmds[k]);
+      (void)w->rpc->notify(std::move(run));
     }
     if (obs::Tracer* tr = tracer()) {
       tr->end_and_clear(job.span_group);

@@ -14,16 +14,12 @@ namespace jets::core {
 net::Message make_run_message(const std::string& task_id,
                               const std::vector<std::string>& argv,
                               const std::map<std::string, std::string>& vars) {
-  net::rpc::TaskRun run;
-  run.task_id = task_id;
-  run.argv = argv;
-  run.vars = vars;
-  return run.encode();
+  return *net::rpc::frame(net::rpc::TaskRun(task_id, argv, vars));
 }
 
 RunRequest parse_run_message(const net::Message& m) {
   RunRequest r;
-  auto decoded = net::rpc::TaskRun::decode(m);
+  auto decoded = net::rpc::take<net::rpc::TaskRun>(net::Message(m));
   if (!decoded.ok()) return r;  // malformed: empty request (never on-wire)
   net::rpc::TaskRun& run = decoded.value();
   r.task_id = std::move(run.task_id);
@@ -266,7 +262,7 @@ sim::Task<void> worker_main(const os::AppRegistry* apps, WorkerConfig config,
             ack.path = h.path;
             ack.digest = h.digest;
             ack.evictions = std::move(evicted);
-            net::rpc::post(*state->sock, ack);
+            net::rpc::post(*state->sock, std::move(ack));
           } else {
             // Data channel (§4.1): the file's bytes arrived with this
             // message (wire time already charged by the socket); persist
@@ -307,7 +303,7 @@ sim::Task<void> worker_main(const os::AppRegistry* apps, WorkerConfig config,
     for (const auto& [tid, pid] : state->outstanding) {
       reg.inventory.push_back(tid);
     }
-    net::rpc::post(*state->sock, reg);
+    net::rpc::post(*state->sock, std::move(reg));
     // Only an idle pilot volunteers for work; a busy one re-enters the
     // pool through its normal done/ready cycle. In-flight task wrappers
     // report through state->sock, so their dones route to the new

@@ -1,11 +1,48 @@
 #include "mpi/comm.hh"
 
 #include <stdexcept>
+#include <string_view>
 
 namespace jets::mpi {
 
+namespace rpc = net::rpc;
+
+namespace {
+
+std::string card_key(int rank) { return "card." + std::to_string(rank); }
+
+/// A business card is "<node> <port>", each a full decimal number in range.
+net::Address parse_card(int rank, const std::string& card) {
+  const std::string_view text(card);
+  const std::size_t space = text.find(' ');
+  std::optional<os::NodeId> node;
+  std::optional<net::Port> port;
+  if (space != std::string_view::npos) {
+    node = rpc::parse_number<os::NodeId>(text.substr(0, space));
+    port = rpc::parse_number<net::Port>(text.substr(space + 1));
+  }
+  if (!node || !port) {
+    throw std::runtime_error("MPI: malformed business card for rank " +
+                             std::to_string(rank) + ": '" + card + "'");
+  }
+  return net::Address{*node, *port};
+}
+
+/// Rounds of a dissemination barrier over `size` ranks: ceil(log2(size)).
+std::size_t barrier_rounds(int size) {
+  std::size_t rounds = 0;
+  for (int k = 1; k < size; k <<= 1) ++rounds;
+  return rounds;
+}
+
+}  // namespace
+
 Comm::Comm(os::Env& env, int rank, int size)
-    : env_(&env), machine_(env.machine), rank_(rank), size_(size) {}
+    : env_(&env), machine_(env.machine), rank_(rank), size_(size) {
+  // A barrier wires a peer per round in each direction; other patterns
+  // grow the table further as they wire.
+  peers_.reserve(2 * barrier_rounds(size));
+}
 
 Comm::~Comm() {
   if (acceptor_ != 0) machine_->engine().kill(acceptor_);
@@ -23,7 +60,7 @@ sim::Task<std::unique_ptr<Comm>> Comm::init(os::Env& env) {
   comm->acceptor_ =
       env.machine->engine().spawn("mpi-acceptor", comm->accept_loop());
   // Publish this rank's business card and fence.
-  env.pmi->put("card." + std::to_string(comm->rank_),
+  env.pmi->put(card_key(comm->rank_),
                std::to_string(comm->self_addr_.node) + " " +
                    std::to_string(comm->self_addr_.port));
   co_await env.pmi->barrier();
@@ -34,68 +71,141 @@ double Comm::wtime() const {
   return sim::to_seconds(machine_->engine().now());
 }
 
+Comm::Peer* Comm::find(int rank) {
+  for (Peer& p : peers_) {
+    if (p.rank == rank) return &p;
+  }
+  return nullptr;
+}
+
+Comm::Peer& Comm::peer(int rank) {
+  if (Peer* p = find(rank)) return *p;
+  peers_.push_back(Peer{rank, nullptr, nullptr});
+  return peers_.back();
+}
+
+net::Socket* Comm::wired_out(int dest) {
+  Peer* p = find(dest);
+  return p != nullptr ? p->out.get() : nullptr;
+}
+
+void Comm::check_rank(int r, const char* op) const {
+  if (r < 0 || r >= size_) {
+    throw std::invalid_argument(std::string(op) + ": rank " + std::to_string(r) +
+                                " out of range for size " +
+                                std::to_string(size_));
+  }
+}
+
 sim::Task<void> Comm::accept_loop() {
   for (;;) {
     net::SocketPtr sock = co_await listener_->accept();
     if (!sock) co_return;
-    auto hello = co_await sock->recv();
-    if (!hello || hello->tag != "mpi.hello") continue;
-    const int peer = std::stoi(hello->args.at(0));
-    in_[peer] = std::move(sock);
-    auto it = in_ready_.find(peer);
-    if (it != in_ready_.end()) it->second->open();
+    std::optional<net::Message> m = co_await sock->recv();
+    if (!m) continue;
+    // Drop (close) a connection whose hello is malformed, names no rank
+    // of this communicator, or claims a rank that already dialed in.
+    const auto hello = rpc::take<rpc::MpiHello>(std::move(*m));
+    if (!hello.ok()) continue;
+    const int src = hello.value().rank;
+    if (src < 0 || src >= size_) continue;
+    Peer& p = peer(src);
+    if (p.in) continue;
+    p.in = std::move(sock);
+    // Wake the receives parked on this source, oldest first.
+    std::erase_if(parked_, [&](std::pair<int, sim::Resumption>& w) {
+      if (w.first != src) return false;
+      machine_->engine().schedule(machine_->engine().now(), std::move(w.second));
+      return true;
+    });
   }
 }
 
-sim::Task<net::Socket*> Comm::outbound(int dest) {
-  auto it = out_.find(dest);
-  if (it != out_.end()) co_return it->second.get();
+sim::Task<net::Socket*> Comm::dial(int dest) {
   // Fetch the peer's card (blocking PMI get) and dial it.
-  std::string card = co_await env_->pmi->get("card." + std::to_string(dest));
-  const auto space = card.find(' ');
-  net::Address addr{static_cast<os::NodeId>(std::stoul(card.substr(0, space))),
-                    static_cast<net::Port>(std::stoul(card.substr(space + 1)))};
+  const std::string card = co_await env_->pmi->get(card_key(dest));
+  const net::Address addr = parse_card(dest, card);
   net::SocketPtr sock = co_await machine_->network().connect(env_->node, addr);
-  sock->send(net::Message("mpi.hello", {std::to_string(rank_)}));
+  rpc::post(*sock, rpc::MpiHello{rank_});
   net::Socket* raw = sock.get();
-  out_[dest] = std::move(sock);
+  peer(dest).out = std::move(sock);
   co_return raw;
 }
 
-sim::Task<void> Comm::send(int dest, std::size_t bytes, int tag, double value) {
-  net::Socket* sock = co_await outbound(dest);
-  sock->send(net::Message(
-      "mpi.msg",
-      {std::to_string(rank_), std::to_string(tag), std::to_string(value)},
-      bytes));
+Comm::SendOp Comm::send(int dest, std::size_t bytes, int tag, double value) {
+  check_rank(dest, "send");
+  rpc::MpiMsg msg(rank_, tag, value, bytes);
+  if (net::Socket* sock = wired_out(dest)) {
+    rpc::post(*sock, std::move(msg));
+    return SendOp();
+  }
+  return SendOp(dial(dest), std::move(msg));
 }
 
 sim::Task<void> Comm::ssend(int dest, std::size_t bytes, int tag) {
-  net::Socket* sock = co_await outbound(dest);
-  // Built as a named local: GCC 12 miscompiles brace-initialized temporaries
-  // inside co_await expressions ("array used as initializer").
-  net::Message m("mpi.msg", {std::to_string(rank_), std::to_string(tag)}, bytes);
-  co_await sock->send_sync(std::move(m));
+  check_rank(dest, "ssend");
+  net::Socket* sock = wired_out(dest);
+  if (sock == nullptr) sock = co_await dial(dest);
+  std::optional<net::Message> m =
+      rpc::frame(rpc::MpiMsg(rank_, tag, std::nullopt, bytes));
+  co_await sock->send_sync(std::move(*m));
 }
 
-sim::Task<RecvResult> Comm::recv(int src) {
-  auto it = in_.find(src);
-  if (it == in_.end()) {
-    auto& gate = in_ready_[src];
-    if (!gate) gate = std::make_unique<sim::Gate>(machine_->engine());
-    co_await gate->wait();
-    it = in_.find(src);
-    if (it == in_.end()) throw std::runtime_error("MPI recv: lost peer");
+Comm::RecvOp Comm::recv(int src) {
+  check_rank(src, "recv");
+  return RecvOp(*this, src);
+}
+
+Comm::RecvOp::RecvOp(Comm& comm, int src) : comm_(&comm), src_(src) {
+  Peer* p = comm.find(src);
+  if (p != nullptr && p->in) {
+    wire_.emplace(*p->in, -1);
+  } else {
+    wiring_ = comm.recv_wiring(src);
   }
-  auto m = co_await it->second->recv();
-  if (!m) throw std::runtime_error("MPI recv: connection to rank " +
-                                   std::to_string(src) + " lost");
+}
+
+namespace {
+
+/// Parks the awaiting coroutine in `parked` until its source dials in.
+struct ParkAwaiter {
+  std::vector<std::pair<int, sim::Resumption>>* parked;
+  int src;
+  bool await_ready() const noexcept { return false; }
+  template <typename P>
+  void await_suspend(std::coroutine_handle<P> h) {
+    parked->emplace_back(src, sim::Resumption::of(h, h.promise().context()));
+  }
+  void await_resume() const noexcept {}
+};
+
+}  // namespace
+
+sim::Task<RecvResult> Comm::recv_wiring(int src) {
+  co_await ParkAwaiter{&parked_, src};
+  Peer* p = find(src);
+  if (p == nullptr || !p->in) throw std::runtime_error("MPI recv: lost peer");
+  std::optional<net::Message> m = co_await p->in->recv();
+  co_return unpack(src, std::move(m));
+}
+
+RecvResult Comm::unpack(int src, std::optional<net::Message> m) {
+  if (!m) {
+    throw std::runtime_error("MPI recv: connection to rank " +
+                             std::to_string(src) + " lost");
+  }
+  auto msg = rpc::take<rpc::MpiMsg>(std::move(*m));
+  if (!msg.ok()) {
+    throw std::runtime_error("MPI recv: malformed frame from rank " +
+                             std::to_string(src) + ": " +
+                             rpc::to_string(msg.error()));
+  }
   RecvResult r;
-  r.source = std::stoi(m->args.at(0));
-  r.tag = std::stoi(m->args.at(1));
-  if (m->args.size() > 2) r.value = std::stod(m->args.at(2));
-  r.bytes = m->payload_bytes;
-  co_return r;
+  r.source = msg.value().source;
+  r.tag = msg.value().tag;
+  r.value = msg.value().value.value_or(0);
+  r.bytes = msg.value().payload;
+  return r;
 }
 
 sim::Task<void> Comm::barrier() {
@@ -233,8 +343,7 @@ sim::Task<void> Comm::finalize() {
   machine_->engine().kill(acceptor_);
   acceptor_ = 0;
   listener_.reset();
-  out_.clear();
-  in_.clear();
+  peers_.clear();
 }
 
 }  // namespace jets::mpi

@@ -18,12 +18,15 @@
 // same MPI program is compiled against a different messaging substrate.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "net/rpc.hh"
 #include "net/socket.hh"
 #include "os/machine.hh"
 #include "os/program.hh"
@@ -61,17 +64,69 @@ class Comm {
   /// MPI_Wtime: simulated seconds.
   double wtime() const;
 
+  /// Awaitable of send(): the frame is already on the wire when the pair
+  /// is wired (ready at once, no coroutine frame); otherwise it runs
+  /// dial() and sends on resumption.
+  class [[nodiscard]] SendOp {
+   public:
+    SendOp() = default;
+    SendOp(sim::Task<net::Socket*> dialing, net::rpc::MpiMsg msg)
+        : dialing_(std::move(dialing)), msg_(std::move(msg)) {}
+    bool await_ready() const noexcept { return !dialing_.valid(); }
+    template <typename P>
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<P> h) {
+      return std::move(dialing_).operator co_await().await_suspend(h);
+    }
+    void await_resume() {
+      if (!dialing_.valid()) return;
+      net::Socket* sock = std::move(dialing_).operator co_await().await_resume();
+      net::rpc::post(*sock, std::move(msg_));
+    }
+
+   private:
+    sim::Task<net::Socket*> dialing_;
+    net::rpc::MpiMsg msg_;
+  };
+
+  /// Awaitable of recv(): on a wired pair it is the socket's own receive
+  /// awaiter (no coroutine frame); otherwise it runs recv_wiring().
+  class [[nodiscard]] RecvOp {
+   public:
+    RecvOp(Comm& comm, int src);
+    bool await_ready() { return wire_ && wire_->await_ready(); }
+    template <typename P>
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<P> h) {
+      if (wire_) {
+        wire_->await_suspend(h);
+        return std::noop_coroutine();
+      }
+      return std::move(wiring_).operator co_await().await_suspend(h);
+    }
+    RecvResult await_resume() {
+      if (wire_) return comm_->unpack(src_, wire_->await_resume());
+      return std::move(wiring_).operator co_await().await_resume();
+    }
+
+   private:
+    Comm* comm_;
+    int src_;
+    std::optional<net::Socket::RecvAwaiter> wire_;
+    sim::Task<RecvResult> wiring_;
+  };
+
   /// Buffered (standard-mode) send of `bytes` to `dest`. `value` is an
-  /// optional scalar payload surfaced in the receiver's RecvResult.
-  sim::Task<void> send(int dest, std::size_t bytes, int tag = 0,
-                       double value = 0);
+  /// optional scalar payload surfaced, exactly, in the receiver's
+  /// RecvResult. Throws std::invalid_argument if `dest` is not a rank of
+  /// this communicator.
+  SendOp send(int dest, std::size_t bytes, int tag = 0, double value = 0);
 
   /// Synchronous send: completes when the payload has left this endpoint.
   sim::Task<void> ssend(int dest, std::size_t bytes, int tag = 0);
 
-  /// Blocking receive of the next message from `src`.
-  /// Throws std::runtime_error if the peer connection is lost first.
-  sim::Task<RecvResult> recv(int src);
+  /// Blocking receive of the next message from `src`. Throws
+  /// std::invalid_argument if `src` is not a rank of this communicator,
+  /// std::runtime_error if the peer connection is lost first.
+  RecvOp recv(int src);
 
   /// Dissemination barrier: ceil(log2(size)) rounds of pairwise messages.
   sim::Task<void> barrier();
@@ -107,8 +162,25 @@ class Comm {
  private:
   Comm(os::Env& env, int rank, int size);
 
+  /// One peer this rank has wired up with, in either direction.
+  struct Peer {
+    int rank = -1;
+    net::SocketPtr out;  // connection this rank dialed: carries its sends
+    net::SocketPtr in;   // connection the peer dialed: carries its receives
+  };
+
+  Peer* find(int rank);
+  Peer& peer(int rank);  // find-or-append
+  /// The connection this rank dialed to `dest`, or null if not yet wired.
+  net::Socket* wired_out(int dest);
+  void check_rank(int r, const char* op) const;
+
   sim::Task<void> accept_loop();
-  sim::Task<net::Socket*> outbound(int dest);
+  /// First send to `dest`: fetches its card through PMI, dials, says hello.
+  sim::Task<net::Socket*> dial(int dest);
+  /// First receive from `src`: waits for it to dial in, then receives.
+  sim::Task<RecvResult> recv_wiring(int src);
+  RecvResult unpack(int src, std::optional<net::Message> m);
 
   os::Env* env_;
   os::Machine* machine_;
@@ -118,9 +190,13 @@ class Comm {
   std::unique_ptr<net::Listener> listener_;
   sim::ActorId acceptor_ = 0;
 
-  std::map<int, net::SocketPtr> out_;  // connections we initiated
-  std::map<int, net::SocketPtr> in_;   // connections peers initiated
-  std::map<int, std::unique_ptr<sim::Gate>> in_ready_;
+  /// Every pair this rank has wired, in wiring order. It grows only as
+  /// pairs wire (a dissemination barrier touches 2*log2(size) peers), so
+  /// it is never sized to the communicator; lookups scan it.
+  std::vector<Peer> peers_;
+  /// Receives parked until their source dials in (source, waiter), woken
+  /// in arrival order when it does.
+  std::vector<std::pair<int, sim::Resumption>> parked_;
   bool finalized_ = false;
 };
 

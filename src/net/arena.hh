@@ -45,7 +45,7 @@ class MessageArena {
   };
 
   /// Parks a message until `due`; returns its slot for chain threading.
-  std::uint32_t acquire(Message m, sim::Time due) {
+  std::uint32_t acquire(Message&& m, sim::Time due) {
     std::uint32_t idx;
     if (free_head_ != kNil) {
       idx = free_head_;

@@ -1,6 +1,7 @@
 #include "net/rpc.hh"
 
-#include <charconv>
+#include <cmath>
+#include <cstdio>
 
 namespace jets::net::rpc {
 namespace {
@@ -34,24 +35,68 @@ std::string hex16(std::uint64_t v) {
   return out;
 }
 
-/// Full-consumption unsigned parse; rejects empty, signs, and trailing junk.
-std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  std::uint64_t v = 0;
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc() || ptr != last || s.empty()) return std::nullopt;
-  return v;
+/// "d=<16 hex>" / "e=<16 hex>" plus its separator.
+constexpr std::size_t kDigestArgSize = 2 + 16 + 1;
+
+const char* reason_token(TaskDone::Reason r) {
+  switch (r) {
+    case TaskDone::Reason::kApp: return "app";
+    case TaskDone::Reason::kWatchdog: return "watchdog";
+    case TaskDone::Reason::kKilled: return "killed";
+  }
+  return "app";
 }
 
-/// Full-consumption signed int parse (task exit statuses).
-std::optional<int> parse_int(std::string_view s) {
-  int v = 0;
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc() || ptr != last || s.empty()) return std::nullopt;
-  return v;
+/// Text bytes of an argv window: its count, then each arg.
+std::size_t argv_size(const std::vector<std::string>& argv) {
+  std::size_t n = decimal_size(argv.size()) + 1;
+  for (const std::string& a : argv) n += a.size() + 1;
+  return n;
+}
+
+/// Text bytes of "k=v" var args.
+std::size_t vars_size(const std::map<std::string, std::string>& vars) {
+  std::size_t n = 0;
+  for (const auto& [k, v] : vars) n += k.size() + 1 + v.size() + 1;
+  return n;
+}
+
+void append_vars(std::vector<std::string>& args,
+                 const std::map<std::string, std::string>& vars) {
+  for (const auto& [k, v] : vars) args.push_back(k + "=" + v);
+}
+
+/// Parses "k=v" args into `vars` as the text wire always has: split at the
+/// first '=', a later duplicate key wins. False on an arg without '='.
+bool parse_vars(const std::vector<std::string>& args, std::size_t from,
+                std::map<std::string, std::string>& vars) {
+  for (std::size_t i = from; i < args.size(); ++i) {
+    const std::string& kv = args[i];
+    const std::size_t eq = kv.find('=');
+    if (eq == std::string::npos) return false;
+    vars[kv.substr(0, eq)] = kv.substr(eq + 1);
+  }
+  return true;
+}
+
+/// What parse_vars() makes of `vars`' own "k=v" renderings: only a key
+/// holding '=' changes, split at that '=' with the rest moved into its
+/// value.
+void resplit_vars(std::map<std::string, std::string>& vars) {
+  const bool split = std::any_of(vars.begin(), vars.end(), [](const auto& kv) {
+    return kv.first.find('=') != std::string::npos;
+  });
+  if (!split) return;
+  std::map<std::string, std::string> out;
+  for (const auto& [k, v] : vars) {
+    const std::size_t eq = k.find('=');
+    if (eq == std::string::npos) {
+      out[k] = v;
+    } else {
+      out[k.substr(0, eq)] = k.substr(eq + 1) + "=" + v;
+    }
+  }
+  vars = std::move(out);
 }
 
 using Kind = DecodeError::Kind;
@@ -67,7 +112,19 @@ std::optional<DecodeError> check_tag(const Message& m) {
   return std::nullopt;
 }
 
+/// Frames whose only field is one int.
+template <typename M>
+Expected<M, DecodeError> decode_int_field(const Message& m, const char* field) {
+  if (auto e = check_tag<M>(m)) return Unexpected{*e};
+  if (m.args.empty()) return err<M>(Kind::kMissingArg, field);
+  if (m.args.size() > 1) return err<M>(Kind::kTrailingArgs, "args");
+  const auto v = parse_number<int>(m.args[0]);
+  if (!v) return err<M>(Kind::kBadNumber, field);
+  return M{*v};
+}
+
 }  // namespace
+
 
 const char* to_string(RpcError e) {
   switch (e) {
@@ -96,6 +153,12 @@ std::string to_string(const DecodeError& e) {
 
 // --- Protocol encode/decode ----------------------------------------------
 
+std::size_t RegisterReq::text_size() const {
+  std::size_t n = decimal_size(node) + 1;
+  for (const std::string& t : inventory) n += t.size() + 1;
+  return n;
+}
+
 Message RegisterReq::encode() const {
   std::vector<std::string> args;
   args.reserve(1 + inventory.size());
@@ -107,7 +170,7 @@ Message RegisterReq::encode() const {
 Expected<RegisterReq, DecodeError> RegisterReq::decode(const Message& m) {
   if (auto e = check_tag<RegisterReq>(m)) return Unexpected{*e};
   if (m.args.empty()) return err<RegisterReq>(Kind::kMissingArg, "node");
-  const auto node = parse_u64(m.args[0]);
+  const auto node = parse_number<std::uint64_t>(m.args[0]);
   if (!node) return err<RegisterReq>(Kind::kBadNumber, "node");
   if (*node > 0xFFFFFFFFu) return err<RegisterReq>(Kind::kOversized, "node");
   RegisterReq r;
@@ -128,21 +191,27 @@ Expected<PingNote, DecodeError> PingNote::decode(const Message& m) {
   return PingNote{};
 }
 
-Message TaskDone::encode() const {
-  const char* reason_token = "app";
-  switch (reason) {
-    case Reason::kApp: reason_token = "app"; break;
-    case Reason::kWatchdog: reason_token = "watchdog"; break;
-    case Reason::kKilled: reason_token = "killed"; break;
+std::size_t TaskDone::text_size() const {
+  return task_id.size() + 1 + decimal_size(status) + 1 +
+         std::char_traits<char>::length(reason_token(reason)) + 1;
+}
+
+bool TaskDone::normalize() {
+  if (reason != Reason::kWatchdog && reason != Reason::kKilled) {
+    reason = Reason::kApp;
   }
-  return Message(kTag, {task_id, std::to_string(status), reason_token});
+  return true;
+}
+
+Message TaskDone::encode() const {
+  return Message(kTag, {task_id, std::to_string(status), reason_token(reason)});
 }
 
 Expected<TaskDone, DecodeError> TaskDone::decode(const Message& m) {
   if (auto e = check_tag<TaskDone>(m)) return Unexpected{*e};
   if (m.args.size() < 3) return err<TaskDone>(Kind::kMissingArg, "reason");
   if (m.args.size() > 3) return err<TaskDone>(Kind::kTrailingArgs, "args");
-  const auto status = parse_int(m.args[1]);
+  const auto status = parse_number<int>(m.args[1]);
   if (!status) return err<TaskDone>(Kind::kBadNumber, "status");
   TaskDone d;
   d.task_id = m.args[0];
@@ -159,33 +228,37 @@ Expected<TaskDone, DecodeError> TaskDone::decode(const Message& m) {
   return d;
 }
 
+std::size_t TaskRun::text_size() const {
+  return task_id.size() + 1 + argv_size(argv) + vars_size(vars);
+}
+
+bool TaskRun::normalize() {
+  resplit_vars(vars);
+  return true;
+}
+
 Message TaskRun::encode() const {
   std::vector<std::string> args;
   args.reserve(2 + argv.size() + vars.size());
   args.push_back(task_id);
   args.push_back(std::to_string(argv.size()));
   for (const std::string& a : argv) args.push_back(a);
-  for (const auto& [k, v] : vars) args.push_back(k + "=" + v);
+  append_vars(args, vars);
   return Message(kTag, std::move(args));
 }
 
 Expected<TaskRun, DecodeError> TaskRun::decode(const Message& m) {
   if (auto e = check_tag<TaskRun>(m)) return Unexpected{*e};
   if (m.args.size() < 2) return err<TaskRun>(Kind::kMissingArg, "argc");
-  const auto n = parse_u64(m.args[1]);
+  const auto n = parse_number<std::uint64_t>(m.args[1]);
   if (!n) return err<TaskRun>(Kind::kBadNumber, "argc");
   if (*n > m.args.size() - 2) return err<TaskRun>(Kind::kMissingArg, "argv");
   TaskRun r;
   r.task_id = m.args[0];
   r.argv.assign(m.args.begin() + 2,
                 m.args.begin() + 2 + static_cast<std::ptrdiff_t>(*n));
-  for (std::size_t i = 2 + *n; i < m.args.size(); ++i) {
-    const std::string& kv = m.args[i];
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos) {
-      return err<TaskRun>(Kind::kTrailingArgs, "vars");
-    }
-    r.vars[kv.substr(0, eq)] = kv.substr(eq + 1);
+  if (!parse_vars(m.args, 2 + *n, r.vars)) {
+    return err<TaskRun>(Kind::kTrailingArgs, "vars");
   }
   return r;
 }
@@ -195,6 +268,19 @@ Expected<KillReq, DecodeError> KillReq::decode(const Message& m) {
   if (m.args.empty()) return err<KillReq>(Kind::kMissingArg, "task");
   if (m.args.size() > 1) return err<KillReq>(Kind::kTrailingArgs, "args");
   return KillReq{m.args[0]};
+}
+
+std::size_t StageAck::text_size() const {
+  if (digest == 0) return path.size() + 1;
+  return path.size() + 1 + kDigestArgSize * (1 + evictions.size());
+}
+
+bool StageAck::normalize() {
+  if (digest == 0) {
+    evictions.clear();
+    return true;
+  }
+  return std::find(evictions.begin(), evictions.end(), 0u) == evictions.end();
 }
 
 Message StageAck::encode() const {
@@ -231,6 +317,40 @@ Expected<StageAck, DecodeError> StageAck::decode(const Message& m) {
   return a;
 }
 
+std::size_t StageReq::text_size() const {
+  if (legacy) return header.path.size() + 1;
+  std::size_t n = header.path.size() + 1 + kDigestArgSize +
+                  2 + decimal_size(header.bytes) + 1;
+  switch (header.source) {
+    case StageHeader::Source::kPush:
+    case StageHeader::Source::kWarm:
+      n += 6 + 1;  // "s=push" / "s=warm"
+      break;
+    case StageHeader::Source::kPeer:
+      n += 7 + decimal_size(header.peer) + 1;  // "s=peer:<node>"
+      break;
+  }
+  return n;
+}
+
+bool StageReq::normalize() {
+  const bool known_source = header.source == StageHeader::Source::kPush ||
+                            header.source == StageHeader::Source::kPeer ||
+                            header.source == StageHeader::Source::kWarm;
+  if (legacy || !known_source) {
+    // [path] + payload, or a digest frame missing its source arg: both
+    // decode as the legacy form.
+    StageHeader h;
+    h.path = std::move(header.path);
+    h.bytes = payload;
+    header = std::move(h);
+    legacy = true;
+  } else if (header.source != StageHeader::Source::kPeer) {
+    header.peer = 0;
+  }
+  return true;
+}
+
 Message StageReq::encode() const {
   if (legacy) {
     return Message(kTag, {header.path}, payload);
@@ -257,12 +377,7 @@ Expected<StageReq, DecodeError> StageReq::decode(const Message& m) {
 }
 
 Expected<PmiInit, DecodeError> PmiInit::decode(const Message& m) {
-  if (auto e = check_tag<PmiInit>(m)) return Unexpected{*e};
-  if (m.args.empty()) return err<PmiInit>(Kind::kMissingArg, "rank");
-  if (m.args.size() > 1) return err<PmiInit>(Kind::kTrailingArgs, "args");
-  const auto rank = parse_int(m.args[0]);
-  if (!rank) return err<PmiInit>(Kind::kBadNumber, "rank");
-  return PmiInit{*rank};
+  return decode_int_field<PmiInit>(m, "rank");
 }
 
 Expected<PmiPut, DecodeError> PmiPut::decode(const Message& m) {
@@ -293,21 +408,120 @@ Expected<PmiBarrierOut, DecodeError> PmiBarrierOut::decode(const Message& m) {
 }
 
 Expected<PmiBarrier, DecodeError> PmiBarrier::decode(const Message& m) {
-  if (auto e = check_tag<PmiBarrier>(m)) return Unexpected{*e};
-  if (m.args.empty()) return err<PmiBarrier>(Kind::kMissingArg, "rank");
-  if (m.args.size() > 1) return err<PmiBarrier>(Kind::kTrailingArgs, "args");
-  const auto rank = parse_int(m.args[0]);
-  if (!rank) return err<PmiBarrier>(Kind::kBadNumber, "rank");
-  return PmiBarrier{*rank};
+  return decode_int_field<PmiBarrier>(m, "rank");
 }
 
 Expected<PmiFinalize, DecodeError> PmiFinalize::decode(const Message& m) {
-  if (auto e = check_tag<PmiFinalize>(m)) return Unexpected{*e};
-  if (m.args.empty()) return err<PmiFinalize>(Kind::kMissingArg, "rank");
-  if (m.args.size() > 1) return err<PmiFinalize>(Kind::kTrailingArgs, "args");
-  const auto rank = parse_int(m.args[0]);
-  if (!rank) return err<PmiFinalize>(Kind::kBadNumber, "rank");
-  return PmiFinalize{*rank};
+  return decode_int_field<PmiFinalize>(m, "rank");
+}
+
+Expected<ProxyHello, DecodeError> ProxyHello::decode(const Message& m) {
+  return decode_int_field<ProxyHello>(m, "proxy");
+}
+
+std::size_t ProxyExec::text_size() const {
+  return decimal_size(nprocs) + decimal_size(ppn) + decimal_size(base) + 3 +
+         user_binary.size() + 1 + argv_size(argv) + vars_size(vars);
+}
+
+bool ProxyExec::normalize() {
+  resplit_vars(vars);
+  return true;
+}
+
+Message ProxyExec::encode() const {
+  std::vector<std::string> args;
+  args.reserve(5 + argv.size() + vars.size());
+  args.push_back(std::to_string(nprocs));
+  args.push_back(std::to_string(ppn));
+  args.push_back(std::to_string(base));
+  args.push_back(user_binary);
+  args.push_back(std::to_string(argv.size()));
+  for (const std::string& a : argv) args.push_back(a);
+  append_vars(args, vars);
+  return Message(kTag, std::move(args));
+}
+
+Expected<ProxyExec, DecodeError> ProxyExec::decode(const Message& m) {
+  if (auto e = check_tag<ProxyExec>(m)) return Unexpected{*e};
+  if (m.args.size() < 5) return err<ProxyExec>(Kind::kMissingArg, "argc");
+  ProxyExec x;
+  const auto nprocs = parse_number<int>(m.args[0]);
+  if (!nprocs) return err<ProxyExec>(Kind::kBadNumber, "nprocs");
+  const auto ppn = parse_number<int>(m.args[1]);
+  if (!ppn) return err<ProxyExec>(Kind::kBadNumber, "ppn");
+  const auto base = parse_number<int>(m.args[2]);
+  if (!base) return err<ProxyExec>(Kind::kBadNumber, "base");
+  const auto n = parse_number<std::uint64_t>(m.args[4]);
+  if (!n) return err<ProxyExec>(Kind::kBadNumber, "argc");
+  if (*n > m.args.size() - 5) return err<ProxyExec>(Kind::kMissingArg, "argv");
+  x.nprocs = *nprocs;
+  x.ppn = *ppn;
+  x.base = *base;
+  x.user_binary = m.args[3];
+  x.argv.assign(m.args.begin() + 5,
+                m.args.begin() + 5 + static_cast<std::ptrdiff_t>(*n));
+  if (!parse_vars(m.args, 5 + *n, x.vars)) {
+    return err<ProxyExec>(Kind::kTrailingArgs, "vars");
+  }
+  return x;
+}
+
+Expected<ProxyExit, DecodeError> ProxyExit::decode(const Message& m) {
+  if (auto e = check_tag<ProxyExit>(m)) return Unexpected{*e};
+  if (m.args.size() < 2) return err<ProxyExit>(Kind::kMissingArg, "status");
+  if (m.args.size() > 2) return err<ProxyExit>(Kind::kTrailingArgs, "args");
+  const auto id = parse_number<int>(m.args[0]);
+  if (!id) return err<ProxyExit>(Kind::kBadNumber, "proxy");
+  const auto status = parse_number<int>(m.args[1]);
+  if (!status) return err<ProxyExit>(Kind::kBadNumber, "status");
+  return ProxyExit{*id, *status};
+}
+
+Expected<StdoutNote, DecodeError> StdoutNote::decode(const Message& m) {
+  if (auto e = check_tag<StdoutNote>(m)) return Unexpected{*e};
+  if (!m.args.empty()) return err<StdoutNote>(Kind::kTrailingArgs, "args");
+  return StdoutNote{m.payload_bytes};
+}
+
+Expected<MpiHello, DecodeError> MpiHello::decode(const Message& m) {
+  return decode_int_field<MpiHello>(m, "rank");
+}
+
+std::size_t MpiMsg::text_size() const {
+  std::size_t n = decimal_size(source) + decimal_size(tag) + 2;
+  if (value) {
+    // The "%f" rendering's length. Zero, the value every barrier message
+    // carries, is "0.000000" or "-0.000000"; snprintf measures the rest
+    // exactly (NaN, infinities and 1e300 included) without writing.
+    const double v = *value;
+    const int len = v == 0 ? (std::signbit(v) ? 9 : 8)
+                           : std::snprintf(nullptr, 0, "%f", v);
+    n += static_cast<std::size_t>(len) + 1;
+  }
+  return n;
+}
+
+Message MpiMsg::encode() const {
+  std::vector<std::string> args{std::to_string(source), std::to_string(tag)};
+  if (value) args.push_back(std::to_string(*value));
+  return Message(kTag, std::move(args), payload);
+}
+
+Expected<MpiMsg, DecodeError> MpiMsg::decode(const Message& m) {
+  if (auto e = check_tag<MpiMsg>(m)) return Unexpected{*e};
+  if (m.args.size() < 2) return err<MpiMsg>(Kind::kMissingArg, "tag");
+  if (m.args.size() > 3) return err<MpiMsg>(Kind::kTrailingArgs, "args");
+  const auto source = parse_number<int>(m.args[0]);
+  if (!source) return err<MpiMsg>(Kind::kBadNumber, "source");
+  const auto tag = parse_number<int>(m.args[1]);
+  if (!tag) return err<MpiMsg>(Kind::kBadNumber, "tag");
+  MpiMsg msg(*source, *tag, std::nullopt, m.payload_bytes);
+  if (m.args.size() == 3) {
+    msg.value = parse_number<double>(m.args[2]);
+    if (!msg.value) return err<MpiMsg>(Kind::kBadNumber, "value");
+  }
+  return msg;
 }
 
 // --- Metrics --------------------------------------------------------------

@@ -8,6 +8,11 @@
 //  * every protocol verb is a typed struct with byte-exact encode() to the
 //    existing wire form and a total decode() that returns a typed
 //    DecodeError instead of throwing or crashing on malformed frames;
+//  * verbs travel as typed frames (Message::typed): the struct itself,
+//    charged at its text encoding's byte length, so nothing is formatted
+//    or parsed on the way. Receivers call take<M>(), which moves the value
+//    out of a typed frame or decodes a text one; encode()/decode() remain
+//    as the conformance oracle and the text-frame fallback;
 //  * call<Req>() / call_cb<Req>() issue a request and match the reply by
 //    *correlation key* — the protocol's own identifying field (task id,
 //    staged path, PMI key) — so the wire format does not change by a byte
@@ -30,6 +35,8 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
+#include <concepts>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -105,7 +112,7 @@ enum class RpcError : std::uint8_t {
   kPeerClosed,  // connection gone (EOF) or already closed at issue time
   kCancelled,   // explicitly cancelled (eviction write-off, shutdown)
   kWindowFull,  // call_cb with no free pipeline credit
-  kDecode,      // reply arrived but failed to decode (reserved)
+  kDecode,      // the value has no text form: refused at send
 };
 const char* to_string(RpcError e);
 
@@ -125,11 +132,48 @@ struct DecodeError {
 };
 std::string to_string(const DecodeError& e);
 
+// --- Field parsing --------------------------------------------------------
+
+/// Full-consumption parse of a numeric field: the whole of `s`, no
+/// whitespace or '+', in range of T (an unsigned T also refuses '-').
+/// The decoders, the Hydra proxy's argv and the MPI business cards use it.
+template <typename T>
+std::optional<T> parse_number(std::string_view s) {
+  T v{};
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, v);
+  if (ec != std::errc() || ptr != last || s.empty()) return std::nullopt;
+  return v;
+}
+
+/// Text length of an integer field, sign included (what std::to_string
+/// renders), computed without allocating.
+template <std::integral T>
+constexpr std::size_t decimal_size(T v) {
+  std::size_t n = 1;
+  auto u = static_cast<std::make_unsigned_t<T>>(v);
+  if constexpr (std::is_signed_v<T>) {
+    if (v < 0) {
+      ++n;
+      u = 0 - u;  // in unsigned arithmetic: the minimum has no positive twin
+    }
+  }
+  for (; u >= 10; u /= 10) ++n;
+  return n;
+}
+
 // --- Typed protocol -------------------------------------------------------
 // One struct per wire verb. encode() must reproduce today's frames
-// byte-for-byte (wire_size feeds the fabric clock); decode() is total.
-// Correlated replies expose correlation_key(); request types name their
-// reply via `using Resp`.
+// byte-for-byte (wire_size feeds the fabric clock); decode() is total;
+// text_size() is the byte length of encode()'s args plus one separator
+// each, computed without allocating — a typed frame is charged exactly
+// that. Correlated replies expose correlation_key(); request types name
+// their reply via `using Resp`. A verb whose text form would change or
+// refuse some values has normalize(): it rewrites the value into what
+// decode(encode(v)) yields and returns false if the text wire would
+// refuse the frame, so a typed send delivers what a text send would.
+// A verb with bulk bytes keeps them in `payload` (payload_bytes on the
+// wire).
 //
 // Every message type carries a user-provided constructor ON PURPOSE: GCC 12
 // miscompiles prvalue *aggregate* temporaries that live across a coroutine
@@ -148,24 +192,30 @@ struct RegisterReq {
   RegisterReq() = default;
   explicit RegisterReq(NodeId n, std::vector<std::string> inv = {})
       : node(n), inventory(std::move(inv)) {}
+  std::size_t text_size() const;
   Message encode() const;
   static Expected<RegisterReq, DecodeError> decode(const Message& m);
+  bool operator==(const RegisterReq&) const = default;
 };
 
 /// "ready" — worker advertises a free slot.
 struct ReadyNote {
   static constexpr const char* kTag = "ready";
   ReadyNote() = default;
+  std::size_t text_size() const { return 0; }
   Message encode() const { return Message(kTag); }
   static Expected<ReadyNote, DecodeError> decode(const Message& m);
+  bool operator==(const ReadyNote&) const = default;
 };
 
 /// "hb" — heartbeat.
 struct PingNote {
   static constexpr const char* kTag = "hb";
   PingNote() = default;
+  std::size_t text_size() const { return 0; }
   Message encode() const { return Message(kTag); }
   static Expected<PingNote, DecodeError> decode(const Message& m);
+  bool operator==(const PingNote&) const = default;
 };
 
 /// "done" [task, status, reason] — task completion. Reply to TaskRun,
@@ -180,8 +230,12 @@ struct TaskDone {
   TaskDone(std::string task, int st, Reason r)
       : task_id(std::move(task)), status(st), reason(r) {}
   std::string correlation_key() const { return task_id; }
+  std::size_t text_size() const;
+  /// A reason outside the enum encodes as "app".
+  bool normalize();
   Message encode() const;
   static Expected<TaskDone, DecodeError> decode(const Message& m);
+  bool operator==(const TaskDone&) const = default;
 };
 
 /// "run" [task, n, argv..., k=v...] — task dispatch.
@@ -196,8 +250,13 @@ struct TaskRun {
           std::map<std::string, std::string> kv = {})
       : task_id(std::move(task)), argv(std::move(av)), vars(std::move(kv)) {}
   std::string correlation_key() const { return task_id; }
+  std::size_t text_size() const;
+  /// The text wire splits each "k=v" at its first '=', so a key that
+  /// contains '=' arrives split there.
+  bool normalize();
   Message encode() const;
   static Expected<TaskRun, DecodeError> decode(const Message& m);
+  bool operator==(const TaskRun&) const = default;
 };
 
 /// "kill" [task] — one-way task kill (the worker answers with a "done").
@@ -206,8 +265,10 @@ struct KillReq {
   std::string task_id;
   KillReq() = default;
   explicit KillReq(std::string task) : task_id(std::move(task)) {}
+  std::size_t text_size() const { return task_id.size() + 1; }
   Message encode() const { return Message(kTag, {task_id}); }
   static Expected<KillReq, DecodeError> decode(const Message& m);
+  bool operator==(const KillReq&) const = default;
 };
 
 /// "staged" [path] or [path, d=<hex>, e=<hex>...] — stage-in ack. Reply to
@@ -222,8 +283,13 @@ struct StageAck {
                     std::vector<std::uint64_t> ev = {})
       : path(std::move(p)), digest(d), evictions(std::move(ev)) {}
   std::string correlation_key() const { return path; }
+  std::size_t text_size() const;
+  /// The legacy form (digest 0) carries no evictions; a zero eviction
+  /// digest beside a real one makes the frame undecodable (refused).
+  bool normalize();
   Message encode() const;
   static Expected<StageAck, DecodeError> decode(const Message& m);
+  bool operator==(const StageAck&) const = default;
 };
 
 /// "stagein" — input staging. Digest form carries the CAS header; the
@@ -241,8 +307,13 @@ struct StageReq {
   explicit StageReq(StageHeader h, bool leg = false, std::uint64_t pay = 0)
       : header(std::move(h)), legacy(leg), payload(pay) {}
   std::string correlation_key() const { return header.path; }
+  std::size_t text_size() const;
+  /// A legacy frame carries only the path (bytes = payload); a digest
+  /// frame carries the peer only for Source::kPeer.
+  bool normalize();
   Message encode() const;
   static Expected<StageReq, DecodeError> decode(const Message& m);
+  bool operator==(const StageReq&) const = default;
 };
 
 // --- PMI (MPICH process-management interface over the proxy socket) ------
@@ -252,8 +323,10 @@ struct PmiInit {
   int rank = 0;
   PmiInit() = default;
   explicit PmiInit(int r) : rank(r) {}
+  std::size_t text_size() const { return decimal_size(rank) + 1; }
   Message encode() const { return Message(kTag, {std::to_string(rank)}); }
   static Expected<PmiInit, DecodeError> decode(const Message& m);
+  bool operator==(const PmiInit&) const = default;
 };
 
 struct PmiPut {
@@ -262,8 +335,10 @@ struct PmiPut {
   std::string value;
   PmiPut() = default;
   PmiPut(std::string k, std::string v) : key(std::move(k)), value(std::move(v)) {}
+  std::size_t text_size() const { return key.size() + value.size() + 2; }
   Message encode() const { return Message(kTag, {key, value}); }
   static Expected<PmiPut, DecodeError> decode(const Message& m);
+  bool operator==(const PmiPut&) const = default;
 };
 
 /// "pmi.value" [key, value] — KVS lookup reply, correlated by key.
@@ -274,8 +349,10 @@ struct PmiValue {
   PmiValue() = default;
   PmiValue(std::string k, std::string v) : key(std::move(k)), value(std::move(v)) {}
   std::string correlation_key() const { return key; }
+  std::size_t text_size() const { return key.size() + value.size() + 2; }
   Message encode() const { return Message(kTag, {key, value}); }
   static Expected<PmiValue, DecodeError> decode(const Message& m);
+  bool operator==(const PmiValue&) const = default;
 };
 
 struct PmiGet {
@@ -285,8 +362,10 @@ struct PmiGet {
   PmiGet() = default;
   explicit PmiGet(std::string k) : key(std::move(k)) {}
   std::string correlation_key() const { return key; }
+  std::size_t text_size() const { return key.size() + 1; }
   Message encode() const { return Message(kTag, {key}); }
   static Expected<PmiGet, DecodeError> decode(const Message& m);
+  bool operator==(const PmiGet&) const = default;
 };
 
 /// "pmi.barrier_out" — barrier release broadcast. At most one barrier is
@@ -295,8 +374,10 @@ struct PmiBarrierOut {
   static constexpr const char* kTag = "pmi.barrier_out";
   PmiBarrierOut() = default;
   std::string correlation_key() const { return std::string(); }
+  std::size_t text_size() const { return 0; }
   Message encode() const { return Message(kTag); }
   static Expected<PmiBarrierOut, DecodeError> decode(const Message& m);
+  bool operator==(const PmiBarrierOut&) const = default;
 };
 
 struct PmiBarrier {
@@ -306,8 +387,10 @@ struct PmiBarrier {
   PmiBarrier() = default;
   explicit PmiBarrier(int r) : rank(r) {}
   std::string correlation_key() const { return std::string(); }
+  std::size_t text_size() const { return decimal_size(rank) + 1; }
   Message encode() const { return Message(kTag, {std::to_string(rank)}); }
   static Expected<PmiBarrier, DecodeError> decode(const Message& m);
+  bool operator==(const PmiBarrier&) const = default;
 };
 
 struct PmiFinalize {
@@ -315,14 +398,164 @@ struct PmiFinalize {
   int rank = 0;
   PmiFinalize() = default;
   explicit PmiFinalize(int r) : rank(r) {}
+  std::size_t text_size() const { return decimal_size(rank) + 1; }
   Message encode() const { return Message(kTag, {std::to_string(rank)}); }
   static Expected<PmiFinalize, DecodeError> decode(const Message& m);
+  bool operator==(const PmiFinalize&) const = default;
 };
 
-/// Fire-and-forget typed send on a bare socket (no channel bookkeeping).
+// --- Hydra proxy control (mpiexec <-> hydra_pmi_proxy) ---------------------
+
+/// "proxy.hello" [proxy id] — a proxy dialed back to its mpiexec.
+struct ProxyHello {
+  static constexpr const char* kTag = "proxy.hello";
+  int proxy_id = 0;
+  ProxyHello() = default;
+  explicit ProxyHello(int id) : proxy_id(id) {}
+  std::size_t text_size() const { return decimal_size(proxy_id) + 1; }
+  Message encode() const { return Message(kTag, {std::to_string(proxy_id)}); }
+  static Expected<ProxyHello, DecodeError> decode(const Message& m);
+  bool operator==(const ProxyHello&) const = default;
+};
+
+/// "proxy.exec" [nprocs, ppn, base, user_binary, n, argv..., k=v...] —
+/// the user executable spec mpiexec hands a proxy.
+struct ProxyExec {
+  static constexpr const char* kTag = "proxy.exec";
+  int nprocs = 0;
+  int ppn = 0;
+  int base = 0;  // first rank this proxy starts
+  std::string user_binary;
+  std::vector<std::string> argv;
+  std::map<std::string, std::string> vars;
+  ProxyExec() = default;
+  ProxyExec(int np, int per, int first, std::string binary,
+            std::vector<std::string> av,
+            std::map<std::string, std::string> kv = {})
+      : nprocs(np), ppn(per), base(first), user_binary(std::move(binary)),
+        argv(std::move(av)), vars(std::move(kv)) {}
+  std::size_t text_size() const;
+  /// As TaskRun: a var key containing '=' arrives split there.
+  bool normalize();
+  Message encode() const;
+  static Expected<ProxyExec, DecodeError> decode(const Message& m);
+  bool operator==(const ProxyExec&) const = default;
+};
+
+/// "proxy.exit" [proxy id, status] — the proxy's local ranks all exited;
+/// status is nonzero if any failed.
+struct ProxyExit {
+  static constexpr const char* kTag = "proxy.exit";
+  int proxy_id = 0;
+  int status = 0;
+  ProxyExit() = default;
+  ProxyExit(int id, int st) : proxy_id(id), status(st) {}
+  std::size_t text_size() const {
+    return decimal_size(proxy_id) + decimal_size(status) + 2;
+  }
+  Message encode() const {
+    return Message(kTag, {std::to_string(proxy_id), std::to_string(status)});
+  }
+  static Expected<ProxyExit, DecodeError> decode(const Message& m);
+  bool operator==(const ProxyExit&) const = default;
+};
+
+/// "stdout" + payload — application output routed rank -> mpiexec (§6.1.6).
+struct StdoutNote {
+  static constexpr const char* kTag = "stdout";
+  std::uint64_t payload = 0;
+  StdoutNote() = default;
+  explicit StdoutNote(std::uint64_t bytes) : payload(bytes) {}
+  std::size_t text_size() const { return 0; }
+  Message encode() const { return Message(kTag, {}, payload); }
+  static Expected<StdoutNote, DecodeError> decode(const Message& m);
+  bool operator==(const StdoutNote&) const = default;
+};
+
+// --- MPI wire (rank <-> rank, mpi::Comm) -----------------------------------
+
+/// "mpi.hello" [rank] — first frame on a connection a rank dialed.
+struct MpiHello {
+  static constexpr const char* kTag = "mpi.hello";
+  int rank = 0;
+  MpiHello() = default;
+  explicit MpiHello(int r) : rank(r) {}
+  std::size_t text_size() const { return decimal_size(rank) + 1; }
+  Message encode() const { return Message(kTag, {std::to_string(rank)}); }
+  static Expected<MpiHello, DecodeError> decode(const Message& m);
+  bool operator==(const MpiHello&) const = default;
+};
+
+/// "mpi.msg" [source, tag] or [source, tag, value] + payload — one
+/// point-to-point message. The text form renders the value with "%f"
+/// (six decimals) and the frozen wire is charged that length; a typed
+/// frame delivers the double exactly.
+struct MpiMsg {
+  static constexpr const char* kTag = "mpi.msg";
+  int source = 0;
+  int tag = 0;
+  std::optional<double> value;
+  std::uint64_t payload = 0;
+  MpiMsg() = default;
+  MpiMsg(int src, int t, std::optional<double> v, std::uint64_t bytes)
+      : source(src), tag(t), value(v), payload(bytes) {}
+  std::size_t text_size() const;
+  Message encode() const;
+  static Expected<MpiMsg, DecodeError> decode(const Message& m);
+  bool operator==(const MpiMsg&) const = default;
+};
+
+// --- Sending and receiving typed frames -------------------------------------
+
+/// The typed frame carrying `v`, normalized to what its text frame would
+/// deliver and charged the text frame's bytes; nullopt if the text wire
+/// would refuse it (see normalize()).
 template <typename M>
-void post(Socket& sock, const M& m) {
-  sock.send(m.encode());
+std::optional<Message> frame(M v) {
+  const std::size_t text = v.text_size();  // before normalize: what encode() sends
+  if constexpr (requires { v.normalize(); }) {
+    if (!v.normalize()) return std::nullopt;
+  }
+  return Message::typed(std::move(v), text);
+}
+
+/// The verb M carried by `m`: moved out of a typed frame, or decoded from a
+/// text frame. A typed frame of another verb is kBadTag.
+template <typename M>
+Expected<M, DecodeError> take(Message&& m) {
+  if (M* v = m.body.get<M>()) return std::move(*v);
+  if (!m.body.empty()) return Unexpected{DecodeError{DecodeError::Kind::kBadTag, "tag"}};
+  return M::decode(m);
+}
+
+/// take<M>() for whichever of Ms `m`'s tag names: the verb, or the
+/// DecodeError (kBadTag if no M's tag matches). One typed dispatch point
+/// for endpoints that serve several verbs on a raw socket.
+template <typename... Ms>
+std::variant<DecodeError, Ms...> take_any(Message&& m) {
+  std::variant<DecodeError, Ms...> out{DecodeError{DecodeError::Kind::kBadTag, "tag"}};
+  auto try_one = [&]<typename M>() {
+    if (m.tag != M::kTag) return false;
+    auto r = take<M>(std::move(m));
+    if (r.ok()) {
+      out.template emplace<M>(std::move(r).value());
+    } else {
+      out = r.error();
+    }
+    return true;
+  };
+  (void)(try_one.template operator()<Ms>() || ...);
+  return out;
+}
+
+/// Fire-and-forget typed send on a bare socket (no channel bookkeeping).
+/// Returns false, sending nothing, if the text wire would refuse `m`.
+template <typename M>
+bool post(Socket& sock, M m) {
+  std::optional<Message> f = frame(std::move(m));
+  if (!f) return false;
+  sock.send(std::move(*f));
+  return true;
 }
 
 // --- Metrics --------------------------------------------------------------
@@ -395,9 +628,9 @@ class Channel {
   /// drains. Returns the call id, or kPeerClosed / kWindowFull without
   /// sending. deadline == 0 means no deadline.
   template <typename M, typename F>
-  Expected<CallId, RpcError> call_cb(const M& req, F&& cb,
+  Expected<CallId, RpcError> call_cb(M req, F&& cb,
                                      sim::Duration deadline = 0) {
-    return call_cb_impl<M>(req, std::forward<F>(cb), deadline,
+    return call_cb_impl<M>(std::move(req), std::forward<F>(cb), deadline,
                            /*pre_credited=*/false);
   }
 
@@ -416,7 +649,7 @@ class Channel {
     auto st = std::make_shared<Wait<Resp>>();
     st->engine = engine_;
     auto issued = call_cb_impl<M>(
-        req,
+        std::move(req),
         [st](Expected<Resp, RpcError> r) {
           st->result.emplace(std::move(r));
           st->done = true;
@@ -436,16 +669,19 @@ class Channel {
     co_return std::move(*st->result);
   }
 
-  /// One-way typed send. Refused with kPeerClosed after EOF/stop.
+  /// One-way typed send. Refused with kPeerClosed after EOF/stop, and
+  /// with kDecode if the text wire would refuse `m`.
   template <typename M>
-  Expected<void, RpcError> notify(const M& m) {
+  Expected<void, RpcError> notify(M m) {
     if (peer_closed_ || stopped_ || !sock_) {
       return Unexpected{RpcError::kPeerClosed};
     }
+    std::optional<Message> f = frame(std::move(m));
+    if (!f) return Unexpected{RpcError::kDecode};
     if (config_.metrics && config_.metrics->notifies) {
       config_.metrics->notifies->inc();
     }
-    sock_->send(m.encode());
+    sock_->send(std::move(*f));
     return {};
   }
 
@@ -532,7 +768,7 @@ class Channel {
   };
 
   template <typename M, typename F>
-  Expected<CallId, RpcError> call_cb_impl(const M& req, F&& cb,
+  Expected<CallId, RpcError> call_cb_impl(M req, F&& cb,
                                           sim::Duration deadline,
                                           bool pre_credited) {
     using Resp = typename M::Resp;
@@ -542,6 +778,9 @@ class Channel {
       }
       return Unexpected{RpcError::kPeerClosed};
     }
+    std::string key = req.correlation_key();
+    std::optional<Message> f = frame(std::move(req));
+    if (!f) return Unexpected{RpcError::kDecode};
     if (window_ && !pre_credited && !window_->try_acquire()) {
       return Unexpected{RpcError::kWindowFull};
     }
@@ -550,7 +789,7 @@ class Channel {
     PendingCall p;
     p.id = id;
     p.resp_tag = Resp::kTag;
-    p.key = req.correlation_key();
+    p.key = std::move(key);
     p.credited = window_ != nullptr;
     p.complete = [cb = std::function<void(Expected<Resp, RpcError>)>(
                       std::forward<F>(cb))](void* resp, RpcError err) {
@@ -573,7 +812,7 @@ class Channel {
       ++mm->inflight_now;
       if (mm->inflight) mm->inflight->set(mm->inflight_now);
     }
-    sock_->send(req.encode());
+    sock_->send(std::move(*f));
     return id;
   }
 
@@ -608,7 +847,7 @@ class Channel {
   /// for the unmatched-frame handler. nullopt = consumed (or rejected).
   template <typename M>
   std::optional<M> decode_and_route(Message&& m) {
-    auto r = M::decode(m);
+    auto r = take<M>(std::move(m));
     if (!r.ok()) {
       note_decode_error();
       return std::nullopt;

@@ -77,7 +77,7 @@ struct Pipe {
 
   /// Parks a message for delivery at `due` (due times are monotone per
   /// pipe: the wire clock only moves forward and stalls only extend).
-  void park(Message m, sim::Time due) {
+  void park(Message&& m, sim::Time due) {
     const std::uint32_t idx = arena->acquire(std::move(m), due);
     if (pending_tail == MessageArena::kNil) {
       pending_head = idx;
@@ -158,8 +158,14 @@ class Socket {
 
   /// The inbox's own awaiter: a blocking receive allocates nothing (no
   /// coroutine frame, no wait state). On a locally closed socket it
-  /// completes at once with std::nullopt.
-  using RecvAwaiter = sim::Channel<Message>::RecvAwaiter;
+  /// completes at once with std::nullopt. Not movable (it is the waiter's
+  /// list node), so a wrapping awaiter constructs it in place.
+  class RecvAwaiter : public sim::Channel<Message>::RecvAwaiter {
+   public:
+    RecvAwaiter(Socket& s, sim::Duration timeout)
+        : sim::Channel<Message>::RecvAwaiter(s.open_ ? &s.in().inbox : nullptr,
+                                             timeout) {}
+  };
 
   /// Receives the next message; std::nullopt = EOF (peer closed or died).
   RecvAwaiter recv() { return recv_for(-1); }
@@ -167,7 +173,7 @@ class Socket {
   /// recv with a timeout; std::nullopt = timeout *or* EOF. Callers that
   /// must distinguish check eof() afterwards.
   RecvAwaiter recv_for(sim::Duration timeout) {
-    return RecvAwaiter(open_ ? &in().inbox : nullptr, timeout);
+    return RecvAwaiter(*this, timeout);
   }
 
   /// True once the peer has closed and the inbox has drained.

@@ -46,6 +46,8 @@ struct StageHeader {
   std::uint64_t bytes = 0;
   Source source = Source::kPush;
   NodeId peer = 0;  // only meaningful for kPeer
+
+  bool operator==(const StageHeader&) const = default;
 };
 
 /// Renders the header as "stagein" message args (see format above).

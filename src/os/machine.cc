@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 
+#include "net/rpc.hh"
+#include "os/program.hh"
+
 namespace jets::os {
 
 Machine::Machine(sim::Engine& engine, MachineSpec spec)
@@ -298,6 +301,10 @@ std::size_t BatchScheduler::free_nodes() const {
   std::size_t n = 0;
   for (bool b : busy_) n += b ? 0 : 1;
   return n;
+}
+
+void Env::write_stdout(std::size_t bytes) const {
+  if (stdout_sink) net::rpc::post(*stdout_sink, net::rpc::StdoutNote{bytes});
 }
 
 }  // namespace jets::os

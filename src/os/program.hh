@@ -51,9 +51,7 @@ struct Env {
   }
 
   /// Emits `bytes` of stdout (counts wire time on the sink if present).
-  void write_stdout(std::size_t bytes) const {
-    if (stdout_sink) stdout_sink->send(net::Message("stdout", {}, bytes));
-  }
+  void write_stdout(std::size_t bytes) const;
 };
 
 /// A runnable program body. The Env reference stays valid for the lifetime

@@ -1,12 +1,17 @@
 #include "pmi/hydra.hh"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <variant>
 
+#include "net/rpc.hh"
 #include "obs/tracer.hh"
 #include "pmi/client.hh"
 
 namespace jets::pmi {
+
+namespace rpc = net::rpc;
 
 namespace {
 
@@ -14,6 +19,46 @@ namespace {
 struct ProxyShared {
   int exit_code = 0;
 };
+
+/// hydra_pmi_proxy --control-addr <node> <port> --proxy-id <k>
+struct ProxyArgs {
+  net::Address control{};
+  int proxy_id = -1;
+};
+
+/// Parses the proxy command line: every number must be a whole decimal in
+/// range of its field, and every flag must be one of the two above.
+std::optional<ProxyArgs> parse_proxy_argv(const std::vector<std::string>& argv) {
+  ProxyArgs a;
+  bool have_control = false;
+  for (std::size_t i = 1; i < argv.size(); ++i) {
+    if (argv[i] == "--control-addr" && i + 2 < argv.size()) {
+      const auto node = rpc::parse_number<os::NodeId>(argv[i + 1]);
+      const auto port = rpc::parse_number<net::Port>(argv[i + 2]);
+      if (!node || !port) return std::nullopt;
+      a.control = net::Address{*node, *port};
+      have_control = true;
+      i += 2;
+    } else if (argv[i] == "--proxy-id" && i + 1 < argv.size()) {
+      const auto id = rpc::parse_number<int>(argv[i + 1]);
+      if (!id || *id < 0) return std::nullopt;
+      a.proxy_id = *id;
+      i += 1;
+    } else {
+      return std::nullopt;
+    }
+  }
+  if (!have_control || a.proxy_id < 0) return std::nullopt;
+  return a;
+}
+
+/// Visitor from a set of lambdas.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
 
 sim::Task<void> rank_body(os::Machine* machine, const os::AppRegistry* apps,
                           os::NodeId node, std::vector<std::string> argv,
@@ -45,58 +90,42 @@ sim::Task<void> rank_body(os::Machine* machine, const os::AppRegistry* apps,
 
 os::Program Mpiexec::proxy_program(const os::AppRegistry& apps) {
   return [&apps](os::Env& env) -> sim::Task<void> {
-    // argv: hydra_pmi_proxy --control-addr <node> <port> --proxy-id <k>
-    net::Address control{};
-    int proxy_id = -1;
-    for (std::size_t i = 1; i + 1 < env.argv.size(); ++i) {
-      if (env.argv[i] == "--control-addr" && i + 2 < env.argv.size()) {
-        control.node = static_cast<os::NodeId>(std::stoul(env.argv[i + 1]));
-        control.port = static_cast<net::Port>(std::stoul(env.argv[i + 2]));
-      } else if (env.argv[i] == "--proxy-id") {
-        proxy_id = std::stoi(env.argv[i + 1]);
-      }
-    }
-    if (proxy_id < 0) throw std::invalid_argument("hydra_pmi_proxy: bad argv");
+    const std::optional<ProxyArgs> args = parse_proxy_argv(env.argv);
+    if (!args) throw std::invalid_argument("hydra_pmi_proxy: bad argv");
 
     net::SocketPtr sock =
-        co_await env.machine->network().connect(env.node, control);
-    sock->send(net::Message("proxy.hello", {std::to_string(proxy_id)}));
-    auto reply = co_await sock->recv();
-    if (!reply || reply->tag != "proxy.exec") co_return;  // mpiexec gone
-
-    // Decode: nprocs ppn base user_binary nargv argv... k=v...
-    std::size_t i = 0;
-    const int nprocs = std::stoi(reply->args.at(i++));
-    const int ppn = std::stoi(reply->args.at(i++));
-    const int base = std::stoi(reply->args.at(i++));
-    const std::string user_binary = reply->args.at(i++);
-    const int nargv = std::stoi(reply->args.at(i++));
-    std::vector<std::string> uargv;
-    for (int k = 0; k < nargv; ++k) uargv.push_back(reply->args.at(i++));
-    std::map<std::string, std::string> uvars;
-    for (; i < reply->args.size(); ++i) {
-      const std::string& kv = reply->args[i];
-      const auto eq = kv.find('=');
-      if (eq != std::string::npos) uvars[kv.substr(0, eq)] = kv.substr(eq + 1);
+        co_await env.machine->network().connect(env.node, args->control);
+    rpc::post(*sock, rpc::ProxyHello{args->proxy_id});
+    std::optional<net::Message> reply = co_await sock->recv();
+    if (!reply) co_return;  // mpiexec gone
+    auto exec = rpc::take<rpc::ProxyExec>(std::move(*reply));
+    if (!exec.ok()) {
+      throw std::invalid_argument("hydra_pmi_proxy: bad proxy.exec: " +
+                                  rpc::to_string(exec.error()));
     }
+    rpc::ProxyExec spec = std::move(exec).value();
 
-    const int local = std::min(ppn, nprocs - base);
+    const int local = std::min(spec.ppn, spec.nprocs - spec.base);
     auto shared = std::make_shared<ProxyShared>();
     std::vector<os::Machine::Pid> pids;
     pids.reserve(static_cast<std::size_t>(std::max(local, 0)));
     for (int r = 0; r < local; ++r) {
+      const int rank = spec.base + r;
+      std::string name = spec.argv.at(0) + ":" + std::to_string(rank);
+      // Each rank gets its own argv and vars; the last one takes the spec's.
+      const bool last = r + 1 == local;
       os::ExecOptions opts;
-      opts.binary = user_binary;
+      opts.binary = spec.user_binary;
       pids.push_back(env.machine->exec(
-          env.node, uargv.at(0) + ":" + std::to_string(base + r),
-          rank_body(env.machine, &apps, env.node, uargv, uvars, control,
-                    base + r, nprocs, shared),
+          env.node, std::move(name),
+          rank_body(env.machine, &apps, env.node,
+                    last ? std::move(spec.argv) : spec.argv,
+                    last ? std::move(spec.vars) : spec.vars, args->control,
+                    rank, spec.nprocs, shared),
           std::move(opts)));
     }
     for (auto pid : pids) co_await env.machine->wait(pid);
-    sock->send(net::Message(
-        "proxy.exit",
-        {std::to_string(proxy_id), std::to_string(shared->exit_code)}));
+    rpc::post(*sock, rpc::ProxyExit{args->proxy_id, shared->exit_code});
     // Destructor closes the socket; mpiexec sees exit then EOF.
   };
 }
@@ -262,11 +291,23 @@ sim::Task<void> Mpiexec::handle_connection(net::SocketPtr sock) {
   bool rank_finalized = false;
   int rank = -1;
   for (;;) {
-    auto m = co_await sock->recv();
+    std::optional<net::Message> m = co_await sock->recv();
     if (!m) break;  // EOF
-    if (m->tag == "proxy.hello") {
+    // A malformed frame, an unknown verb, or one this connection may not
+    // send here (a proxy that is not one, a rank out of range or already
+    // inited) is ignored: the job's fate is decided by its real peers.
+    auto frame =
+        rpc::take_any<rpc::ProxyHello, rpc::ProxyExit, rpc::PmiInit,
+                      rpc::PmiPut, rpc::PmiGet, rpc::PmiBarrier,
+                      rpc::PmiFinalize, rpc::StdoutNote>(std::move(*m));
+    // The two verbs that can wait come first: a proxy's serialized
+    // bootstrap, and a lookup of a key no rank has published yet.
+    if (auto* hello = std::get_if<rpc::ProxyHello>(&frame)) {
+      const int proxy_id = hello->proxy_id;
+      if (is_proxy || rank >= 0 || proxy_id < 0 || proxy_id >= proxy_count()) {
+        continue;
+      }
       is_proxy = true;
-      const int proxy_id = std::stoi(m->args.at(0));
       // Bootstrap handling is serialized within one mpiexec and charges
       // the per-proxy setup cost (see MpiexecSpec::proxy_setup_cost).
       {
@@ -276,40 +317,55 @@ sim::Task<void> Mpiexec::handle_connection(net::SocketPtr sock) {
         sim::Permit permit = co_await sim::Permit::acquire(*setup_sem_);
         co_await sim::delay(spec_.proxy_setup_cost);
       }
-      const int base = proxy_id * spec_.ranks_per_proxy;
-      std::vector<std::string> args{
-          std::to_string(spec_.nprocs), std::to_string(spec_.ranks_per_proxy),
-          std::to_string(base), spec_.user_binary,
-          std::to_string(spec_.user_argv.size())};
-      for (const auto& a : spec_.user_argv) args.push_back(a);
-      for (const auto& [k, v] : spec_.user_vars) args.push_back(k + "=" + v);
-      sock->send(net::Message("proxy.exec", std::move(args)));
+      rpc::post(*sock, rpc::ProxyExec(spec_.nprocs, spec_.ranks_per_proxy,
+                                      proxy_id * spec_.ranks_per_proxy,
+                                      spec_.user_binary, spec_.user_argv,
+                                      spec_.user_vars));
       ++proxies_wired_;
       note_launch_progress();
-    } else if (m->tag == "proxy.exit") {
-      proxy_reported = true;
-      note_proxy_done(std::stoi(m->args.at(1)));
-    } else if (m->tag == "pmi.init") {
-      rank = std::stoi(m->args.at(0));
-      rank_socks_.at(static_cast<std::size_t>(rank)) = sock;
-      ++ranks_inited_;
-      note_launch_progress();
-    } else if (m->tag == "pmi.put") {
-      kvs_.put(m->args.at(0), m->args.at(1));
-    } else if (m->tag == "pmi.get") {
-      std::string value = co_await kvs_.get(m->args.at(0));
-      sock->send(net::Message("pmi.value", {m->args.at(0), std::move(value)}));
-    } else if (m->tag == "pmi.barrier_in") {
-      if (++barrier_waiting_ >= spec_.nprocs) {
-        barrier_waiting_ = 0;
-        for (auto& rs : rank_socks_) {
-          if (rs) rs->send(net::Message("pmi.barrier_out"));
-        }
+    } else if (auto* get = std::get_if<rpc::PmiGet>(&frame)) {
+      std::string value;
+      if (const std::string* known = kvs_.find(get->key)) {
+        value = *known;
+      } else {
+        value = co_await kvs_.get(get->key);
       }
-    } else if (m->tag == "pmi.finalize") {
-      rank_finalized = true;
-    } else if (m->tag == "stdout") {
-      stdout_bytes_ += m->payload_bytes;
+      rpc::post(*sock, rpc::PmiValue(std::move(get->key), std::move(value)));
+    } else {
+      std::visit(
+          Overloaded{
+              [&](rpc::ProxyExit& exit) {
+                if (!is_proxy || proxy_reported) return;
+                proxy_reported = true;
+                note_proxy_done(exit.status);
+              },
+              [&](rpc::PmiInit& init) {
+                const int r = init.rank;
+                if (is_proxy || rank >= 0 || r < 0 || r >= spec_.nprocs) return;
+                net::SocketPtr& slot = rank_socks_[static_cast<std::size_t>(r)];
+                if (slot) return;  // a second init for the same rank
+                rank = r;
+                slot = sock;
+                ++ranks_inited_;
+                note_launch_progress();
+              },
+              [&](rpc::PmiPut& put) {
+                kvs_.put(std::move(put.key), std::move(put.value));
+              },
+              [&](rpc::PmiBarrier&) {
+                if (rank < 0) return;
+                if (++barrier_waiting_ >= spec_.nprocs) {
+                  barrier_waiting_ = 0;
+                  for (auto& rs : rank_socks_) {
+                    if (rs) rpc::post(*rs, rpc::PmiBarrierOut{});
+                  }
+                }
+              },
+              [&](rpc::PmiFinalize&) { rank_finalized = true; },
+              [&](rpc::StdoutNote& out) { stdout_bytes_ += out.payload; },
+              [](auto&) {},  // DecodeError; ProxyHello and PmiGet are above
+          },
+          frame);
     }
   }
   // Connection gone: decide whether that was orderly.
@@ -319,7 +375,7 @@ sim::Task<void> Mpiexec::handle_connection(net::SocketPtr sock) {
     fail(MpiexecFailKind::kDisconnect,
          "rank " + std::to_string(rank) + " disconnected before finalize");
   }
-  if (rank >= 0) rank_socks_.at(static_cast<std::size_t>(rank)).reset();
+  if (rank >= 0) rank_socks_[static_cast<std::size_t>(rank)].reset();
 }
 
 }  // namespace jets::pmi

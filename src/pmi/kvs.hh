@@ -22,13 +22,19 @@ class KeyValueSpace {
  public:
   explicit KeyValueSpace(sim::Engine& engine) : engine_(&engine) {}
 
-  void put(const std::string& key, std::string value) {
-    values_[key] = std::move(value);
+  void put(std::string key, std::string value) {
     auto it = gates_.find(key);
+    values_.insert_or_assign(std::move(key), std::move(value));
     if (it != gates_.end()) it->second->open();
   }
 
   bool contains(const std::string& key) const { return values_.contains(key); }
+
+  /// The published value of `key`, or nullptr if nobody published it yet.
+  const std::string* find(const std::string& key) const {
+    auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
 
   /// Blocks until `key` is published, then returns its value.
   sim::Task<std::string> get(const std::string& key) {

@@ -147,7 +147,7 @@ class Ring {
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
 
-  void push(T value) {
+  void push(T&& value) {
     if (size_ == slots_.size()) grow();
     slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(value);
     ++size_;

@@ -5,9 +5,10 @@
 // test can assert how many heap allocations a steady-state operation
 // costs. Putting an allocation back on the send -> deliver -> recv path (a
 // heap closure per delivery event, a wait state per blocked receive, a
-// coroutine frame per socket receive), or a per-job copy back into
-// checkpoint(), fails here, in ctest, and not only in the host-cost
-// benchmark.
+// coroutine frame per socket receive, a decimal-string frame per protocol
+// verb, a coroutine frame per MPI send or receive on a wired pair), or a
+// per-job copy back into checkpoint(), fails here, in ctest, and not only
+// in the host-cost benchmark.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,12 +16,15 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <variant>
 
 #include "core/snapshot.hh"
+#include "mpi/comm.hh"
 #include "net/fabric.hh"
 #include "net/rpc.hh"
 #include "net/socket.hh"
 #include "sim/sim.hh"
+#include "testbed.hh"
 #include "testutil.hh"
 
 namespace {
@@ -160,17 +164,44 @@ TEST(AllocBudgetCallback, HotClosuresStayInline) {
   EXPECT_EQ(*hits, 6);
 }
 
-constexpr std::size_t kAllocsPerCall = 7;
+TEST_F(AllocBudget, TypedPmiAndMpiFramesAllocateNothing) {
+  // Each verb travels as its struct inside the frame (no argument vector,
+  // no decimal strings), and take<M>() moves it out at the receiver. Keys
+  // and values as short as the real ones ("card.12", "0 5000") stay in
+  // the strings' own buffers.
+  int taken = 0;
+  engine.spawn("reader", [](SocketPtr s, int& n) -> Task<void> {
+    while (auto m = co_await s->recv()) {
+      auto v = rpc::take_any<rpc::MpiMsg, rpc::PmiGet, rpc::PmiPut,
+                             rpc::PmiValue>(std::move(*m));
+      if (!std::holds_alternative<rpc::DecodeError>(v)) ++n;
+    }
+  }(server, taken));
+  auto burst = [&] {
+    rpc::post(*client, rpc::MpiMsg(3, -2, 0.1, 8));
+    rpc::post(*client, rpc::PmiGet("card.12"));
+    rpc::post(*client, rpc::PmiPut("card.12", "0 5000"));
+    rpc::post(*client, rpc::PmiValue("card.12", "0 5000"));
+    engine.run();
+  };
+  burst();  // warm-up: event slab, arena slots, inbox ring
+  EXPECT_EQ(allocations_in(burst), 0u);
+  EXPECT_EQ(taken, 8);
+}
+
+constexpr std::size_t kAllocsPerCall = 5;
 
 TEST_F(AllocBudget, RpcCallReplyCostIsPinned) {
   // A pump-mode PMI get against a raw-socket responder. The round trip's
   // allocations, both sides: the call() and pump_until() coroutine frames,
-  // the shared wait state, the completion callback and its type-erasing
-  // wrapper, and the two encoded frames' argument vectors. Correlation
-  // (the scan of the pending calls) allocates nothing.
+  // the shared wait state, and the completion callback and its
+  // type-erasing wrapper. The frames are typed, so neither carries an
+  // argument vector; correlation (the scan of the pending calls)
+  // allocates nothing.
   engine.spawn("kvs", [](SocketPtr s) -> Task<void> {
     while (auto m = co_await s->recv()) {
-      s->send(rpc::PmiValue(m->args.at(0), "0 5000").encode());
+      auto get = rpc::take<rpc::PmiGet>(std::move(*m));
+      if (get.ok()) rpc::post(*s, rpc::PmiValue(std::move(get.value().key), "0 5000"));
     }
   }(server));
   rpc::Channel chan(engine, client);
@@ -195,6 +226,57 @@ TEST_F(AllocBudget, RpcCallReplyCostIsPinned) {
 
 }  // namespace
 }  // namespace jets::net
+
+namespace jets::mpi {
+namespace {
+
+TEST(AllocBudgetComm, WiredSendRecvAllocatesNothing) {
+  // Once a pair is wired, send() posts the typed frame and completes at
+  // once, and recv() awaits the socket's own receive: no coroutine frame,
+  // no map node, no gate. Rank 0 counts the allocations of a stretch of
+  // ping-pongs, everything the engine runs in between included.
+  test::TestBed bed(os::Machine::breadboard(2));
+  std::size_t allocs = 1;
+  int rounds = 0;
+  bed.install_app("pp", [&allocs, &rounds](os::Env& env) -> sim::Task<void> {
+    auto comm = co_await Comm::init(env);
+    const int peer = 1 - comm->rank();
+    auto ping_pong = [&](int n) -> sim::Task<void> {
+      for (int i = 0; i < n; ++i) {
+        if (comm->rank() == 0) {
+          co_await comm->send(peer, 64, /*tag=*/i, 0.5 * i);
+          const RecvResult r = co_await comm->recv(peer);
+          if (r.value == 0.5 * i) ++rounds;
+        } else {
+          const RecvResult r = co_await comm->recv(peer);
+          co_await comm->send(peer, r.bytes, r.tag, r.value);
+        }
+      }
+    };
+    co_await ping_pong(4);  // wires the pair, warms the rings and slabs
+    sim::Task<void> measured = ping_pong(16);
+    const std::size_t before = g_allocs;
+    co_await std::move(measured);
+    // Rank 1 holds its finalize (a PMI call) until rank 0 has counted.
+    if (comm->rank() == 0) {
+      allocs = g_allocs - before;
+      co_await comm->send(peer, 1);
+    } else {
+      (void)co_await comm->recv(peer);
+    }
+    co_await comm->finalize();
+  });
+  pmi::MpiexecSpec spec;
+  spec.user_argv = {"pp"};
+  spec.nprocs = 2;
+  auto mpx = bed.launch_manual(spec, {0, 1});
+  EXPECT_EQ(bed.run_to_completion(*mpx), 0);
+  EXPECT_EQ(rounds, 20);
+  EXPECT_EQ(allocs, 0u);
+}
+
+}  // namespace
+}  // namespace jets::mpi
 
 namespace jets::core {
 namespace {

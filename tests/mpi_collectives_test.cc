@@ -125,6 +125,48 @@ TEST_P(CollectivesTest, AllreduceGivesEveryoneTheSum) {
   for (double v : results) EXPECT_DOUBLE_EQ(v, n * (n + 1) / 2.0);
 }
 
+// Reductions carry their doubles exactly. The text form of the MPI wire
+// renders a value with "%f" (six decimals), which turned reduce_sum(1e-7)
+// over 4 ranks into 9.9999999999999995e-08; the typed wire does not round.
+TEST(CollectivesPrecision, ReduceSumIsTheExactTreeOrderSum) {
+  constexpr int n = 4;
+  TestBed bed(os::Machine::breadboard(n));
+  double root_total = -1;
+  bed.install_app("tiny", [&root_total](Env& env) -> Task<void> {
+    auto comm = co_await Comm::init(env);
+    const double total = co_await comm->reduce_sum(1e-7, /*root=*/0);
+    if (comm->rank() == 0) root_total = total;
+    co_await comm->finalize();
+  });
+  pmi::MpiexecSpec spec;
+  spec.user_argv = {"tiny"};
+  spec.nprocs = n;
+  auto mpx = bed.launch_manual(spec, hosts(n));
+  ASSERT_EQ(bed.run_to_completion(*mpx), 0);
+  // The binomial tree adds pairs (0,1) and (2,3), then the two partials.
+  EXPECT_EQ(root_total, (1e-7 + 1e-7) + (1e-7 + 1e-7));
+}
+
+TEST(CollectivesPrecision, AllreduceSumIsExactOnEveryRank) {
+  constexpr int n = 3;
+  TestBed bed(os::Machine::breadboard(n));
+  std::vector<double> results;
+  bed.install_app("tenth", [&results](Env& env) -> Task<void> {
+    auto comm = co_await Comm::init(env);
+    results.push_back(co_await comm->allreduce_sum(0.1));
+    co_await comm->finalize();
+  });
+  pmi::MpiexecSpec spec;
+  spec.user_argv = {"tenth"};
+  spec.nprocs = n;
+  auto mpx = bed.launch_manual(spec, hosts(n));
+  ASSERT_EQ(bed.run_to_completion(*mpx), 0);
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(n));
+  // Rank 0 adds rank 1's value, then rank 2's; the sum is broadcast back
+  // (0.30000000000000004, which six decimals would have made 0.3).
+  for (double v : results) EXPECT_EQ(v, (0.1 + 0.1) + 0.1);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectivesTest,
                          ::testing::Values(1, 2, 3, 4, 7, 8, 13, 16),
                          [](const auto& info) {

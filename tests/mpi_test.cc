@@ -43,6 +43,82 @@ TEST(MpiComm, InitExposesRankAndSize) {
   EXPECT_EQ(ranks, (std::vector<int>{0, 1, 2, 3}));
 }
 
+TEST(MpiComm, PointToPointRanksOutsideTheCommunicatorThrow) {
+  // send(size) used to block forever on a PMI get for a card nobody
+  // publishes, and recv(size) on a gate nobody opens: the gang never
+  // finished.
+  TestBed bed(os::Machine::breadboard(2));
+  int caught = 0;
+  bed.install_app("stray", [&caught](Env& env) -> Task<void> {
+    auto comm = co_await Comm::init(env);
+    const int size = comm->size();
+    try {
+      co_await comm->send(size, 8);
+    } catch (const std::invalid_argument&) {
+      ++caught;
+    }
+    try {
+      co_await comm->ssend(-1, 8);
+    } catch (const std::invalid_argument&) {
+      ++caught;
+    }
+    try {
+      (void)co_await comm->recv(size);
+    } catch (const std::invalid_argument&) {
+      ++caught;
+    }
+    try {
+      (void)co_await comm->recv(-1);
+    } catch (const std::invalid_argument&) {
+      ++caught;
+    }
+    co_await comm->barrier();
+    co_await comm->finalize();
+  });
+  auto mpx = bed.launch_manual(spec_for("stray", 2), hosts(2));
+  EXPECT_EQ(bed.run_to_completion(*mpx), 0);
+  EXPECT_EQ(caught, 4 * 2);
+}
+
+TEST(MpiComm, AcceptorDropsMalformedHellos) {
+  // Rank 0 dials rank 1's endpoint (from its PMI card) on raw sockets and
+  // sends hellos that name no rank of the gang, then a frame that is not
+  // a hello at all. A non-numeric hello used to kill the acceptor with an
+  // exception out of Engine::run(); now each connection is dropped and the
+  // real ranks still wire up.
+  TestBed bed(os::Machine::breadboard(2));
+  int finished = 0;
+  bed.install_app("rogue", [&finished](Env& env) -> Task<void> {
+    auto comm = co_await Comm::init(env);
+    if (comm->rank() == 0) {
+      const std::string card = co_await env.pmi->get("card.1");
+      const auto space = card.find(' ');
+      const net::Address peer{
+          *net::rpc::parse_number<os::NodeId>(card.substr(0, space)),
+          *net::rpc::parse_number<net::Port>(card.substr(space + 1))};
+      std::vector<net::Message> junk = {
+          net::Message("mpi.hello", {"x"}), net::Message("mpi.hello", {"-1"}),
+          net::Message("mpi.hello", {"2"}), net::Message("mpi.hello"),
+          net::Message("mpi.msg", {"0", "0"})};
+      for (net::Message& m : junk) {
+        net::SocketPtr s =
+            co_await env.machine->network().connect(env.node, peer);
+        s->send(std::move(m));
+      }
+    }
+    for (int i = 0; i < 3; ++i) co_await comm->barrier();
+    const double sum = co_await comm->allreduce_sum(comm->rank() + 1);
+    EXPECT_EQ(sum, 3.0);
+    ++finished;
+    co_await comm->finalize();
+  });
+  auto mpx = bed.launch_manual(spec_for("rogue", 2), hosts(2));
+  int rc = -1;
+  EXPECT_NO_THROW(rc = bed.run_to_completion(*mpx));
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(finished, 2);
+}
+
 TEST(MpiComm, InitOutsidePmiThrows) {
   TestBed bed(os::Machine::breadboard(2));
   bool threw = false;

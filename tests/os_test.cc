@@ -264,7 +264,7 @@ TEST(BatchSchedulerTest, WalltimeKillsPilotsAndReleasesNodes) {
   policy.wait_per_node = 0;
   BatchScheduler sched(machine, policy, sim::Rng(4));
   bool pilot_survived_past_walltime = false;
-  engine.spawn("user", [](Engine& engine, Machine& machine, BatchScheduler& s,
+  engine.spawn("user", [](Machine& machine, BatchScheduler& s,
                           bool& survived) -> Task<void> {
     auto alloc = co_await s.submit(4, sim::seconds(60));
     std::vector<Machine::Pid> pilots;
@@ -275,7 +275,7 @@ TEST(BatchSchedulerTest, WalltimeKillsPilotsAndReleasesNodes) {
       }(&survived)));
     }
     s.enforce_walltime(alloc, pilots);
-  }(engine, machine, sched, pilot_survived_past_walltime));
+  }(machine, sched, pilot_survived_past_walltime));
   engine.run();
   EXPECT_FALSE(pilot_survived_past_walltime);
   EXPECT_EQ(sched.free_nodes(), 8u);  // nodes returned at expiry

@@ -2,9 +2,12 @@
 // including the JETS-contributed launcher=manual bootstrap.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "net/rpc.hh"
 #include "pmi/client.hh"
 #include "pmi/hydra.hh"
 #include "pmi/kvs.hh"
@@ -196,6 +199,135 @@ TEST(Mpiexec, StdoutIsRoutedAndCounted) {
   auto mpx = bed.launch_manual(spec, {0, 1, 2});
   EXPECT_EQ(bed.run_to_completion(*mpx), 0);
   EXPECT_EQ(mpx->stdout_bytes(), 33'000u);
+}
+
+TEST(Mpiexec, HostileControlFramesAreIgnored) {
+  // Once the ranks are wired and sleeping, a rogue connection to mpiexec's
+  // control port sends frames that are malformed, out of range, or not
+  // its to send. `pmi.init ["x"]` used to throw std::invalid_argument out
+  // of Engine::run(). Now each frame is ignored and the job ends clean.
+  TestBed bed(os::Machine::breadboard(4));
+  int finished = 0;
+  bed.install_app("sleeper", [&finished](Env& env) -> Task<void> {
+    co_await env.pmi->barrier();
+    co_await sim::delay(sim::seconds(2));
+    co_await env.pmi->barrier();
+    ++finished;
+  });
+  MpiexecSpec spec;
+  spec.user_argv = {"sleeper"};
+  spec.nprocs = 2;
+  auto mpx = bed.launch_manual(spec, {0, 1});
+  bed.engine.spawn("rogue", [](os::Machine& m, net::Address control)
+                                -> Task<void> {
+    co_await sim::delay(sim::seconds(1));
+    net::SocketPtr s = co_await m.network().connect(3, control);
+    const std::vector<net::Message> junk = {
+        net::Message("pmi.init", {"x"}),
+        net::Message("pmi.init", {"-1"}),
+        net::Message("pmi.init", {"2"}),
+        net::Message("pmi.init", {"0"}),         // rank 0 is already inited
+        net::Message("proxy.exit", {"0", "1"}),  // not a proxy
+        net::Message("proxy.hello", {"zz"}),
+        net::Message("proxy.exit", {"0"}),
+        net::Message("pmi.barrier_in", {"q"}),
+        net::Message("pmi.barrier_in", {"0"}),  // not an inited rank
+        net::Message("pmi.put", {"k"}),
+        net::Message("pmi.get"),
+        net::Message("stdout", {"x"}),
+        net::Message("no.such.verb", {"1"}),
+        *net::rpc::frame(net::rpc::MpiMsg(0, 0, 1.0, 8)),
+    };
+    for (const net::Message& m : junk) s->send(m);
+    net::SocketPtr proxy = co_await m.network().connect(3, control);
+    proxy->send(net::Message("proxy.hello", {"5"}));  // no such proxy
+  }(bed.machine, mpx->control_address()));
+  int rc = -1;
+  EXPECT_NO_THROW(rc = bed.run_to_completion(*mpx));
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(mpx->fail_kind(), MpiexecFailKind::kNone);
+  EXPECT_EQ(finished, 2);
+}
+
+/// Runs the proxy program with `argv` as the JETS worker's task wrapper
+/// does, and returns the task status it would report: 1 if it threw.
+int proxy_status(TestBed& bed, std::vector<std::string> argv) {
+  int status = -1;
+  bed.engine.spawn("task", [](TestBed& bed, std::vector<std::string> argv,
+                              int& status) -> Task<void> {
+    Env env;
+    env.machine = &bed.machine;
+    env.node = 1;
+    env.argv = std::move(argv);
+    status = 0;
+    try {
+      co_await bed.apps.lookup(kProxyBinary)(env);
+    } catch (...) {
+      status = 1;
+    }
+  }(bed, std::move(argv), status));
+  bed.engine.run();
+  return status;
+}
+
+TEST(HydraProxy, BadArgvGivesTaskStatusOne) {
+  // A live mpiexec listens at the control address, so a proxy that
+  // misread its argv would dial it and run. `--proxy-id 1x` used to
+  // parse as 1, and a port of 2^32 + p to p through a narrowing cast.
+  TestBed bed(os::Machine::breadboard(4));
+  bed.install_app("quiet", [](Env&) -> Task<void> { co_return; });
+  MpiexecSpec spec;
+  spec.user_argv = {"quiet"};
+  spec.nprocs = 2;
+  Mpiexec mpx(bed.machine, bed.apps, bed.machine.login_node(), spec);
+  mpx.start();
+  const std::string node = std::to_string(mpx.control_address().node);
+  const std::string port = std::to_string(mpx.control_address().port);
+  const std::string wrapped_port =
+      std::to_string((std::uint64_t{1} << 32) + mpx.control_address().port);
+  const std::vector<std::vector<std::string>> bad = {
+      {kProxyBinary, "--control-addr", node, port, "--proxy-id", "1x"},
+      {kProxyBinary, "--control-addr", node, port, "--proxy-id", "-1"},
+      {kProxyBinary, "--control-addr", node, port, "--proxy-id"},
+      {kProxyBinary, "--control-addr", node, wrapped_port, "--proxy-id", "0"},
+      {kProxyBinary, "--control-addr", node + "x", port, "--proxy-id", "0"},
+      {kProxyBinary, "--control-addr", node, " " + port, "--proxy-id", "0"},
+      {kProxyBinary, "--control-addr", node, "--proxy-id", "0"},
+      {kProxyBinary, "--proxy-id", "0"},
+      {kProxyBinary, "--control-addr", node, port, "--proxy-id", "0", "-v"},
+  };
+  for (const auto& argv : bad) {
+    EXPECT_EQ(proxy_status(bed, argv), 1) << argv.back();
+  }
+  EXPECT_FALSE(mpx.done());
+  // The well-formed command lines still run the job.
+  for (const auto& cmd : mpx.proxy_commands()) {
+    EXPECT_EQ(proxy_status(bed, cmd), 0);
+  }
+  EXPECT_TRUE(mpx.done());
+  EXPECT_EQ(mpx.fail_kind(), MpiexecFailKind::kNone);
+}
+
+TEST(HydraProxy, MalformedExecSpecGivesTaskStatusOne) {
+  // A control peer whose proxy.exec carries a user var without '=' (the
+  // proxy used to drop it silently) or a non-numeric rank count.
+  TestBed bed(os::Machine::breadboard(2));
+  auto listener = bed.machine.network().listen({0, 4000});
+  bed.engine.spawn("fake-mpiexec", [](net::Listener& l) -> Task<void> {
+    const std::vector<std::vector<std::string>> specs = {
+        {"1", "1", "0", "app", "1", "app", "NOEQ"},
+        {"one", "1", "0", "app", "1", "app"},
+    };
+    for (const auto& args : specs) {
+      net::SocketPtr s = co_await l.accept();
+      (void)co_await s->recv();  // proxy.hello
+      s->send(net::Message("proxy.exec", args));
+    }
+  }(*listener));
+  const std::vector<std::string> cmd = {kProxyBinary, "--control-addr", "0",
+                                        "4000", "--proxy-id", "0"};
+  EXPECT_EQ(proxy_status(bed, cmd), 1);
+  EXPECT_EQ(proxy_status(bed, cmd), 1);
 }
 
 TEST(Mpiexec, DeadProxyIsReportedAsFailure) {

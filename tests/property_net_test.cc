@@ -64,9 +64,15 @@ TEST_P(TorusShapeTest, TriangleInequalityHolds) {
 TEST_P(TorusShapeTest, NeighboursAreOneHop) {
   const TorusShape s = shape();
   const auto [x, y, z] = GetParam();
-  if (x > 1) EXPECT_EQ(s.hops(0, 1), 1u);
-  if (y > 1) EXPECT_EQ(s.hops(0, x), 1u);
-  if (z > 1) EXPECT_EQ(s.hops(0, x * y), 1u);
+  if (x > 1) {
+    EXPECT_EQ(s.hops(0, 1), 1u);
+  }
+  if (y > 1) {
+    EXPECT_EQ(s.hops(0, x), 1u);
+  }
+  if (z > 1) {
+    EXPECT_EQ(s.hops(0, x * y), 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, TorusShapeTest,

@@ -1,7 +1,7 @@
 // Protocol conformance + fuzz battery for the typed RPC layer (ctest
 // label: rpc).
 //
-// Four layers of coverage:
+// Five layers of coverage:
 //
 //   1. Round trips: every typed protocol struct encodes to the historical
 //      wire form and decodes back to an identical value.
@@ -12,7 +12,12 @@
 //      numbers, half-valid digest grammar) fed to *every* decoder. The
 //      sanitizer lane is the oracle for memory safety; accepted frames
 //      must additionally be canonical (decode(encode(decode(m))) is
-//      identity).
+//      identity) and travel typed exactly as they do as text (layer 5).
+//   5. Typed frames against the text oracle: for every verb, a typed
+//      frame is charged the bytes of encode(), and take<M>() of it yields
+//      what decode(encode(v)) yields — or the send is refused exactly when
+//      that decode fails. The one intended difference: mpi.msg's value
+//      arrives exact instead of rounded to six decimals.
 //   4. Channel conformance, in-simulator: correlation matching under
 //      out-of-order completion, same-key FIFO resolution, bounded
 //      pipeline windows, deadline expiry + late-reply orphans, peer-close
@@ -26,11 +31,17 @@
 // counted in jets.rpc.peer_closed, and classified kWorkerLost.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <climits>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "apps/synthetic.hh"
@@ -170,6 +181,27 @@ TEST(RpcRoundTrip, PmiFamily) {
   EXPECT_EQ(PmiFinalize::decode(PmiFinalize(2).encode()).value().rank, 2);
 }
 
+TEST(RpcRoundTrip, ProxyAndMpiFamilies) {
+  EXPECT_EQ(ProxyHello::decode(ProxyHello(3).encode()).value().proxy_id, 3);
+  const ProxyExec exec(4, 2, 2, "mpi_sleep", {"mpi_sleep", "10"},
+                       {{"A", "1"}, {"B", "x=y"}});
+  auto x = ProxyExec::decode(exec.encode());
+  ASSERT_TRUE(x.ok());
+  EXPECT_EQ(x.value(), exec);
+  EXPECT_EQ(ProxyExit::decode(ProxyExit(1, -9).encode()).value(),
+            ProxyExit(1, -9));
+  EXPECT_EQ(StdoutNote::decode(StdoutNote(4096).encode()).value().payload,
+            4096u);
+  EXPECT_EQ(MpiHello::decode(MpiHello(7).encode()).value().rank, 7);
+  auto msg = MpiMsg::decode(MpiMsg(1, -4, 2.5, 64).encode());
+  ASSERT_TRUE(msg.ok());
+  EXPECT_EQ(msg.value(), MpiMsg(1, -4, 2.5, 64));
+  // ssend's form carries no value.
+  auto bare = MpiMsg::decode(MpiMsg(1, 0, std::nullopt, 8).encode());
+  ASSERT_TRUE(bare.ok());
+  EXPECT_FALSE(bare.value().value.has_value());
+}
+
 // --- 2. Targeted decode rejection -----------------------------------------
 
 using Kind = DecodeError::Kind;
@@ -200,6 +232,12 @@ TEST(RpcDecode, WrongTagRejectedEverywhere) {
   EXPECT_EQ(reject<PmiBarrierOut>(alien), Kind::kBadTag);
   EXPECT_EQ(reject<PmiBarrier>(alien), Kind::kBadTag);
   EXPECT_EQ(reject<PmiFinalize>(alien), Kind::kBadTag);
+  EXPECT_EQ(reject<ProxyHello>(alien), Kind::kBadTag);
+  EXPECT_EQ(reject<ProxyExec>(alien), Kind::kBadTag);
+  EXPECT_EQ(reject<ProxyExit>(alien), Kind::kBadTag);
+  EXPECT_EQ(reject<StdoutNote>(alien), Kind::kBadTag);
+  EXPECT_EQ(reject<MpiHello>(alien), Kind::kBadTag);
+  EXPECT_EQ(reject<MpiMsg>(alien), Kind::kBadTag);
 }
 
 TEST(RpcDecode, RegisterReq) {
@@ -297,6 +335,198 @@ TEST(RpcDecode, PmiNumericFields) {
             Kind::kBadNumber);
 }
 
+TEST(RpcDecode, ProxyControl) {
+  EXPECT_EQ(reject<ProxyHello>(Message("proxy.hello")), Kind::kMissingArg);
+  EXPECT_EQ(reject<ProxyHello>(Message("proxy.hello", {"1x"})),
+            Kind::kBadNumber);
+  EXPECT_EQ(reject<ProxyExit>(Message("proxy.exit", {"0"})), Kind::kMissingArg);
+  EXPECT_EQ(reject<ProxyExit>(Message("proxy.exit", {"0", "ok"})),
+            Kind::kBadNumber);
+  EXPECT_EQ(reject<ProxyExec>(Message("proxy.exec", {"1", "1", "0", "app"})),
+            Kind::kMissingArg);
+  EXPECT_EQ(
+      reject<ProxyExec>(Message("proxy.exec", {"x", "1", "0", "app", "0"})),
+      Kind::kBadNumber);
+  EXPECT_EQ(
+      reject<ProxyExec>(Message("proxy.exec", {"1", "1", "0", "app", "2", "a"})),
+      Kind::kMissingArg);
+  // A user var without '=' used to be dropped silently by the proxy.
+  EXPECT_EQ(reject<ProxyExec>(Message(
+                "proxy.exec", {"1", "1", "0", "app", "1", "app", "NOEQ"})),
+            Kind::kTrailingArgs);
+  EXPECT_EQ(reject<StdoutNote>(Message("stdout", {"x"})), Kind::kTrailingArgs);
+}
+
+TEST(RpcDecode, MpiWire) {
+  EXPECT_EQ(reject<MpiHello>(Message("mpi.hello")), Kind::kMissingArg);
+  EXPECT_EQ(reject<MpiHello>(Message("mpi.hello", {"x"})), Kind::kBadNumber);
+  EXPECT_EQ(reject<MpiHello>(Message("mpi.hello", {"2147483648"})),
+            Kind::kBadNumber);
+  EXPECT_EQ(reject<MpiMsg>(Message("mpi.msg", {"0"})), Kind::kMissingArg);
+  EXPECT_EQ(reject<MpiMsg>(Message("mpi.msg", {"0", "1", "2", "3"})),
+            Kind::kTrailingArgs);
+  EXPECT_EQ(reject<MpiMsg>(Message("mpi.msg", {"0", "t"})), Kind::kBadNumber);
+  EXPECT_EQ(reject<MpiMsg>(Message("mpi.msg", {"0", "1", "1.5x"})),
+            Kind::kBadNumber);
+  EXPECT_EQ(reject<MpiMsg>(Message("mpi.msg", {"0", "1", " 1.5"})),
+            Kind::kBadNumber);
+}
+
+// --- 5. Typed frames against the text oracle --------------------------------
+
+/// Field equality, with mpi.msg's value compared bit for bit (NaN, -0).
+template <typename M>
+bool same_value(const M& a, const M& b) {
+  return a == b;
+}
+bool same_value(const MpiMsg& a, const MpiMsg& b) {
+  auto bits = [](const std::optional<double>& v) {
+    return v ? std::optional(std::bit_cast<std::uint64_t>(*v)) : std::nullopt;
+  };
+  return a.source == b.source && a.tag == b.tag && a.payload == b.payload &&
+         bits(a.value) == bits(b.value);
+}
+
+/// What the text wire delivers of `v` with the typed wire's one intended
+/// difference applied: mpi.msg keeps its exact value.
+template <typename M>
+M typed_expectation(const M&, M decoded) {
+  return decoded;
+}
+MpiMsg typed_expectation(const MpiMsg& sent, MpiMsg decoded) {
+  decoded.value = sent.value;
+  return decoded;
+}
+
+template <typename M>
+void expect_typed_matches_text(const M& v) {
+  SCOPED_TRACE(M::kTag);
+  const Message text = v.encode();
+  EXPECT_EQ(Message::typed(v).wire_size(), text.wire_size());
+  auto oracle = M::decode(text);
+  std::optional<Message> f = frame(v);
+  ASSERT_EQ(f.has_value(), oracle.ok()) << "a typed send must be refused "
+                                           "exactly when the text frame "
+                                           "would not decode";
+  if (!f) return;
+  EXPECT_EQ(f->wire_size(), text.wire_size());
+  EXPECT_EQ(f->tag, text.tag);
+  EXPECT_EQ(f->payload_bytes, text.payload_bytes);
+  EXPECT_TRUE(f->args.empty());
+  auto got = take<M>(std::move(*f));
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(same_value(got.value(), typed_expectation(v, oracle.value())));
+  // A typed frame copies (tests copy frames) and takes like the original.
+  std::optional<Message> again = frame(v);
+  const Message copy = *again;
+  auto from_copy = take<M>(Message(copy));
+  ASSERT_TRUE(from_copy.ok());
+  EXPECT_TRUE(same_value(from_copy.value(), got.value()));
+}
+
+TEST(RpcTypedFrames, EveryVerbMatchesItsTextFrame) {
+  expect_typed_matches_text(RegisterReq(7, {"t-1", "t-2"}));
+  expect_typed_matches_text(RegisterReq(0));
+  expect_typed_matches_text(RegisterReq(0xFFFFFFFFu, {""}));
+  expect_typed_matches_text(ReadyNote{});
+  expect_typed_matches_text(PingNote{});
+  for (const auto reason : {TaskDone::Reason::kApp, TaskDone::Reason::kWatchdog,
+                            TaskDone::Reason::kKilled,
+                            static_cast<TaskDone::Reason>(9)}) {
+    expect_typed_matches_text(TaskDone("task-9", -13, reason));
+  }
+  expect_typed_matches_text(TaskDone("", INT_MIN, TaskDone::Reason::kApp));
+  expect_typed_matches_text(
+      TaskRun("j0.3", {"namd2.sh", "in.pdb", "x=looks-like-a-var"},
+              {{"OMP_NUM_THREADS", "4"}, {"JETS_RANK", "0"}}));
+  expect_typed_matches_text(TaskRun("j", {}));
+  expect_typed_matches_text(TaskRun("t", {"a"}, {{"", "v"}, {"k", ""}}));
+  // The text wire splits a var at its first '=': a key holding '=' arrives
+  // split there, and two keys may then collide (the later one wins). The
+  // frame is still charged both "k=v" args.
+  expect_typed_matches_text(TaskRun("t", {"a"}, {{"a=b", "c"}}));
+  expect_typed_matches_text(TaskRun("t", {"a"}, {{"a", "b=c"}, {"a=b", "d"}}));
+  expect_typed_matches_text(KillReq("t-3"));
+  expect_typed_matches_text(KillReq(""));
+  expect_typed_matches_text(StageAck("in.pdb"));
+  expect_typed_matches_text(StageAck("p", 0xdeadbeef01020304ull, {0x1, 0xff}));
+  // Digest 0 is the legacy form: its evictions never reach the wire.
+  expect_typed_matches_text(StageAck("p", 0, {0x5}));
+  // A zero eviction digest makes the text frame undecodable: refused.
+  expect_typed_matches_text(StageAck("p", 0x5, {0x6, 0}));
+  StageHeader h;
+  h.path = "inputs/a.bin";
+  h.digest = 0xabc;
+  h.bytes = 4096;
+  for (const auto src : {StageHeader::Source::kPush, StageHeader::Source::kPeer,
+                         StageHeader::Source::kWarm,
+                         static_cast<StageHeader::Source>(7)}) {
+    h.source = src;
+    h.peer = 12;  // on the wire only for kPeer
+    expect_typed_matches_text(StageReq(h, /*leg=*/false, /*pay=*/4096));
+    // Legacy: only the path travels; bytes come from the payload.
+    expect_typed_matches_text(StageReq(h, /*leg=*/true, /*pay=*/777));
+  }
+  expect_typed_matches_text(PmiInit(3));
+  expect_typed_matches_text(PmiInit(INT_MIN));
+  expect_typed_matches_text(PmiPut("card.1", "0 5000"));
+  expect_typed_matches_text(PmiPut("", ""));
+  expect_typed_matches_text(PmiValue("card.1", "0 5000"));
+  expect_typed_matches_text(PmiGet("k"));
+  expect_typed_matches_text(PmiBarrierOut{});
+  expect_typed_matches_text(PmiBarrier(5));
+  expect_typed_matches_text(PmiFinalize(INT_MAX));
+  expect_typed_matches_text(ProxyHello(0));
+  expect_typed_matches_text(ProxyHello(-5));
+  expect_typed_matches_text(ProxyExec(4, 2, 2, "mpi_sleep", {"mpi_sleep", "10"},
+                                      {{"A", "1"}, {"B", "x=y"}}));
+  expect_typed_matches_text(ProxyExec(1, 1, 0, "", {}));
+  expect_typed_matches_text(
+      ProxyExec(INT_MIN, INT_MAX, -1, "b", {"b"}, {{"K=1", "2"}}));
+  expect_typed_matches_text(ProxyExit(3, 0));
+  expect_typed_matches_text(ProxyExit(0, INT_MIN));
+  expect_typed_matches_text(StdoutNote(0));
+  expect_typed_matches_text(StdoutNote(123'456));
+  expect_typed_matches_text(MpiHello(0));
+  expect_typed_matches_text(MpiHello(INT_MIN));
+}
+
+TEST(RpcTypedFrames, MpiValuesArriveExactAtTheTextFramesCost) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double values[] = {0.0,   -0.0,  1e-7,  0.1,     1.0 / 3.0, -2.5,
+                           1e300, -1e300, kInf, -kInf,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::denorm_min()};
+  for (const double v : values) {
+    for (const int tag : {0, -1, INT_MIN, INT_MAX}) {
+      expect_typed_matches_text(MpiMsg(INT_MAX, tag, v, 8));
+      expect_typed_matches_text(MpiMsg(0, tag, std::nullopt, 0));
+    }
+  }
+  // The precision the text form loses, and the typed form keeps.
+  const MpiMsg tiny(0, 0, 1e-7, 8);
+  EXPECT_EQ(MpiMsg::decode(tiny.encode()).value().value, 0.0);
+  EXPECT_EQ(take<MpiMsg>(*frame(tiny)).value().value, 1e-7);
+}
+
+TEST(RpcTypedFrames, TakeRefusesAnotherVerbsTypedFrame) {
+  auto r = take<PmiGet>(*frame(PmiPut("k", "v")));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().kind, Kind::kBadTag);
+  // take_any dispatches by tag, typed or text, and reports the rest.
+  auto typed = take_any<PmiGet, PmiPut>(*frame(PmiPut("k", "v")));
+  ASSERT_TRUE(std::holds_alternative<PmiPut>(typed));
+  EXPECT_EQ(std::get<PmiPut>(typed).value, "v");
+  auto text = take_any<PmiGet, PmiPut>(PmiGet("k").encode());
+  ASSERT_TRUE(std::holds_alternative<PmiGet>(text));
+  auto unknown = take_any<PmiGet, PmiPut>(Message("pmi.nope"));
+  ASSERT_TRUE(std::holds_alternative<DecodeError>(unknown));
+  EXPECT_EQ(std::get<DecodeError>(unknown).kind, Kind::kBadTag);
+  auto malformed = take_any<PmiGet, PmiPut>(Message("pmi.put", {"k"}));
+  ASSERT_TRUE(std::holds_alternative<DecodeError>(malformed));
+  EXPECT_EQ(std::get<DecodeError>(malformed).kind, Kind::kMissingArg);
+}
+
 // --- 3. Seeded fuzz --------------------------------------------------------
 
 /// Feeds `m` to every decoder; any accepted value must re-encode to a
@@ -315,6 +545,7 @@ void fuzz_one(const Message& m) {
   ASSERT_TRUE(r2.ok()) << "canonical re-encode of accepted '" << m.tag
                        << "' frame no longer decodes";
   EXPECT_TRUE(same_frame(canon, r2.value().encode()));
+  expect_typed_matches_text(r.value());
 }
 
 void fuzz_all_decoders(const Message& m) {
@@ -333,6 +564,12 @@ void fuzz_all_decoders(const Message& m) {
   fuzz_one<PmiBarrierOut>(m);
   fuzz_one<PmiBarrier>(m);
   fuzz_one<PmiFinalize>(m);
+  fuzz_one<ProxyHello>(m);
+  fuzz_one<ProxyExec>(m);
+  fuzz_one<ProxyExit>(m);
+  fuzz_one<StdoutNote>(m);
+  fuzz_one<MpiHello>(m);
+  fuzz_one<MpiMsg>(m);
 }
 
 TEST(RpcFuzz, RandomFramesNeverCrashAnyDecoder) {
@@ -342,6 +579,8 @@ TEST(RpcFuzz, RandomFramesNeverCrashAnyDecoder) {
       "run",     "kill",           "staged",       "stagein",
       "pmi.init", "pmi.put",       "pmi.value",    "pmi.get",
       "pmi.barrier_in", "pmi.barrier_out", "pmi.finalize",
+      "proxy.hello", "proxy.exec", "proxy.exit", "stdout",
+      "mpi.hello", "mpi.msg",
       "bogus",   "",               "REG",          "done\n"};
   const std::vector<std::string> pool = {
       "",       "0",         "1",      "-1",       "42",
@@ -355,7 +594,9 @@ TEST(RpcFuzz, RandomFramesNeverCrashAnyDecoder) {
       "b=4096", "b=abc",     "b=",     "s=push",   "s=warm",
       "s=peer:3", "s=peer:x", "s=bogus", "k=v",    "=v",
       "k=",     "path/with=equals", std::string(300, 'A'),
-      std::string("\0embedded", 9)};
+      std::string("\0embedded", 9),
+      "0.100000", "-0.000000", "nan",  "-nan",   "inf",   "-inf",
+      "1e300",  "0x1p3",     "-2147483648", "2147483648", "mpi_sleep"};
   std::uniform_int_distribution<std::size_t> tag_pick(0, tags.size() - 1);
   std::uniform_int_distribution<std::size_t> arg_pick(0, pool.size() - 1);
   std::uniform_int_distribution<int> argc_pick(0, 6);
@@ -384,6 +625,12 @@ TEST(RpcFuzz, ValidFramesSurviveSingleFieldMutation) {
       PmiGet("k").encode(),
       PmiBarrier(0).encode(),
       PmiFinalize(0).encode(),
+      ProxyHello(2).encode(),
+      ProxyExec(4, 1, 2, "app", {"app", "x"}, {{"K", "V"}}).encode(),
+      ProxyExit(2, 1).encode(),
+      MpiHello(3).encode(),
+      MpiMsg(3, -2, 0.5, 8).encode(),
+      MpiMsg(3, 7, std::nullopt, 8).encode(),
   };
   StageHeader h;
   h.path = "p";
@@ -456,7 +703,7 @@ TEST_F(RpcChannelTest, OutOfOrderRepliesMatchByCorrelationKey) {
     while (ids.size() < 3) {
       auto m = co_await s->recv();
       CO_ASSERT_TRUE(m.has_value());
-      auto run = TaskRun::decode(*m);
+      auto run = take<TaskRun>(std::move(*m));
       CO_ASSERT_TRUE(run.ok());
       ids.push_back(run.value().task_id);
     }
@@ -540,10 +787,9 @@ TEST_F(RpcChannelTest, CallAwaitsWindowCreditFifo) {
     for (int i = 0; i < 2; ++i) {
       auto m = co_await s->recv();
       CO_ASSERT_TRUE(m.has_value());
-      auto run = TaskRun::decode(*m);
+      auto run = take<TaskRun>(std::move(*m));
       CO_ASSERT_TRUE(run.ok());
-      s->send(
-          TaskDone(run.value().task_id, 0, TaskDone::Reason::kApp).encode());
+      post(*s, TaskDone(run.value().task_id, 0, TaskDone::Reason::kApp));
     }
     s->close();
   }(server));
@@ -714,10 +960,11 @@ TEST_F(RpcChannelTest, PumpModeSequentialCallsWithPrvalueArguments) {
     for (;;) {
       auto m = co_await s->recv();
       if (!m) break;
-      if (m->tag == "pmi.get") {
-        s->send(PmiValue(m->args[0], "v-" + m->args[0]).encode());
-      } else if (m->tag == "pmi.barrier_in") {
-        s->send(PmiBarrierOut{}.encode());
+      auto req = take_any<PmiGet, PmiBarrier>(std::move(*m));
+      if (auto* get = std::get_if<PmiGet>(&req)) {
+        post(*s, PmiValue(get->key, "v-" + get->key));
+      } else if (std::holds_alternative<PmiBarrier>(req)) {
+        post(*s, PmiBarrierOut{});
       }
     }
   }(server));
@@ -745,7 +992,9 @@ TEST_F(RpcChannelTest, PumpModePeerCloseFailsCall) {
   engine.spawn("peer", [](SocketPtr s) -> Task<void> {
     auto m = co_await s->recv();
     CO_ASSERT_TRUE(m.has_value());
-    s->send(PmiValue(m->args[0], "v").encode());
+    auto get = take<PmiGet>(std::move(*m));
+    CO_ASSERT_TRUE(get.ok());
+    post(*s, PmiValue(get.value().key, "v"));
     (void)co_await s->recv();  // second request arrives...
     s->close();                // ...and dies unanswered
   }(server));

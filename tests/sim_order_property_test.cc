@@ -326,7 +326,9 @@ TEST_P(TableChurnTest, SlotMapMatchesMapUnderEnlistEvictReenlist) {
       const int* got = table.find(id);
       const auto it = ref.find(id);
       ASSERT_EQ(got != nullptr, it != ref.end());
-      if (got != nullptr) EXPECT_EQ(*got, it->second);
+      if (got != nullptr) {
+        EXPECT_EQ(*got, it->second);
+      }
     }
     ASSERT_EQ(table.size(), ref.size());
   }
