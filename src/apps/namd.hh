@@ -8,7 +8,8 @@
 // The compute time is sampled from a lognormal distribution whose median/
 // shape parameters default to a fit of Fig 11 — and can be re-derived from
 // the *real* MD kernel via calibrate_from_kernel(), which times the actual
-// Lennard-Jones integrator (examples/rem_namd.cc exercises this).
+// Lennard-Jones integrator (examples/md_quickstart.cpp exercises this; the
+// figures use the fixed fit).
 //
 // Usage:  namd_segment <median_s> <sigma> <tag> [out_prefix]
 // The <tag> seeds the duration sample, so a given segment's wall time is

@@ -138,8 +138,6 @@ class ChaosEngine {
   void start();
 
   const ChaosCounters& counters() const { return counters_; }
-  /// Pilots not yet killed (FaultInjector-compatible accounting).
-  std::size_t pilots_remaining() const { return pilots_.size(); }
 
   /// Mirrors every ChaosCounters bump into `registry` as "jets.chaos.*"
   /// counters, so a harness snapshotting one registry sees injected-fault

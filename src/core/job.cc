@@ -2,6 +2,9 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "net/number.hh"
 
 namespace jets::core {
 
@@ -85,12 +88,13 @@ std::vector<JobSpec> parse_job_list(const std::string& text, int default_ppn) {
         throw std::invalid_argument("line " + std::to_string(lineno) +
                                     ": bad MPI options '" + toks[0] + "'");
       }
-      try {
-        spec.ppn = std::stoi(opts.substr(4));
-      } catch (const std::exception&) {
+      const auto ppn = net::rpc::parse_number<int>(
+          std::string_view(opts).substr(4));
+      if (!ppn) {
         throw std::invalid_argument("line " + std::to_string(lineno) +
                                     ": bad ppn in '" + toks[0] + "'");
       }
+      spec.ppn = *ppn;
       if (spec.ppn < 1) {
         throw std::invalid_argument("line " + std::to_string(lineno) +
                                     ": ppn must be >= 1");
@@ -103,12 +107,12 @@ std::vector<JobSpec> parse_job_list(const std::string& text, int default_ppn) {
                                     ": MPI: needs a process count and command");
       }
       spec.kind = JobKind::kMpi;
-      try {
-        spec.nprocs = std::stoi(toks[1]);
-      } catch (const std::exception&) {
+      const auto nprocs = net::rpc::parse_number<int>(toks[1]);
+      if (!nprocs) {
         throw std::invalid_argument("line " + std::to_string(lineno) +
                                     ": bad MPI process count '" + toks[1] + "'");
       }
+      spec.nprocs = *nprocs;
       if (spec.nprocs < 1) {
         throw std::invalid_argument("line " + std::to_string(lineno) +
                                     ": MPI process count must be >= 1");
@@ -123,16 +127,6 @@ std::vector<JobSpec> parse_job_list(const std::string& text, int default_ppn) {
     jobs.push_back(std::move(spec));
   }
   return jobs;
-}
-
-std::string to_line(const JobSpec& spec) {
-  std::ostringstream os;
-  if (spec.kind == JobKind::kMpi) os << "MPI: " << spec.nprocs << ' ';
-  for (std::size_t i = 0; i < spec.argv.size(); ++i) {
-    if (i) os << ' ';
-    os << spec.argv[i];
-  }
-  return os.str();
 }
 
 }  // namespace jets::core

@@ -208,10 +208,9 @@ struct JobRecord {
 std::uint64_t record_digest(const JobRecord& rec);
 
 /// Parses the stand-alone input format. Blank lines and '#' comments are
-/// skipped. Throws std::invalid_argument on malformed lines.
+/// skipped. The process count and ppn must be whole decimal numbers, as on
+/// the wire (net/number.hh). Throws std::invalid_argument on malformed
+/// lines.
 std::vector<JobSpec> parse_job_list(const std::string& text, int default_ppn = 1);
-
-/// Renders a spec back to its input-file line (round-trips parse output).
-std::string to_line(const JobSpec& spec);
 
 }  // namespace jets::core

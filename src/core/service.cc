@@ -1105,8 +1105,7 @@ void Service::requeue_job(JobId id) {
   --backing_off_;
   // The machine may have shrunk below the job's width during the backoff.
   const auto needed = static_cast<std::size_t>(job.rec.spec.workers_needed());
-  if (config_.fail_unsatisfiable && needed > potential_capacity() &&
-      needed <= peak_capacity_) {
+  if (needed > potential_capacity() && needed <= peak_capacity_) {
     m_failures_[static_cast<std::size_t>(FailureReason::kServiceAbort)]->inc();
     settle_job(job, JobStatus::kFailed, FailureReason::kServiceAbort);
     check_all_done();
@@ -1203,7 +1202,6 @@ std::size_t Service::potential_capacity() const {
 }
 
 void Service::reap_unsatisfiable() {
-  if (!config_.fail_unsatisfiable) return;
   if (queue_.empty()) return;
   const std::size_t cap = potential_capacity();
   std::vector<JobId> doomed;

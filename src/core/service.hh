@@ -36,8 +36,8 @@
 //   * JobSpec::retry overrides the service-wide policy per job;
 //   * mpi_launch_timeout bounds the gang wiring phase (proxy dial-back +
 //     PMI init), failing fast with kLaunchTimeout;
-//   * fail_unsatisfiable settles queued jobs wider than the machine can
-//     ever again supply (kServiceAbort) instead of letting wait_all hang;
+//   * a queued job wider than the machine can ever again supply is
+//     settled (kServiceAbort) instead of letting wait_all hang;
 //   * blacklist_probation paroles blacklisted nodes after a cooldown with
 //     their eviction count halved.
 //
@@ -142,11 +142,6 @@ class Service {
     /// node may re-enlist with its eviction count halved (so a repeat
     /// offender is re-banned quickly). 0 = the ban is permanent.
     sim::Duration blacklist_probation = 0;
-    /// When the ready pool can never again satisfy a queued job's width —
-    /// evictions and blacklisting shrank the machine below a width it once
-    /// met — fail the job with kServiceAbort instead of letting wait_all
-    /// hang on it.
-    bool fail_unsatisfiable = true;
     /// Grace period after a restore-from-snapshot during which checkpointed
     /// workers are carried as "ghosts": they count toward capacity and hold
     /// their slots for heartbeat reconciliation (a surviving pilot that

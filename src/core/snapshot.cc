@@ -1,17 +1,21 @@
 // Snapshot codec + the two Service halves that depend on it:
 // checkpoint() (live tables -> image) and apply_snapshot() (Snapshot ->
-// freshly constructed service). One encoder body, encode_image(), writes
-// the image from either row source: a decoded Snapshot (the reference
-// encoder) or the service's live tables. See snapshot.hh for the wire
-// format and DESIGN.md §10 for the determinism argument.
+// freshly constructed service). Each row's layout is written once, as a
+// field list; the Writer, the Reader and the MinSize counter walk those
+// lists. One encoder body, encode_image(), writes the image from either
+// row source: a decoded Snapshot (the reference encoder) or the service's
+// live tables. See snapshot.hh for the wire format and DESIGN.md §10 for
+// the determinism argument.
 #include "core/snapshot.hh"
 
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <concepts>
 #include <cstring>
 #include <span>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 
 #include "core/service.hh"
@@ -34,8 +38,149 @@ enum SectionTag : std::uint16_t {
   kStaging = 9,   // optional
   kElastic = 10,  // optional
 };
+constexpr std::uint32_t kRequired = 1u << kMeta | 1u << kJobs | 1u << kQueue |
+                                    1u << kWorkers | 1u << kRng;
 
 constexpr std::uint8_t kFlagLittleEndian = 0x01;
+
+// --- Field lists ---------------------------------------------------------------
+// Each row names its fields once, in wire order. A field's C++ type is its
+// wire type: an int or fixed-width integer is that many little-endian
+// bytes, a bool or an enum one byte, a double its bits as u64, a string a
+// u32 length and the bytes, a vector or map a u32 count and the items, an
+// optional a u8 flag and the value, and a pair or record its fields in
+// order.
+
+/// T is the row type R (const or not).
+template <typename T, typename... R>
+concept Row = (std::same_as<std::remove_const_t<T>, R> || ...);
+
+/// Live rows the checkpoint writes in place, named like the rows they
+/// stand for.
+struct BlobView {
+  const std::string& path;
+  std::uint64_t digest;
+  std::uint64_t bytes;
+};
+struct NodeCacheView {
+  std::uint32_t node;
+  const std::vector<std::uint64_t>& digests;
+};
+/// A list only its walk can count: `each(emit)` emits the items. The
+/// Writer back-patches its u32 count.
+template <typename F>
+struct Walk {
+  F each;
+};
+
+template <typename Ar, Row<net::Address> A>
+void fields(Ar& ar, A& a) {
+  ar(a.node, a.port);
+}
+
+template <typename Ar, Row<RetryPolicy> P>
+void fields(Ar& ar, P& p) {
+  ar(p.max_attempts, p.infra_exempt, p.max_infra_failures, p.backoff_base,
+     p.backoff_factor, p.backoff_max, p.backoff_jitter, p.jitter_seed);
+}
+
+template <typename Ar, Row<JobSpec> S>
+void fields(Ar& ar, S& s) {
+  ar(s.kind, s.nprocs, s.ppn, s.argv, s.vars, s.timeout, s.priority, s.retry,
+     s.stage_files, s.expected_runtime);
+}
+
+template <typename Ar, Row<AttemptRecord> A>
+void fields(Ar& ar, A& a) {
+  ar(a.attempt, a.started_at, a.ended_at, a.exit_status, a.reason, a.backoff);
+}
+
+template <typename Ar, Row<JobRecord> R>
+void fields(Ar& ar, R& r) {
+  ar(r.id, r.spec, r.status, r.attempts, r.app_failures, r.infra_failures,
+     r.last_reason, r.history, r.nodes, r.submitted_at, r.started_at,
+     r.finished_at);
+}
+
+template <typename Ar, Row<obs::Attr> A>
+void fields(Ar& ar, A& a) {
+  ar(a.key, a.value);
+}
+
+template <typename Ar, Row<obs::Span> S>
+void fields(Ar& ar, S& s) {
+  ar(s.id, s.parent, s.name, s.track, s.begin, s.end, s.attrs);
+}
+
+template <typename Ar, Row<NodeHealthSnap> N>
+void fields(Ar& ar, N& n) {
+  ar(n.node, n.evictions, n.banned, n.banned_until);
+}
+
+template <typename Ar, Row<ElasticNodeSnap> E>
+void fields(Ar& ar, E& e) {
+  ar(e.node, e.expires_at, e.draining, e.drain_at);
+}
+
+template <typename Ar, Row<BlobSnap, BlobView> B>
+void fields(Ar& ar, B& b) {
+  ar(b.path, b.digest, b.bytes);
+}
+
+template <typename Ar, Row<NodeCacheSnap, NodeCacheView> C>
+void fields(Ar& ar, C& c) {
+  ar(c.node, c.digests);
+}
+
+/// The meta row: a Snapshot's scalars, or an ImageMeta's.
+template <typename Ar, typename S>
+void meta_fields(Ar& ar, S& s) {
+  ar(s.taken_at, s.addr, s.next_worker_seq, s.next_task, s.peak_capacity);
+}
+
+/// The job row: a JobSnap, or a view of a live job with its members.
+template <typename Ar, typename J>
+void job_fields(Ar& ar, J& j) {
+  ar(j.rec, j.task_id, j.assigned_seq, j.in_backoff, j.retry_at, j.timeout_at,
+     j.deadline_passed);
+}
+
+/// The worker row: a WorkerSnap or a live Service::Worker, whose ready-pool
+/// membership the pool keeps apart.
+template <typename Ar, typename W, typename B, typename U>
+void worker_fields(Ar& ar, W& w, B& ready, U& ready_rank) {
+  ar(w.seq, w.node, w.connected, w.busy, w.evicted, w.job, w.task_id,
+     w.last_heard, ready, ready_rank);
+}
+
+template <typename Ar, Row<JobSnap> J>
+void fields(Ar& ar, J& j) {
+  job_fields(ar, j);
+}
+
+template <typename Ar, Row<WorkerSnap> W>
+void fields(Ar& ar, W& w) {
+  worker_fields(ar, w, w.ready, w.ready_rank);
+}
+
+/// The values an enum may take on the wire, and what it is.
+struct EnumRange {
+  std::size_t count;
+  const char* what;
+};
+constexpr EnumRange range_of(JobKind) { return {2, "job kind"}; }
+constexpr EnumRange range_of(JobStatus) {
+  return {static_cast<std::size_t>(JobStatus::kQuarantined) + 1, "job status"};
+}
+constexpr EnumRange range_of(FailureReason) {
+  return {kFailureReasonCount, "failure reason"};
+}
+
+/// True if T is an instance of the template W.
+template <typename T, template <typename...> class W>
+constexpr bool kIs = false;
+template <template <typename...> class W, typename... A>
+constexpr bool kIs<W<A...>, W> = true;
 
 /// Fixed-width integers travel as their little-endian bytes.
 template <typename U>
@@ -56,6 +201,8 @@ U from_le(const std::uint8_t* p) {
   return std::bit_cast<U>(b);
 }
 
+// --- Archives ------------------------------------------------------------------
+
 /// Appends the image to one buffer reserved up front. Each fixed-width
 /// field is one bounded copy of its little-endian bytes; the buffer's size
 /// runs ahead of the write position a batch at a time, so only bytes about
@@ -64,36 +211,18 @@ class Writer {
  public:
   explicit Writer(std::size_t capacity) { buf_.reserve(capacity); }
 
-  void u8(std::uint8_t v) { put(v); }
-  void u16(std::uint16_t v) { put(v); }
-  void u32(std::uint32_t v) { put(v); }
-  void u64(std::uint64_t v) { put(v); }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    append(s.data(), s.size());
-  }
-
-  /// A u32 row count for rows whose number is known only once they are
-  /// written (a live source that filters as it walks): `rows` appends them
-  /// and returns how many.
-  template <typename Rows>
-  void counted(Rows&& rows) {
-    const std::size_t at = pos_;
-    u32(0);
-    overwrite(at, static_cast<std::uint32_t>(rows()));
+  template <typename... T>
+  void operator()(const T&... v) {
+    (put(v), ...);
   }
 
   /// Appends a complete tagged section built by `body` (payload length is
   /// back-patched, so sections compose without a second pass).
   template <typename Body>
   void section(std::uint16_t tag, Body&& body) {
-    u16(tag);
+    put(tag);
     const std::size_t len_at = pos_;
-    u64(0);  // placeholder
+    put(std::uint64_t{0});  // placeholder
     body(*this);
     overwrite(len_at, static_cast<std::uint64_t>(pos_ - len_at - 8));
   }
@@ -106,8 +235,44 @@ class Writer {
  private:
   static constexpr std::size_t kBatch = 64 * 1024;
 
+  template <typename T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+      fixed(static_cast<std::uint8_t>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      fixed(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      fixed(std::bit_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      fixed(static_cast<std::uint32_t>(v.size()));
+      if (!v.empty()) std::memcpy(room(v.size()), v.data(), v.size());
+    } else if constexpr (kIs<T, std::optional>) {
+      put(v.has_value());
+      if (v) put(*v);
+    } else if constexpr (kIs<T, std::pair>) {
+      put(v.first);
+      put(v.second);
+    } else if constexpr (kIs<T, Walk>) {
+      // Rows known only once walked (a live source that filters as it
+      // goes): the count is back-patched.
+      const std::size_t at = pos_;
+      std::uint32_t n = 0;
+      fixed(n);
+      v.each([&](const auto& item) {
+        put(item);
+        ++n;
+      });
+      overwrite(at, n);
+    } else if constexpr (kIs<T, std::vector> || kIs<T, std::map>) {
+      fixed(static_cast<std::uint32_t>(v.size()));
+      for (const auto& item : v) put(item);
+    } else {
+      fields(*this, v);
+    }
+  }
+
   template <typename U>
-  void put(U v) {
+  void fixed(U v) {
     const auto b = to_le(v);
     std::memcpy(room(sizeof(U)), b.data(), sizeof(U));
   }
@@ -115,9 +280,6 @@ class Writer {
   void overwrite(std::size_t at, U v) {
     const auto b = to_le(v);
     std::memcpy(buf_.data() + at, b.data(), sizeof(U));
-  }
-  void append(const void* p, std::size_t n) {
-    if (n > 0) std::memcpy(room(n), p, n);
   }
   /// Claims the next `n` bytes and returns where they start.
   std::uint8_t* room(std::size_t n) {
@@ -134,40 +296,117 @@ class Writer {
   std::size_t pos_ = 0;
 };
 
+/// Minimum wire bytes of a row: its fixed-width fields plus empty strings,
+/// lists and optionals. Sizes the Reader's reservations.
+class MinSize {
+ public:
+  template <typename... T>
+  void operator()(const T&... v) {
+    (add(v), ...);
+  }
+  std::size_t bytes() const { return n_; }
+
+ private:
+  template <typename T>
+  void add(const T& v) {
+    if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T> ||
+                  kIs<T, std::optional>) {
+      n_ += 1;
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      n_ += sizeof(T);
+    } else if constexpr (kIs<T, std::pair>) {
+      add(v.first);
+      add(v.second);
+    } else if constexpr (requires { v.size(); }) {  // string, vector, map
+      n_ += 4;
+    } else {
+      fields(*this, v);
+    }
+  }
+
+  std::size_t n_ = 0;
+};
+
+/// MinSize of a T row, computed once.
+template <typename T>
+std::size_t min_row_size() {
+  static const std::size_t n = [] {
+    MinSize m;
+    m(T{});
+    return m.bytes();
+  }();
+  return n;
+}
+
 class Reader {
  public:
   Reader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
 
-  std::uint8_t u8() { return take(1)[0]; }
-  std::uint16_t u16() { return from_le<std::uint16_t>(take(2)); }
-  std::uint32_t u32() { return from_le<std::uint32_t>(take(4)); }
-  std::uint64_t u64() { return from_le<std::uint64_t>(take(8)); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-  bool boolean() { return u8() != 0; }
-  std::string str() {
-    const std::uint32_t n = u32();
-    const std::uint8_t* p = take(n);
-    return std::string(reinterpret_cast<const char*>(p), n);
+  template <typename... T>
+  void operator()(T&... v) {
+    (get(v), ...);
+  }
+  template <typename T>
+  T read() {
+    T v{};
+    get(v);
+    return v;
+  }
+
+  /// Reads a list whose count is a `Count`, reserving room for its rows
+  /// but never more than the remaining bytes could hold: a hostile count
+  /// cannot force a large allocation, it just runs into truncation.
+  template <typename Count, typename T>
+  void list(std::vector<T>& v) {
+    Count n = read<Count>();
+    const std::uint64_t fits = remaining() / min_row_size<T>();
+    v.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, fits)));
+    for (; n > 0; --n) get(v.emplace_back());
   }
 
   bool done() const { return pos_ == size_; }
   std::size_t remaining() const { return size_ - pos_; }
-  /// Reserves room for `n` rows of at least `min_row` wire bytes each, but
-  /// never more rows than the remaining bytes could hold: a hostile count
-  /// cannot force a large allocation, it just runs into truncation.
-  template <typename T>
-  void reserve(std::vector<T>& v, std::uint64_t n, std::size_t min_row) const {
-    const std::uint64_t fits = remaining() / min_row;
-    v.reserve(static_cast<std::size_t>(std::min(n, fits)));
-  }
-  void skip(std::size_t n) { take(n); }
   /// Bounded view of the next `n` bytes (one section's payload), consumed
   /// from this reader — a corrupt section can never read past its length.
   Reader sub(std::size_t n) { return Reader(take(n), n); }
 
  private:
+  template <typename T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = read<std::uint8_t>() != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      const std::uint8_t b = read<std::uint8_t>();
+      if (b >= range_of(T{}).count) {
+        throw SnapshotError(std::string("snapshot: bad ") + range_of(T{}).what);
+      }
+      v = static_cast<T>(b);
+    } else if constexpr (std::is_integral_v<T>) {
+      v = from_le<T>(take(sizeof(T)));
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = std::bit_cast<double>(read<std::uint64_t>());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      const std::uint32_t n = read<std::uint32_t>();
+      v.assign(reinterpret_cast<const char*>(take(n)), n);
+    } else if constexpr (kIs<T, std::optional>) {
+      if (read<bool>()) get(v.emplace());
+    } else if constexpr (kIs<T, std::pair>) {
+      get(v.first);
+      get(v.second);
+    } else if constexpr (kIs<T, std::vector>) {
+      list<std::uint32_t>(v);
+    } else if constexpr (kIs<T, std::map>) {  // a later duplicate key wins
+      for (std::uint32_t n = read<std::uint32_t>(); n > 0; --n) {
+        get(v[read<typename T::key_type>()]);
+      }
+    } else {
+      fields(*this, v);
+      if constexpr (std::is_same_v<T, JobSpec>) {
+        if (!v.shape_valid()) throw SnapshotError("snapshot: bad nprocs or ppn");
+      }
+    }
+  }
+
   const std::uint8_t* take(std::size_t n) {
     if (n > size_ - pos_) throw SnapshotError("snapshot truncated");
     const std::uint8_t* p = data_ + pos_;
@@ -180,173 +419,9 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-void write_retry(Writer& w, const RetryPolicy& p) {
-  w.i32(p.max_attempts);
-  w.boolean(p.infra_exempt);
-  w.i32(p.max_infra_failures);
-  w.i64(p.backoff_base);
-  w.f64(p.backoff_factor);
-  w.i64(p.backoff_max);
-  w.f64(p.backoff_jitter);
-  w.u64(p.jitter_seed);
-}
+// --- Images ------------------------------------------------------------------
 
-RetryPolicy read_retry(Reader& r) {
-  RetryPolicy p;
-  p.max_attempts = r.i32();
-  p.infra_exempt = r.boolean();
-  p.max_infra_failures = r.i32();
-  p.backoff_base = r.i64();
-  p.backoff_factor = r.f64();
-  p.backoff_max = r.i64();
-  p.backoff_jitter = r.f64();
-  p.jitter_seed = r.u64();
-  return p;
-}
-
-void write_spec(Writer& w, const JobSpec& s) {
-  w.u8(static_cast<std::uint8_t>(s.kind));
-  w.i32(s.nprocs);
-  w.i32(s.ppn);
-  w.u32(static_cast<std::uint32_t>(s.argv.size()));
-  for (const std::string& a : s.argv) w.str(a);
-  w.u32(static_cast<std::uint32_t>(s.vars.size()));
-  for (const auto& [k, v] : s.vars) {
-    w.str(k);
-    w.str(v);
-  }
-  w.i64(s.timeout);
-  w.i32(s.priority);
-  w.boolean(s.retry.has_value());
-  if (s.retry) write_retry(w, *s.retry);
-  w.u32(static_cast<std::uint32_t>(s.stage_files.size()));
-  for (const std::string& f : s.stage_files) w.str(f);
-  w.i64(s.expected_runtime);
-}
-
-JobSpec read_spec(Reader& r) {
-  JobSpec s;
-  const std::uint8_t kind = r.u8();
-  if (kind > 1) throw SnapshotError("snapshot: bad job kind");
-  s.kind = static_cast<JobKind>(kind);
-  s.nprocs = r.i32();
-  s.ppn = r.i32();
-  if (!s.shape_valid()) throw SnapshotError("snapshot: bad nprocs or ppn");
-  const std::uint32_t argc = r.u32();
-  r.reserve(s.argv, argc, 4);  // a string is at least its u32 length
-  for (std::uint32_t n = argc; n > 0; --n) s.argv.push_back(r.str());
-  for (std::uint32_t n = r.u32(); n > 0; --n) {
-    std::string k = r.str();
-    s.vars[std::move(k)] = r.str();
-  }
-  s.timeout = r.i64();
-  s.priority = r.i32();
-  if (r.boolean()) s.retry = read_retry(r);
-  const std::uint32_t nfiles = r.u32();
-  r.reserve(s.stage_files, nfiles, 4);
-  for (std::uint32_t n = nfiles; n > 0; --n) s.stage_files.push_back(r.str());
-  s.expected_runtime = r.i64();
-  return s;
-}
-
-FailureReason read_reason(Reader& r) {
-  const std::uint8_t v = r.u8();
-  if (v >= kFailureReasonCount) throw SnapshotError("snapshot: bad failure reason");
-  return static_cast<FailureReason>(v);
-}
-
-void write_record(Writer& w, const JobRecord& rec) {
-  w.u64(rec.id);
-  write_spec(w, rec.spec);
-  w.u8(static_cast<std::uint8_t>(rec.status));
-  w.i32(rec.attempts);
-  w.i32(rec.app_failures);
-  w.i32(rec.infra_failures);
-  w.u8(static_cast<std::uint8_t>(rec.last_reason));
-  w.u32(static_cast<std::uint32_t>(rec.history.size()));
-  for (const AttemptRecord& a : rec.history) {
-    w.i32(a.attempt);
-    w.i64(a.started_at);
-    w.i64(a.ended_at);
-    w.i32(a.exit_status);
-    w.u8(static_cast<std::uint8_t>(a.reason));
-    w.i64(a.backoff);
-  }
-  w.u32(static_cast<std::uint32_t>(rec.nodes.size()));
-  for (net::NodeId n : rec.nodes) w.u32(n);
-  w.i64(rec.submitted_at);
-  w.i64(rec.started_at);
-  w.i64(rec.finished_at);
-}
-
-JobRecord read_record(Reader& r) {
-  JobRecord rec;
-  rec.id = r.u64();
-  rec.spec = read_spec(r);
-  const std::uint8_t status = r.u8();
-  if (status > static_cast<std::uint8_t>(JobStatus::kQuarantined)) {
-    throw SnapshotError("snapshot: bad job status");
-  }
-  rec.status = static_cast<JobStatus>(status);
-  rec.attempts = r.i32();
-  rec.app_failures = r.i32();
-  rec.infra_failures = r.i32();
-  rec.last_reason = read_reason(r);
-  const std::uint32_t nhistory = r.u32();
-  r.reserve(rec.history, nhistory, 33);  // the six fixed-width fields
-  for (std::uint32_t n = nhistory; n > 0; --n) {
-    AttemptRecord a;
-    a.attempt = r.i32();
-    a.started_at = r.i64();
-    a.ended_at = r.i64();
-    a.exit_status = r.i32();
-    a.reason = read_reason(r);
-    a.backoff = r.i64();
-    rec.history.push_back(a);
-  }
-  const std::uint32_t nnodes = r.u32();
-  r.reserve(rec.nodes, nnodes, 4);
-  for (std::uint32_t n = nnodes; n > 0; --n) rec.nodes.push_back(r.u32());
-  rec.submitted_at = r.i64();
-  rec.started_at = r.i64();
-  rec.finished_at = r.i64();
-  return rec;
-}
-
-void write_span(Writer& w, const obs::Span& s) {
-  w.u64(s.id);
-  w.u64(s.parent);
-  w.str(s.name);
-  w.u64(s.track);
-  w.i64(s.begin);
-  w.i64(s.end);
-  w.u32(static_cast<std::uint32_t>(s.attrs.size()));
-  for (const obs::Attr& a : s.attrs) {
-    w.str(a.key);
-    w.str(a.value);
-  }
-}
-
-obs::Span read_span(Reader& r) {
-  obs::Span s;
-  s.id = r.u64();
-  s.parent = r.u64();
-  s.name = r.str();
-  s.track = r.u64();
-  s.begin = r.i64();
-  s.end = r.i64();
-  const std::uint32_t nattrs = r.u32();
-  r.reserve(s.attrs, nattrs, 8);  // two strings
-  for (std::uint32_t n = nattrs; n > 0; --n) {
-    obs::Attr a;
-    a.key = r.str();
-    a.value = r.str();
-    s.attrs.push_back(std::move(a));
-  }
-  return s;
-}
-
-/// Scalars of the meta and elastic sections.
+/// Scalars of the meta and elastic sections, named as in Snapshot.
 struct ImageMeta {
   sim::Time taken_at = 0;
   net::Address addr{};
@@ -354,14 +429,6 @@ struct ImageMeta {
   std::uint64_t next_task = 0;
   std::uint64_t peak_capacity = 0;
   std::uint64_t elastic_capacity = 0;
-};
-
-/// The scheduler-side fields of a job row that do not live in its record.
-struct JobState {
-  bool in_backoff = false;
-  sim::Time retry_at = -1;
-  sim::Time timeout_at = -1;
-  bool deadline_passed = false;
 };
 
 /// Bytes to reserve for an image: generous per-row sizes, so a typical
@@ -373,118 +440,56 @@ std::size_t image_capacity(std::size_t jobs, std::size_t workers,
   return 16 * 1024 + 256 * jobs + 96 * workers + 128 * spans;
 }
 
-/// The one encoder body: header, section order, framing and the layout of
-/// every row. `Rows` says only where the rows come from — a decoded
-/// Snapshot (SnapshotRows) or the live service (Service::ImageRows) — by
-/// providing, per section, its row count and a visitor over its rows.
-/// Workers are visited as any struct with WorkerSnap's identity fields
-/// (WorkerSnap itself, or Service::Worker).
+/// The one encoder body: header, section order, framing and section-level
+/// counts; every row's layout comes from its field list. `Rows` says only
+/// where the rows come from — a decoded Snapshot (SnapshotRows) or the live
+/// service (Service::ImageRows) — by providing, per section, its row count
+/// and a visitor over its rows.
 template <typename Rows>
 std::vector<std::uint8_t> encode_image(const Rows& rows) {
   const std::span<const obs::Span> journal = rows.journal();
   Writer w(image_capacity(rows.job_count(), rows.worker_count(),
                           journal.size()));
-  w.u32(Snapshot::kMagic);
-  w.u32(Snapshot::kVersion);
-  w.u8(kFlagLittleEndian);
+  w(Snapshot::kMagic, Snapshot::kVersion, kFlagLittleEndian);
   const ImageMeta meta = rows.meta();
-  w.section(kMeta, [&](Writer& s) {
-    s.i64(meta.taken_at);
-    s.u32(meta.addr.node);
-    s.u32(meta.addr.port);
-    s.u64(meta.next_worker_seq);
-    s.u64(meta.next_task);
-    s.u64(meta.peak_capacity);
-  });
-  w.section(kRng, [&](Writer& s) { s.str(rows.rng_state()); });
+  w.section(kMeta, [&](Writer& s) { meta_fields(s, meta); });
+  w.section(kRng, [&](Writer& s) { s(rows.rng_state()); });
   w.section(kCounters, [&](Writer& s) {
-    s.u32(static_cast<std::uint32_t>(rows.counter_count()));
+    s(static_cast<std::uint32_t>(rows.counter_count()));
     rows.counters([&](const std::string& name, std::uint64_t value) {
-      s.str(name);
-      s.u64(value);
+      s(name, value);
     });
   });
   w.section(kJobs, [&](Writer& s) {
-    s.u64(rows.job_count());
-    rows.jobs([&](const JobRecord& rec, const std::string& task_id,
-                  auto&& assigned_seqs, const JobState& st) {
-      write_record(s, rec);
-      s.str(task_id);
-      s.counted([&] {
-        std::uint32_t n = 0;
-        assigned_seqs([&](std::uint64_t seq) {
-          s.u64(seq);
-          ++n;
-        });
-        return n;
-      });
-      s.boolean(st.in_backoff);
-      s.i64(st.retry_at);
-      s.i64(st.timeout_at);
-      s.boolean(st.deadline_passed);
-    });
+    s(static_cast<std::uint64_t>(rows.job_count()));
+    rows.jobs([&](const auto& job) { job_fields(s, job); });
   });
   w.section(kQueue, [&](Writer& s) {
-    s.u64(rows.queue_count());
-    rows.queue([&](JobId id) { s.u64(id); });
+    s(static_cast<std::uint64_t>(rows.queue_count()));
+    rows.queue([&](JobId id) { s(id); });
   });
   w.section(kWorkers, [&](Writer& s) {
-    s.u64(rows.worker_count());
+    s(static_cast<std::uint64_t>(rows.worker_count()));
     rows.workers([&](const auto& wk, bool ready, std::uint64_t ready_rank) {
-      s.u64(wk.seq);
-      s.u32(wk.node);
-      s.boolean(wk.connected);
-      s.boolean(wk.busy);
-      s.boolean(wk.evicted);
-      s.u64(wk.job);
-      s.str(wk.task_id);
-      s.i64(wk.last_heard);
-      s.boolean(ready);
-      s.u64(ready_rank);
+      worker_fields(s, wk, ready, ready_rank);
     });
   });
   w.section(kNodes, [&](Writer& s) {
-    s.u32(static_cast<std::uint32_t>(rows.node_health_count()));
-    rows.node_health([&](const NodeHealthSnap& nh) {
-      s.u32(nh.node);
-      s.i32(nh.evictions);
-      s.boolean(nh.banned);
-      s.i64(nh.banned_until);
-    });
+    s(static_cast<std::uint32_t>(rows.node_health_count()));
+    rows.node_health([&](const NodeHealthSnap& nh) { s(nh); });
   });
   w.section(kStaging, [&](Writer& s) {
-    s.u32(static_cast<std::uint32_t>(rows.blob_count()));
-    rows.blobs([&](const std::string& path, std::uint64_t digest,
-                   std::uint64_t bytes) {
-      s.str(path);
-      s.u64(digest);
-      s.u64(bytes);
-    });
-    s.counted([&] {
-      std::uint32_t n = 0;
-      rows.node_caches([&](std::uint32_t node,
-                           const std::vector<std::uint64_t>& digests) {
-        s.u32(node);
-        s.u32(static_cast<std::uint32_t>(digests.size()));
-        for (std::uint64_t d : digests) s.u64(d);
-        ++n;
-      });
-      return n;
-    });
+    s(static_cast<std::uint32_t>(rows.blob_count()));
+    rows.blobs([&](const auto& blob) { s(blob); });
+    s(Walk{[&](auto&& emit) { rows.node_caches(emit); }});
   });
   w.section(kElastic, [&](Writer& s) {
-    s.u64(meta.elastic_capacity);
-    s.u32(static_cast<std::uint32_t>(rows.elastic_count()));
-    rows.elastic([&](const ElasticNodeSnap& en) {
-      s.u32(en.node);
-      s.i64(en.expires_at);
-      s.boolean(en.draining);
-      s.i64(en.drain_at);
-    });
+    s(meta.elastic_capacity, static_cast<std::uint32_t>(rows.elastic_count()));
+    rows.elastic([&](const ElasticNodeSnap& en) { s(en); });
   });
   w.section(kJournal, [&](Writer& s) {
-    s.u64(journal.size());
-    for (const obs::Span& sp : journal) write_span(s, sp);
+    s(static_cast<std::uint64_t>(journal.size()));
+    for (const obs::Span& sp : journal) s(sp);
   });
   return std::move(w).take();
 }
@@ -507,13 +512,7 @@ class SnapshotRows {
   std::size_t job_count() const { return s_.jobs.size(); }
   template <typename Fn>
   void jobs(Fn&& fn) const {
-    for (const JobSnap& j : s_.jobs) {
-      fn(j.rec, j.task_id,
-         [&](auto&& emit) {
-           for (std::uint64_t seq : j.assigned_seq) emit(seq);
-         },
-         JobState{j.in_backoff, j.retry_at, j.timeout_at, j.deadline_passed});
-    }
+    for (const JobSnap& j : s_.jobs) fn(j);
   }
   std::size_t queue_count() const { return s_.queue_order.size(); }
   template <typename Fn>
@@ -533,11 +532,11 @@ class SnapshotRows {
   std::size_t blob_count() const { return s_.blobs.size(); }
   template <typename Fn>
   void blobs(Fn&& fn) const {
-    for (const BlobSnap& b : s_.blobs) fn(b.path, b.digest, b.bytes);
+    for (const BlobSnap& b : s_.blobs) fn(b);
   }
   template <typename Fn>
   void node_caches(Fn&& fn) const {
-    for (const NodeCacheSnap& nc : s_.node_caches) fn(nc.node, nc.digests);
+    for (const NodeCacheSnap& nc : s_.node_caches) fn(nc);
   }
   std::size_t elastic_count() const { return s_.elastic.size(); }
   template <typename Fn>
@@ -548,6 +547,19 @@ class SnapshotRows {
 
  private:
   const Snapshot& s_;
+};
+
+/// A live job as its row: the record and task id read in place, the
+/// timers' deadlines (-1 = not armed), and its workers' seqs as a walk.
+template <typename Seqs>
+struct LiveJob {
+  const JobRecord& rec;
+  const std::string& task_id;
+  const Seqs& assigned_seq;
+  bool in_backoff;
+  sim::Time retry_at;
+  sim::Time timeout_at;
+  bool deadline_passed;
 };
 
 }  // namespace
@@ -581,20 +593,16 @@ class Service::ImageRows {
   template <typename Fn>
   void jobs(Fn&& fn) const {
     svc_.jobs_.for_each([&](JobId, const Job& job) {
-      JobState st;
-      st.in_backoff = job.in_backoff;
-      if (const auto at = job.retry_timer.fire_time()) st.retry_at = *at;
-      if (const auto at = job.timeout.fire_time()) st.timeout_at = *at;
-      st.deadline_passed = job.deadline_passed;
       // An attempt's worker may already be gone (EOF under a running
       // job); only workers still in the table are written.
-      fn(job.rec, job.task_id,
-         [&](auto&& emit) {
-           for (WorkerId wid : job.assigned) {
-             if (const Worker* w = svc_.workers_.find(wid)) emit(w->seq);
-           }
-         },
-         st);
+      const Walk seqs{[&](auto&& emit) {
+        for (WorkerId wid : job.assigned) {
+          if (const Worker* w = svc_.workers_.find(wid)) emit(w->seq);
+        }
+      }};
+      fn(LiveJob{job.rec, job.task_id, seqs, job.in_backoff,
+                 job.retry_timer.fire_time().value_or(-1),
+                 job.timeout.fire_time().value_or(-1), job.deadline_passed});
     });
   }
   std::size_t queue_count() const { return svc_.queue_.size(); }
@@ -634,14 +642,17 @@ class Service::ImageRows {
   template <typename Fn>
   void blobs(Fn&& fn) const {
     for (const auto& [path, info] : svc_.blob_info_) {
-      fn(path, info.first, info.second);
+      fn(BlobView{path, info.first, info.second});
     }
   }
   /// Acked residency only: pending stage-ins are not captured (see
   /// NodeCacheSnap).
   template <typename Fn>
   void node_caches(Fn&& fn) const {
-    svc_.residency_.for_each_resident(fn);
+    svc_.residency_.for_each_resident(
+        [&](std::uint32_t node, const std::vector<std::uint64_t>& digests) {
+          fn(NodeCacheView{node, digests});
+        });
   }
   std::size_t elastic_count() const { return svc_.node_elastic_.size(); }
   template <typename Fn>
@@ -659,8 +670,6 @@ class Service::ImageRows {
   const Service& svc_;
 };
 
-// --- Images ------------------------------------------------------------------
-
 std::vector<std::uint8_t> Snapshot::serialize() const {
   return encode_image(SnapshotRows(*this));
 }
@@ -669,168 +678,39 @@ Checkpoint Service::checkpoint() const {
   return Checkpoint(encode_image(ImageRows(*this)));
 }
 
-// Minimum wire bytes of one row of the variable-size lists: their
-// fixed-width fields plus empty strings and lists. The other reserve calls
-// give the row's fixed size inline.
-constexpr std::size_t kMinJobRow = 122;    // record 96 + job state 26
-constexpr std::size_t kMinWorkerRow = 44;
-constexpr std::size_t kMinSpanRow = 48;
-
 Snapshot Snapshot::parse(const std::vector<std::uint8_t>& bytes) {
   Reader r(bytes.data(), bytes.size());
-  if (r.u32() != kMagic) throw SnapshotError("snapshot: bad magic");
-  const std::uint32_t version = r.u32();
+  if (r.read<std::uint32_t>() != kMagic) throw SnapshotError("snapshot: bad magic");
+  const auto version = r.read<std::uint32_t>();
   if (version != kVersion) {
     throw SnapshotError("snapshot: unsupported version " + std::to_string(version));
   }
-  if ((r.u8() & kFlagLittleEndian) == 0) {
+  if ((r.read<std::uint8_t>() & kFlagLittleEndian) == 0) {
     throw SnapshotError("snapshot: unsupported byte order");
   }
   Snapshot out;
-  bool have_meta = false, have_rng = false, have_jobs = false,
-       have_queue = false, have_workers = false;
+  std::uint32_t seen = 0;  // bit per section tag read
   while (!r.done()) {
-    const std::uint16_t tag = r.u16();
-    const std::uint64_t len = r.u64();
+    const auto tag = r.read<std::uint16_t>();
+    const auto len = r.read<std::uint64_t>();
     if (len > r.remaining()) throw SnapshotError("snapshot truncated");
     Reader s = r.sub(static_cast<std::size_t>(len));
     switch (tag) {
-      case kMeta:
-        out.taken_at = s.i64();
-        out.addr.node = s.u32();
-        out.addr.port = s.u32();
-        out.next_worker_seq = s.u64();
-        out.next_task = s.u64();
-        out.peak_capacity = s.u64();
-        have_meta = true;
-        break;
-      case kRng:
-        out.rng_state = s.str();
-        have_rng = true;
-        break;
-      case kCounters: {
-        const std::uint32_t count = s.u32();
-        s.reserve(out.counters, count, 12);
-        for (std::uint32_t n = count; n > 0; --n) {
-          std::string name = s.str();
-          out.counters.emplace_back(std::move(name), s.u64());
-        }
-        break;
-      }
-      case kJobs: {
-        const std::uint64_t count = s.u64();
-        s.reserve(out.jobs, count, kMinJobRow);
-        for (std::uint64_t n = count; n > 0; --n) {
-          JobSnap j;
-          j.rec = read_record(s);
-          j.task_id = s.str();
-          const std::uint32_t nseqs = s.u32();
-          s.reserve(j.assigned_seq, nseqs, 8);
-          for (std::uint32_t k = nseqs; k > 0; --k) {
-            j.assigned_seq.push_back(s.u64());
-          }
-          j.in_backoff = s.boolean();
-          j.retry_at = s.i64();
-          j.timeout_at = s.i64();
-          j.deadline_passed = s.boolean();
-          out.jobs.push_back(std::move(j));
-        }
-        have_jobs = true;
-        break;
-      }
-      case kQueue: {
-        const std::uint64_t count = s.u64();
-        s.reserve(out.queue_order, count, 8);
-        for (std::uint64_t n = count; n > 0; --n) {
-          out.queue_order.push_back(s.u64());
-        }
-        have_queue = true;
-        break;
-      }
-      case kWorkers: {
-        const std::uint64_t count = s.u64();
-        s.reserve(out.workers, count, kMinWorkerRow);
-        for (std::uint64_t n = count; n > 0; --n) {
-          WorkerSnap ws;
-          ws.seq = s.u64();
-          ws.node = s.u32();
-          ws.connected = s.boolean();
-          ws.busy = s.boolean();
-          ws.evicted = s.boolean();
-          ws.job = s.u64();
-          ws.task_id = s.str();
-          ws.last_heard = s.i64();
-          ws.ready = s.boolean();
-          ws.ready_rank = s.u64();
-          out.workers.push_back(std::move(ws));
-        }
-        have_workers = true;
-        break;
-      }
-      case kNodes: {
-        const std::uint32_t count = s.u32();
-        s.reserve(out.node_health, count, 17);
-        for (std::uint32_t n = count; n > 0; --n) {
-          NodeHealthSnap nh;
-          nh.node = s.u32();
-          nh.evictions = s.i32();
-          nh.banned = s.boolean();
-          nh.banned_until = s.i64();
-          out.node_health.push_back(nh);
-        }
-        break;
-      }
-      case kStaging: {
-        const std::uint32_t nblobs = s.u32();
-        s.reserve(out.blobs, nblobs, 20);
-        for (std::uint32_t n = nblobs; n > 0; --n) {
-          BlobSnap b;
-          b.path = s.str();
-          b.digest = s.u64();
-          b.bytes = s.u64();
-          out.blobs.push_back(std::move(b));
-        }
-        const std::uint32_t ncaches = s.u32();
-        s.reserve(out.node_caches, ncaches, 8);
-        for (std::uint32_t n = ncaches; n > 0; --n) {
-          NodeCacheSnap nc;
-          nc.node = s.u32();
-          const std::uint32_t ndigests = s.u32();
-          s.reserve(nc.digests, ndigests, 8);
-          for (std::uint32_t k = ndigests; k > 0; --k) {
-            nc.digests.push_back(s.u64());
-          }
-          out.node_caches.push_back(std::move(nc));
-        }
-        break;
-      }
-      case kElastic: {
-        out.elastic_capacity = s.u64();
-        const std::uint32_t count = s.u32();
-        s.reserve(out.elastic, count, 21);
-        for (std::uint32_t n = count; n > 0; --n) {
-          ElasticNodeSnap en;
-          en.node = s.u32();
-          en.expires_at = s.i64();
-          en.draining = s.boolean();
-          en.drain_at = s.i64();
-          out.elastic.push_back(en);
-        }
-        break;
-      }
-      case kJournal: {
-        const std::uint64_t count = s.u64();
-        s.reserve(out.journal, count, kMinSpanRow);
-        for (std::uint64_t n = count; n > 0; --n) {
-          out.journal.push_back(read_span(s));
-        }
-        break;
-      }
-      default:
-        break;  // unknown section from a newer writer: skipped by length
+      case kMeta: meta_fields(s, out); break;
+      case kRng: s(out.rng_state); break;
+      case kCounters: s(out.counters); break;
+      case kJobs: s.list<std::uint64_t>(out.jobs); break;
+      case kQueue: s.list<std::uint64_t>(out.queue_order); break;
+      case kWorkers: s.list<std::uint64_t>(out.workers); break;
+      case kNodes: s(out.node_health); break;
+      case kStaging: s(out.blobs, out.node_caches); break;
+      case kElastic: s(out.elastic_capacity, out.elastic); break;
+      case kJournal: s.list<std::uint64_t>(out.journal); break;
+      default: break;  // unknown section from a newer writer: skipped by length
     }
+    if (tag < 32) seen |= 1u << tag;
   }
-  if (!have_meta || !have_rng || !have_jobs || !have_queue || !have_workers) {
+  if ((seen & kRequired) != kRequired) {
     throw SnapshotError("snapshot: missing required section");
   }
   return out;

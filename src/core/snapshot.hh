@@ -13,8 +13,9 @@
 // live tables and returns it as a Checkpoint. Snapshot is the decoded
 // view (what parse() returns and restore consumes) and, through
 // serialize(), the reference encoder for hand-built states. Both encoders
-// run the same encoder body and row writers; they differ only in where the
-// rows come from, so parse(img).serialize() == img for every live image.
+// run the same encoder body and per-row field lists; they differ only in
+// where the rows come from, so parse(img).serialize() == img for every
+// live image.
 //
 // Wire format (all integers little-endian, fixed-width):
 //

@@ -35,14 +35,15 @@
 #pragma once
 
 #include <algorithm>
-#include <charconv>
-#include <concepts>
+#include <cmath>
 #include <coroutine>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -51,6 +52,7 @@
 #include <vector>
 
 #include "net/message.hh"
+#include "net/number.hh"
 #include "net/socket.hh"
 #include "net/staging.hh"
 #include "obs/metrics.hh"
@@ -132,47 +134,295 @@ struct DecodeError {
 };
 std::string to_string(const DecodeError& e);
 
-// --- Field parsing --------------------------------------------------------
+// --- Field lists ------------------------------------------------------------
+// Each verb names its text args once, in wire order, in a static
+// fields(ar, v). Verb<M> derives text_size(), encode(), decode() and
+// normalize() from that one list, each by walking it with an archive
+// (TextSize, TextArgs, TextArity + TextFields, TextNormal). A member's type
+// picks its text form:
+//
+//   std::string               the arg verbatim
+//   int                       decimal
+//   std::uint32_t             decimal; a parseable u64 past 2^32-1 is
+//                             kOversized
+//   std::optional<double>     an optional last arg in "%f"
+//   std::map<string, string>  the remaining args as "k=v", split at the
+//                             first '=' (a key holding '=' arrives split)
+//
+// Four wrappers name the forms a type alone does not:
+//
+//   Counted{argv}               a decimal count, then that many args
+//   Rest{inventory}             the remaining args verbatim
+//   Token{reason, names}        an enum as its name; a value outside
+//                               `names` travels as names[0]
+//   Digests{digest, evictions}  nothing if digest is 0; else "d=<hex16>",
+//                               then "e=<hex16>" per eviction (a zero
+//                               eviction is undecodable, so refused)
+//
+// A verb's `payload` rides the frame's payload_bytes, not its args.
+// decode() checks arity before content: fewer args than the list needs is
+// kMissingArg (naming the last field it needs), more than it takes is
+// kTrailingArgs; only then are the fields parsed, in order.
+//
+// The wrappers hold references, so they live only inside the fields()
+// walks, none of which is a coroutine.
 
-/// Full-consumption parse of a numeric field: the whole of `s`, no
-/// whitespace or '+', in range of T (an unsigned T also refuses '-').
-/// The decoders, the Hydra proxy's argv and the MPI business cards use it.
-template <typename T>
-std::optional<T> parse_number(std::string_view s) {
-  T v{};
-  const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), last, v);
-  if (ec != std::errc() || ptr != last || s.empty()) return std::nullopt;
-  return v;
-}
+template <typename V>
+struct Counted {
+  V& items;
+};
+template <typename V>
+struct Rest {
+  V& items;
+};
+template <typename E>
+struct Token {
+  E& value;
+  std::span<const char* const> names;
+  std::size_t index() const { return static_cast<std::size_t>(value); }
+  const char* name() const { return names[index() < names.size() ? index() : 0]; }
+  void set(std::size_t i) { value = static_cast<E>(i); }
+};
+template <typename D, typename V>
+struct Digests {
+  D& digest;
+  V& evictions;
+};
 
-/// Text length of an integer field, sign included (what std::to_string
-/// renders), computed without allocating.
-template <std::integral T>
-constexpr std::size_t decimal_size(T v) {
-  std::size_t n = 1;
-  auto u = static_cast<std::make_unsigned_t<T>>(v);
-  if constexpr (std::is_signed_v<T>) {
-    if (v < 0) {
-      ++n;
-      u = 0 - u;  // in unsigned arithmetic: the minimum has no positive twin
+/// "d=<hex16>" or "e=<hex16>" plus its separator.
+inline constexpr std::size_t kDigestArgSize = 2 + 16 + 1;
+
+/// True if T is an instance of the template W.
+template <typename T, template <typename...> class W>
+constexpr bool kIs = false;
+template <template <typename...> class W, typename... A>
+constexpr bool kIs<W<A...>, W> = true;
+
+/// text_size(): each arg's bytes plus one separator, without allocating.
+struct TextSize {
+  std::size_t size = 0;
+
+  template <typename F>
+  void operator()(const char* name, const F& v) {
+    if constexpr (std::is_same_v<F, std::string>) {
+      size += v.size() + 1;
+    } else if constexpr (std::is_integral_v<F>) {
+      size += decimal_size(v) + 1;
+    } else if constexpr (std::is_same_v<F, std::optional<double>>) {
+      // The "%f" rendering's length. Zero, the value every barrier
+      // message carries, is "0.000000" or "-0.000000"; snprintf measures
+      // the rest exactly (NaN, infinities and 1e300 included) without
+      // writing.
+      if (!v) return;
+      const int len = *v == 0 ? (std::signbit(*v) ? 9 : 8)
+                              : std::snprintf(nullptr, 0, "%f", *v);
+      size += static_cast<std::size_t>(len) + 1;
+    } else if constexpr (kIs<F, std::map>) {
+      for (const auto& [key, value] : v) size += key.size() + value.size() + 2;
+    } else if constexpr (kIs<F, Counted>) {
+      (*this)(name, v.items.size());
+      (*this)(name, Rest{v.items});
+    } else if constexpr (kIs<F, Rest>) {
+      for (const std::string& a : v.items) size += a.size() + 1;
+    } else if constexpr (kIs<F, Token>) {
+      size += std::char_traits<char>::length(v.name()) + 1;
+    } else {
+      static_assert(kIs<F, Digests>);
+      if (v.digest != 0) size += kDigestArgSize * (1 + v.evictions.size());
     }
   }
-  for (; u >= 10; u /= 10) ++n;
-  return n;
-}
+};
+
+/// encode(): the args themselves.
+struct TextArgs {
+  std::vector<std::string> args;
+
+  template <typename F>
+  void operator()(const char* name, const F& v) {
+    if constexpr (std::is_same_v<F, std::string>) {
+      args.push_back(v);
+    } else if constexpr (std::is_integral_v<F>) {
+      args.push_back(std::to_string(v));
+    } else if constexpr (std::is_same_v<F, std::optional<double>>) {
+      if (v) args.push_back(std::to_string(*v));
+    } else if constexpr (kIs<F, std::map>) {
+      for (const auto& [key, value] : v) args.push_back(key + "=" + value);
+    } else if constexpr (kIs<F, Counted>) {
+      (*this)(name, v.items.size());
+      (*this)(name, Rest{v.items});
+    } else if constexpr (kIs<F, Rest>) {
+      args.insert(args.end(), v.items.begin(), v.items.end());
+    } else if constexpr (kIs<F, Token>) {
+      args.emplace_back(v.name());
+    } else {
+      static_assert(kIs<F, Digests>);
+      if (v.digest == 0) return;
+      args.push_back("d=" + hex16(v.digest));
+      for (const std::uint64_t e : v.evictions) args.push_back("e=" + hex16(e));
+    }
+  }
+};
+
+/// decode()'s arity: how many args the list needs (and the last field it
+/// needs) and how many it takes.
+struct TextArity {
+  static constexpr std::size_t kAny = SIZE_MAX;
+  std::size_t min = 0;
+  std::size_t max = 0;
+  const char* last_needed = "args";
+
+  template <typename F>
+  void operator()(const char* name, const F&) {
+    if constexpr (std::is_same_v<F, std::optional<double>>) {
+      if (max != kAny) ++max;
+    } else if constexpr (kIs<F, std::map> || kIs<F, Rest> ||
+                         kIs<F, Digests>) {
+      max = kAny;
+    } else {  // one arg: a string, a number, a token, or a list's count
+      ++min;
+      last_needed = name;
+      max = kIs<F, Counted> || max == kAny ? kAny : max + 1;
+    }
+  }
+};
+
+/// decode(): parses the args into the fields in order; the first error
+/// stops it. Run after TextArity has passed the frame.
+class TextFields {
+ public:
+  explicit TextFields(const std::vector<std::string>& args) : args_(args) {}
+
+  std::optional<DecodeError> error;
+  bool done() const { return at_ == args_.size(); }
+
+  template <typename F>
+  void operator()(const char* name, F&& v) {
+    using T = std::remove_cvref_t<F>;
+    using Kind = DecodeError::Kind;
+    if (error) return;
+    if constexpr (std::is_same_v<T, std::string>) {
+      v = args_[at_++];
+    } else if constexpr (std::is_same_v<T, int>) {
+      number(name, v);
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+      std::uint64_t wide = 0;
+      number(name, wide);
+      if (!error && wide > 0xFFFFFFFFu) error = DecodeError{Kind::kOversized, name};
+      v = static_cast<std::uint32_t>(wide);
+    } else if constexpr (std::is_same_v<T, std::optional<double>>) {
+      if (!done()) number(name, v.emplace());
+    } else if constexpr (kIs<T, std::map>) {
+      for (; !done(); ++at_) {
+        const std::string& kv = args_[at_];
+        const std::size_t eq = kv.find('=');
+        if (eq == std::string::npos) {
+          error = DecodeError{Kind::kTrailingArgs, name};
+          return;
+        }
+        v[kv.substr(0, eq)] = kv.substr(eq + 1);
+      }
+    } else if constexpr (kIs<T, Counted>) {
+      std::uint64_t n = 0;
+      number(name, n);
+      if (!error && n > args_.size() - at_) error = DecodeError{Kind::kMissingArg, name};
+      if (error) return;
+      const auto from = args_.begin() + static_cast<std::ptrdiff_t>(at_);
+      v.items.assign(from, from + static_cast<std::ptrdiff_t>(n));
+      at_ += n;
+    } else if constexpr (kIs<T, Rest>) {
+      v.items.assign(args_.begin() + static_cast<std::ptrdiff_t>(at_), args_.end());
+      at_ = args_.size();
+    } else if constexpr (kIs<T, Token>) {
+      const std::string& s = args_[at_++];
+      for (std::size_t i = 0; i < v.names.size(); ++i) {
+        if (s == v.names[i]) {
+          v.set(i);
+          return;
+        }
+      }
+      error = DecodeError{Kind::kBadEnum, name};
+    } else {
+      static_assert(kIs<T, Digests>);
+      if (done() || !args_[at_].starts_with("d=")) return;  // digest 0
+      v.digest = hex(args_[at_++], "d");
+      while (!error && !done()) {
+        if (!args_[at_].starts_with("e=")) {
+          error = DecodeError{Kind::kTrailingArgs, "e"};
+        } else {
+          v.evictions.push_back(hex(args_[at_++], "e"));
+        }
+      }
+    }
+  }
+
+ private:
+  template <typename T>
+  void number(const char* name, T& v) {
+    if (const auto parsed = parse_number<T>(args_[at_++])) {
+      v = *parsed;
+    } else {
+      error = DecodeError{DecodeError::Kind::kBadNumber, name};
+    }
+  }
+  /// A "d=" or "e=" arg's digest: 16 lowercase hex chars, not zero.
+  std::uint64_t hex(std::string_view arg, const char* name) {
+    const auto d = parse_hex16(arg.substr(2));
+    if (!d || *d == 0) error = DecodeError{DecodeError::Kind::kBadDigest, name};
+    return d.value_or(0);
+  }
+
+  const std::vector<std::string>& args_;
+  std::size_t at_ = 0;
+};
+
+/// normalize(): rewrites each field into what decode(encode(v)) yields;
+/// `ok` turns false if the text wire would refuse the frame.
+struct TextNormal {
+  bool ok = true;
+
+  template <typename F>
+  void operator()(const char*, F&& v) {
+    using T = std::remove_cvref_t<F>;
+    if constexpr (kIs<T, std::map>) {
+      // Only a key holding '=' changes: split there, the rest moved into
+      // its value; a later key then wins a collision, as on the wire.
+      const bool split = std::any_of(v.begin(), v.end(), [](const auto& kv) {
+        return kv.first.find('=') != std::string::npos;
+      });
+      if (!split) return;
+      T out;
+      for (const auto& [key, value] : v) {
+        const std::size_t eq = key.find('=');
+        if (eq == std::string::npos) {
+          out[key] = value;
+        } else {
+          out[key.substr(0, eq)] = key.substr(eq + 1) + "=" + value;
+        }
+      }
+      v = std::move(out);
+    } else if constexpr (kIs<T, Token>) {
+      if (v.index() >= v.names.size()) v.set(0);
+    } else if constexpr (kIs<T, Digests>) {
+      if (v.digest == 0) {
+        v.evictions.clear();
+      } else if (std::find(v.evictions.begin(), v.evictions.end(), 0u) !=
+                 v.evictions.end()) {
+        ok = false;
+      }
+    }
+  }
+};
 
 // --- Typed protocol -------------------------------------------------------
 // One struct per wire verb. encode() must reproduce today's frames
 // byte-for-byte (wire_size feeds the fabric clock); decode() is total;
 // text_size() is the byte length of encode()'s args plus one separator
 // each, computed without allocating — a typed frame is charged exactly
-// that. Correlated replies expose correlation_key(); request types name
-// their reply via `using Resp`. A verb whose text form would change or
-// refuse some values has normalize(): it rewrites the value into what
-// decode(encode(v)) yields and returns false if the text wire would
-// refuse the frame, so a typed send delivers what a text send would.
-// A verb with bulk bytes keeps them in `payload` (payload_bytes on the
+// that. normalize() rewrites a value into what decode(encode(v)) yields
+// and returns false if the text wire would refuse the frame, so a typed
+// send delivers what a text send would. Correlated replies expose
+// correlation_key(); request types name their reply via `using Resp`. A
+// verb with bulk bytes keeps them in `payload` (payload_bytes on the
 // wire).
 //
 // Every message type carries a user-provided constructor ON PURPOSE: GCC 12
@@ -182,47 +432,96 @@ constexpr std::size_t decimal_size(T v) {
 // Keeping these types non-aggregates makes expressions like
 // `co_await chan.call(PmiGet{key})` safe. Do not remove the constructors.
 
+/// The codec of verb M, derived from M::fields (see "Field lists").
+template <typename M>
+struct Verb {
+  std::size_t text_size() const {
+    TextSize ar;
+    M::fields(ar, self());
+    return ar.size;
+  }
+
+  Message encode() const {
+    TextArgs ar;
+    M::fields(ar, self());
+    Message m(M::kTag, std::move(ar.args));
+    if constexpr (requires(const M& v) { v.payload; }) {
+      m.payload_bytes = self().payload;
+    }
+    return m;
+  }
+
+  static Expected<M, DecodeError> decode(const Message& m) {
+    using Kind = DecodeError::Kind;
+    if (m.tag != M::kTag) return Unexpected{DecodeError{Kind::kBadTag, "tag"}};
+    M v;
+    TextArity arity;
+    M::fields(arity, std::as_const(v));
+    if (m.args.size() < arity.min) {
+      return Unexpected{DecodeError{Kind::kMissingArg, arity.last_needed}};
+    }
+    if (m.args.size() > arity.max) {
+      return Unexpected{DecodeError{Kind::kTrailingArgs, "args"}};
+    }
+    TextFields ar(m.args);
+    M::fields(ar, v);
+    if (!ar.error && !ar.done()) ar.error = DecodeError{Kind::kTrailingArgs, "args"};
+    if (ar.error) return Unexpected{*ar.error};
+    if constexpr (requires(M& x) { x.payload; }) v.payload = m.payload_bytes;
+    return v;
+  }
+
+  bool normalize() {
+    TextNormal ar;
+    M::fields(ar, static_cast<M&>(*this));
+    return ar.ok;
+  }
+
+  bool operator==(const Verb&) const = default;
+
+ private:
+  const M& self() const { return static_cast<const M&>(*this); }
+};
+
 /// "reg" [node, inventory...] — pilot (re-)registration. One-way on the
 /// wire: the service's historical protocol never acked registration, and
 /// inventing an ack would change wire bytes, so there is no RegisterAck.
-struct RegisterReq {
+struct RegisterReq : Verb<RegisterReq> {
   static constexpr const char* kTag = "reg";
   NodeId node = 0;
   std::vector<std::string> inventory;  // task ids still running (redial)
   RegisterReq() = default;
   explicit RegisterReq(NodeId n, std::vector<std::string> inv = {})
       : node(n), inventory(std::move(inv)) {}
-  std::size_t text_size() const;
-  Message encode() const;
-  static Expected<RegisterReq, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) {
+    ar("node", v.node);
+    ar("inventory", Rest{v.inventory});
+  }
   bool operator==(const RegisterReq&) const = default;
 };
 
 /// "ready" — worker advertises a free slot.
-struct ReadyNote {
+struct ReadyNote : Verb<ReadyNote> {
   static constexpr const char* kTag = "ready";
   ReadyNote() = default;
-  std::size_t text_size() const { return 0; }
-  Message encode() const { return Message(kTag); }
-  static Expected<ReadyNote, DecodeError> decode(const Message& m);
+  static void fields(auto&, auto&) {}
   bool operator==(const ReadyNote&) const = default;
 };
 
 /// "hb" — heartbeat.
-struct PingNote {
+struct PingNote : Verb<PingNote> {
   static constexpr const char* kTag = "hb";
   PingNote() = default;
-  std::size_t text_size() const { return 0; }
-  Message encode() const { return Message(kTag); }
-  static Expected<PingNote, DecodeError> decode(const Message& m);
+  static void fields(auto&, auto&) {}
   bool operator==(const PingNote&) const = default;
 };
 
 /// "done" [task, status, reason] — task completion. Reply to TaskRun,
 /// correlated by task id.
-struct TaskDone {
+struct TaskDone : Verb<TaskDone> {
   enum class Reason : std::uint8_t { kApp, kWatchdog, kKilled };
   static constexpr const char* kTag = "done";
+  static constexpr const char* kReasons[] = {"app", "watchdog", "killed"};
   std::string task_id;
   int status = 0;
   Reason reason = Reason::kApp;
@@ -230,16 +529,16 @@ struct TaskDone {
   TaskDone(std::string task, int st, Reason r)
       : task_id(std::move(task)), status(st), reason(r) {}
   std::string correlation_key() const { return task_id; }
-  std::size_t text_size() const;
-  /// A reason outside the enum encodes as "app".
-  bool normalize();
-  Message encode() const;
-  static Expected<TaskDone, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) {
+    ar("task", v.task_id);
+    ar("status", v.status);
+    ar("reason", Token{v.reason, kReasons});
+  }
   bool operator==(const TaskDone&) const = default;
 };
 
 /// "run" [task, n, argv..., k=v...] — task dispatch.
-struct TaskRun {
+struct TaskRun : Verb<TaskRun> {
   static constexpr const char* kTag = "run";
   using Resp = TaskDone;
   std::string task_id;
@@ -250,30 +549,27 @@ struct TaskRun {
           std::map<std::string, std::string> kv = {})
       : task_id(std::move(task)), argv(std::move(av)), vars(std::move(kv)) {}
   std::string correlation_key() const { return task_id; }
-  std::size_t text_size() const;
-  /// The text wire splits each "k=v" at its first '=', so a key that
-  /// contains '=' arrives split there.
-  bool normalize();
-  Message encode() const;
-  static Expected<TaskRun, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) {
+    ar("task", v.task_id);
+    ar("argv", Counted{v.argv});
+    ar("vars", v.vars);
+  }
   bool operator==(const TaskRun&) const = default;
 };
 
 /// "kill" [task] — one-way task kill (the worker answers with a "done").
-struct KillReq {
+struct KillReq : Verb<KillReq> {
   static constexpr const char* kTag = "kill";
   std::string task_id;
   KillReq() = default;
   explicit KillReq(std::string task) : task_id(std::move(task)) {}
-  std::size_t text_size() const { return task_id.size() + 1; }
-  Message encode() const { return Message(kTag, {task_id}); }
-  static Expected<KillReq, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) { ar("task", v.task_id); }
   bool operator==(const KillReq&) const = default;
 };
 
 /// "staged" [path] or [path, d=<hex>, e=<hex>...] — stage-in ack. Reply to
 /// StageReq, correlated by path. digest == 0 means the legacy form.
-struct StageAck {
+struct StageAck : Verb<StageAck> {
   static constexpr const char* kTag = "staged";
   std::string path;
   std::uint64_t digest = 0;
@@ -283,20 +579,20 @@ struct StageAck {
                     std::vector<std::uint64_t> ev = {})
       : path(std::move(p)), digest(d), evictions(std::move(ev)) {}
   std::string correlation_key() const { return path; }
-  std::size_t text_size() const;
-  /// The legacy form (digest 0) carries no evictions; a zero eviction
-  /// digest beside a real one makes the frame undecodable (refused).
-  bool normalize();
-  Message encode() const;
-  static Expected<StageAck, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) {
+    ar("path", v.path);
+    ar("digest", Digests{v.digest, v.evictions});
+  }
   bool operator==(const StageAck&) const = default;
 };
 
 /// "stagein" — input staging. Digest form carries the CAS header; the
-/// legacy broadcast form is [path] + payload. A frame whose args do not
-/// match the digest grammar decodes as legacy (that fallback *is* the
-/// protocol — see parse_stage_args), except the empty-args frame, which
-/// is a decode error rather than the out_of_range throw it used to be.
+/// legacy broadcast form is [path] + payload. The one verb whose codec is
+/// written out rather than derived from a field list: a frame whose args
+/// do not match the digest grammar decodes as legacy (that fallback *is*
+/// the protocol — see parse_stage_args), which no field form expresses.
+/// The empty-args frame is a decode error rather than the out_of_range
+/// throw it used to be.
 struct StageReq {
   static constexpr const char* kTag = "stagein";
   using Resp = StageAck;
@@ -318,109 +614,99 @@ struct StageReq {
 
 // --- PMI (MPICH process-management interface over the proxy socket) ------
 
-struct PmiInit {
+struct PmiInit : Verb<PmiInit> {
   static constexpr const char* kTag = "pmi.init";
   int rank = 0;
   PmiInit() = default;
   explicit PmiInit(int r) : rank(r) {}
-  std::size_t text_size() const { return decimal_size(rank) + 1; }
-  Message encode() const { return Message(kTag, {std::to_string(rank)}); }
-  static Expected<PmiInit, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) { ar("rank", v.rank); }
   bool operator==(const PmiInit&) const = default;
 };
 
-struct PmiPut {
+struct PmiPut : Verb<PmiPut> {
   static constexpr const char* kTag = "pmi.put";
   std::string key;
   std::string value;
   PmiPut() = default;
   PmiPut(std::string k, std::string v) : key(std::move(k)), value(std::move(v)) {}
-  std::size_t text_size() const { return key.size() + value.size() + 2; }
-  Message encode() const { return Message(kTag, {key, value}); }
-  static Expected<PmiPut, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) {
+    ar("key", v.key);
+    ar("value", v.value);
+  }
   bool operator==(const PmiPut&) const = default;
 };
 
 /// "pmi.value" [key, value] — KVS lookup reply, correlated by key.
-struct PmiValue {
+struct PmiValue : Verb<PmiValue> {
   static constexpr const char* kTag = "pmi.value";
   std::string key;
   std::string value;
   PmiValue() = default;
   PmiValue(std::string k, std::string v) : key(std::move(k)), value(std::move(v)) {}
   std::string correlation_key() const { return key; }
-  std::size_t text_size() const { return key.size() + value.size() + 2; }
-  Message encode() const { return Message(kTag, {key, value}); }
-  static Expected<PmiValue, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) {
+    ar("key", v.key);
+    ar("value", v.value);
+  }
   bool operator==(const PmiValue&) const = default;
 };
 
-struct PmiGet {
+struct PmiGet : Verb<PmiGet> {
   static constexpr const char* kTag = "pmi.get";
   using Resp = PmiValue;
   std::string key;
   PmiGet() = default;
   explicit PmiGet(std::string k) : key(std::move(k)) {}
   std::string correlation_key() const { return key; }
-  std::size_t text_size() const { return key.size() + 1; }
-  Message encode() const { return Message(kTag, {key}); }
-  static Expected<PmiGet, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) { ar("key", v.key); }
   bool operator==(const PmiGet&) const = default;
 };
 
 /// "pmi.barrier_out" — barrier release broadcast. At most one barrier is
 /// outstanding per rank, so the correlation key is constant.
-struct PmiBarrierOut {
+struct PmiBarrierOut : Verb<PmiBarrierOut> {
   static constexpr const char* kTag = "pmi.barrier_out";
   PmiBarrierOut() = default;
   std::string correlation_key() const { return std::string(); }
-  std::size_t text_size() const { return 0; }
-  Message encode() const { return Message(kTag); }
-  static Expected<PmiBarrierOut, DecodeError> decode(const Message& m);
+  static void fields(auto&, auto&) {}
   bool operator==(const PmiBarrierOut&) const = default;
 };
 
-struct PmiBarrier {
+struct PmiBarrier : Verb<PmiBarrier> {
   static constexpr const char* kTag = "pmi.barrier_in";
   using Resp = PmiBarrierOut;
   int rank = 0;
   PmiBarrier() = default;
   explicit PmiBarrier(int r) : rank(r) {}
   std::string correlation_key() const { return std::string(); }
-  std::size_t text_size() const { return decimal_size(rank) + 1; }
-  Message encode() const { return Message(kTag, {std::to_string(rank)}); }
-  static Expected<PmiBarrier, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) { ar("rank", v.rank); }
   bool operator==(const PmiBarrier&) const = default;
 };
 
-struct PmiFinalize {
+struct PmiFinalize : Verb<PmiFinalize> {
   static constexpr const char* kTag = "pmi.finalize";
   int rank = 0;
   PmiFinalize() = default;
   explicit PmiFinalize(int r) : rank(r) {}
-  std::size_t text_size() const { return decimal_size(rank) + 1; }
-  Message encode() const { return Message(kTag, {std::to_string(rank)}); }
-  static Expected<PmiFinalize, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) { ar("rank", v.rank); }
   bool operator==(const PmiFinalize&) const = default;
 };
 
 // --- Hydra proxy control (mpiexec <-> hydra_pmi_proxy) ---------------------
 
 /// "proxy.hello" [proxy id] — a proxy dialed back to its mpiexec.
-struct ProxyHello {
+struct ProxyHello : Verb<ProxyHello> {
   static constexpr const char* kTag = "proxy.hello";
   int proxy_id = 0;
   ProxyHello() = default;
   explicit ProxyHello(int id) : proxy_id(id) {}
-  std::size_t text_size() const { return decimal_size(proxy_id) + 1; }
-  Message encode() const { return Message(kTag, {std::to_string(proxy_id)}); }
-  static Expected<ProxyHello, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) { ar("proxy", v.proxy_id); }
   bool operator==(const ProxyHello&) const = default;
 };
 
 /// "proxy.exec" [nprocs, ppn, base, user_binary, n, argv..., k=v...] —
 /// the user executable spec mpiexec hands a proxy.
-struct ProxyExec {
+struct ProxyExec : Verb<ProxyExec> {
   static constexpr const char* kTag = "proxy.exec";
   int nprocs = 0;
   int ppn = 0;
@@ -434,55 +720,51 @@ struct ProxyExec {
             std::map<std::string, std::string> kv = {})
       : nprocs(np), ppn(per), base(first), user_binary(std::move(binary)),
         argv(std::move(av)), vars(std::move(kv)) {}
-  std::size_t text_size() const;
-  /// As TaskRun: a var key containing '=' arrives split there.
-  bool normalize();
-  Message encode() const;
-  static Expected<ProxyExec, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) {
+    ar("nprocs", v.nprocs);
+    ar("ppn", v.ppn);
+    ar("base", v.base);
+    ar("binary", v.user_binary);
+    ar("argv", Counted{v.argv});
+    ar("vars", v.vars);
+  }
   bool operator==(const ProxyExec&) const = default;
 };
 
 /// "proxy.exit" [proxy id, status] — the proxy's local ranks all exited;
 /// status is nonzero if any failed.
-struct ProxyExit {
+struct ProxyExit : Verb<ProxyExit> {
   static constexpr const char* kTag = "proxy.exit";
   int proxy_id = 0;
   int status = 0;
   ProxyExit() = default;
   ProxyExit(int id, int st) : proxy_id(id), status(st) {}
-  std::size_t text_size() const {
-    return decimal_size(proxy_id) + decimal_size(status) + 2;
+  static void fields(auto& ar, auto& v) {
+    ar("proxy", v.proxy_id);
+    ar("status", v.status);
   }
-  Message encode() const {
-    return Message(kTag, {std::to_string(proxy_id), std::to_string(status)});
-  }
-  static Expected<ProxyExit, DecodeError> decode(const Message& m);
   bool operator==(const ProxyExit&) const = default;
 };
 
 /// "stdout" + payload — application output routed rank -> mpiexec (§6.1.6).
-struct StdoutNote {
+struct StdoutNote : Verb<StdoutNote> {
   static constexpr const char* kTag = "stdout";
   std::uint64_t payload = 0;
   StdoutNote() = default;
   explicit StdoutNote(std::uint64_t bytes) : payload(bytes) {}
-  std::size_t text_size() const { return 0; }
-  Message encode() const { return Message(kTag, {}, payload); }
-  static Expected<StdoutNote, DecodeError> decode(const Message& m);
+  static void fields(auto&, auto&) {}
   bool operator==(const StdoutNote&) const = default;
 };
 
 // --- MPI wire (rank <-> rank, mpi::Comm) -----------------------------------
 
 /// "mpi.hello" [rank] — first frame on a connection a rank dialed.
-struct MpiHello {
+struct MpiHello : Verb<MpiHello> {
   static constexpr const char* kTag = "mpi.hello";
   int rank = 0;
   MpiHello() = default;
   explicit MpiHello(int r) : rank(r) {}
-  std::size_t text_size() const { return decimal_size(rank) + 1; }
-  Message encode() const { return Message(kTag, {std::to_string(rank)}); }
-  static Expected<MpiHello, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) { ar("rank", v.rank); }
   bool operator==(const MpiHello&) const = default;
 };
 
@@ -490,7 +772,7 @@ struct MpiHello {
 /// point-to-point message. The text form renders the value with "%f"
 /// (six decimals) and the frozen wire is charged that length; a typed
 /// frame delivers the double exactly.
-struct MpiMsg {
+struct MpiMsg : Verb<MpiMsg> {
   static constexpr const char* kTag = "mpi.msg";
   int source = 0;
   int tag = 0;
@@ -499,9 +781,11 @@ struct MpiMsg {
   MpiMsg() = default;
   MpiMsg(int src, int t, std::optional<double> v, std::uint64_t bytes)
       : source(src), tag(t), value(v), payload(bytes) {}
-  std::size_t text_size() const;
-  Message encode() const;
-  static Expected<MpiMsg, DecodeError> decode(const Message& m);
+  static void fields(auto& ar, auto& v) {
+    ar("source", v.source);
+    ar("tag", v.tag);
+    ar("value", v.value);
+  }
   bool operator==(const MpiMsg&) const = default;
 };
 
@@ -513,9 +797,7 @@ struct MpiMsg {
 template <typename M>
 std::optional<Message> frame(M v) {
   const std::size_t text = v.text_size();  // before normalize: what encode() sends
-  if constexpr (requires { v.normalize(); }) {
-    if (!v.normalize()) return std::nullopt;
-  }
+  if (!v.normalize()) return std::nullopt;
   return Message::typed(std::move(v), text);
 }
 

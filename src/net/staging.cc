@@ -1,14 +1,11 @@
 #include "net/staging.hh"
 
-#include <charconv>
+#include "net/number.hh"
 
 namespace jets::net {
 
-namespace {
-
-constexpr char kHexDigits[] = "0123456789abcdef";
-
 std::string hex16(std::uint64_t v) {
+  static constexpr char kHexDigits[] = "0123456789abcdef";
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
     out[static_cast<std::size_t>(i)] = kHexDigits[v & 0xf];
@@ -32,15 +29,6 @@ std::optional<std::uint64_t> parse_hex16(std::string_view s) {
   }
   return v;
 }
-
-std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  std::uint64_t v = 0;
-  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || p != s.data() + s.size()) return std::nullopt;
-  return v;
-}
-
-}  // namespace
 
 std::vector<std::string> encode_stage_args(const StageHeader& h) {
   std::vector<std::string> args;
@@ -72,7 +60,7 @@ std::optional<StageHeader> parse_stage_args(
   StageHeader h;
   h.path = args[0];
   const auto digest = parse_hex16(d.substr(2));
-  const auto bytes = parse_u64(b.substr(2));
+  const auto bytes = rpc::parse_number<std::uint64_t>(b.substr(2));
   if (!digest || !bytes) return std::nullopt;
   h.digest = *digest;
   h.bytes = *bytes;
@@ -82,7 +70,7 @@ std::optional<StageHeader> parse_stage_args(
   } else if (s == "warm") {
     h.source = StageHeader::Source::kWarm;
   } else if (s.starts_with("peer:")) {
-    const auto peer = parse_u64(s.substr(5));
+    const auto peer = rpc::parse_number<std::uint64_t>(s.substr(5));
     if (!peer) return std::nullopt;
     h.source = StageHeader::Source::kPeer;
     h.peer = static_cast<NodeId>(*peer);

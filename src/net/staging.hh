@@ -27,6 +27,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/fabric.hh"
@@ -49,6 +50,12 @@ struct StageHeader {
 
   bool operator==(const StageHeader&) const = default;
 };
+
+/// A digest's wire text: exactly 16 lowercase hex chars (the CAS
+/// convention — see os::CasStore).
+std::string hex16(std::uint64_t digest);
+/// Parses hex16()'s form; anything else is nullopt.
+std::optional<std::uint64_t> parse_hex16(std::string_view s);
 
 /// Renders the header as "stagein" message args (see format above).
 std::vector<std::string> encode_stage_args(const StageHeader& h);

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "apps/synthetic.hh"
-#include "core/faults.hh"
+#include "core/chaos.hh"
 #include "core/service.hh"
 #include "core/standalone.hh"
 #include "testutil.hh"
@@ -198,14 +198,16 @@ TEST(Standalone, FaultInjectorDrainsWorkersButServiceSurvives) {
   opts.service.retry.max_attempts = 10;
   StandaloneJets jets(bed.machine, bed.apps, opts);
   jets.start(JetsBed::nodes(8));
-  FaultInjector chaos(bed.machine, jets.worker_pids(), sim::seconds(2),
-                      sim::Rng(99));
+  ChaosEngine chaos(bed.machine, sim::Rng(99));
+  chaos.set_pilots(jets.worker_pids());
+  chaos.add_periodic(FaultKind::kKillPilot, bed.engine.now() + sim::seconds(2),
+                     sim::seconds(2), jets.worker_pids().size());
   chaos.start();
   std::vector<JobSpec> jobs(40, seq_job({"sleep", "0.5"}));
   BatchReport r = bed.run(jets, jobs);
   // All workers eventually die (8 kills x 2 s = 16 s; batch of 40 x 0.5 s
   // over dwindling workers finishes first or mostly finishes).
-  EXPECT_EQ(chaos.killed(), 8u);
+  EXPECT_EQ(chaos.counters().pilots_killed, 8u);
   EXPECT_GT(r.completed, 30u);  // the vast majority completed despite chaos
 }
 

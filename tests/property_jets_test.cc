@@ -8,7 +8,6 @@
 
 #include "apps/synthetic.hh"
 #include "core/chaos.hh"
-#include "core/faults.hh"
 #include "core/standalone.hh"
 #include "testbed.hh"
 
@@ -65,16 +64,21 @@ TEST_P(JetsStressTest, RandomMixedWorkloadAlwaysSettles) {
   for (const auto pid : jets.worker_pids()) {
     if (rng.bernoulli(0.25)) victims.push_back(pid);
   }
-  FaultInjector chaos(bed.machine, victims, sim::seconds(7), rng.fork("chaos"));
+  ChaosEngine chaos(bed.machine, rng.fork("chaos"));
+  chaos.set_pilots(victims);
 
   BatchReport report;
-  bed.engine.spawn("driver", [](StandaloneJets& jets, FaultInjector& chaos,
+  bed.engine.spawn("driver", [](sim::Engine& engine, StandaloneJets& jets,
+                                ChaosEngine& chaos, std::size_t kills,
                                 std::vector<JobSpec> jobs,
                                 BatchReport& out) -> sim::Task<void> {
     co_await jets.wait_workers();
+    // One kill every 7 s until every victim is gone.
+    chaos.add_periodic(FaultKind::kKillPilot, engine.now() + sim::seconds(7),
+                       sim::seconds(7), kills);
     chaos.start();
     out = co_await jets.run_batch(std::move(jobs));
-  }(jets, chaos, std::move(jobs), report));
+  }(bed.engine, jets, chaos, victims.size(), std::move(jobs), report));
   bed.engine.run_until(sim::seconds(3600));
 
   // Invariant 1: the batch settled well before the horizon (no deadlock).

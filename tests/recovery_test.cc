@@ -77,7 +77,8 @@ sim::Task<void> settle_poller(StandaloneJets* jets, std::size_t n) {
 
 // --- The codec ---------------------------------------------------------------
 
-/// A snapshot exercising every section and every field at least once.
+/// A snapshot exercising every section and every field at least once,
+/// each set away from its default.
 Snapshot sample_snapshot() {
   Snapshot s;
   s.taken_at = sim::seconds(42);
@@ -104,11 +105,19 @@ Snapshot sample_snapshot() {
   j.rec.spec.priority = -2;
   RetryPolicy pol;
   pol.max_attempts = 7;
-  pol.backoff_base = sim::milliseconds(250);
-  pol.backoff_jitter = 0.25;
+  pol.infra_exempt = true;
+  pol.max_infra_failures = 9;
+  pol.backoff_base = sim::milliseconds(300);
+  pol.backoff_factor = 1.5;
+  pol.backoff_max = sim::seconds(20);
+  pol.backoff_jitter = 0.125;
+  pol.jitter_seed = 77;
   j.rec.spec.retry = pol;
+  j.rec.spec.stage_files = {"inputs/a.bin", "inputs/b.bin"};
+  j.rec.spec.expected_runtime = sim::seconds(5);
   j.rec.status = JobStatus::kRunning;
   j.rec.attempts = 2;
+  j.rec.app_failures = 1;
   j.rec.infra_failures = 1;
   j.rec.last_reason = FailureReason::kWorkerLost;
   AttemptRecord a;
@@ -122,11 +131,14 @@ Snapshot sample_snapshot() {
   j.rec.nodes = {0, 3};
   j.rec.submitted_at = sim::seconds(1);
   j.rec.started_at = sim::seconds(40);
+  j.rec.finished_at = sim::seconds(41);
   j.task_id = "t42";
   j.assigned_seq = {4, 9};
+  j.timeout_at = sim::seconds(70);
   s.jobs = {j};
 
-  // Job 2 waits out a retry backoff (not queued); job 3 sits in the queue.
+  // Job 2 waits out a retry backoff (not queued); job 3 sits in the queue;
+  // job 4 settled after its deadline passed.
   JobSnap q;
   q.rec.id = 2;
   q.rec.spec.argv = {"sleep", "1"};
@@ -137,6 +149,13 @@ Snapshot sample_snapshot() {
   p.rec.id = 3;
   p.rec.spec.argv = {"sleep", "2"};
   s.jobs.push_back(p);
+  JobSnap late;
+  late.rec.id = 4;
+  late.rec.spec.argv = {"sleep", "3"};
+  late.rec.status = JobStatus::kFailed;
+  late.rec.last_reason = FailureReason::kJobDeadline;
+  late.deadline_passed = true;
+  s.jobs.push_back(late);
   s.queue_order = {3};
 
   WorkerSnap w;
@@ -152,20 +171,43 @@ Snapshot sample_snapshot() {
   idle.seq = 9;
   idle.node = 3;
   idle.connected = true;
+  idle.evicted = true;
   idle.ready = true;
   idle.ready_rank = 1;
   s.workers.push_back(idle);
 
-  s.node_health = {{2, 3, true, sim::seconds(90)}};
+  s.node_health = {{2, 3, true, sim::seconds(90)}, {3, 1, false, -1}};
+  s.elastic = {{0, sim::seconds(300), false, -1},
+               {3, sim::seconds(300), true, sim::seconds(60)}};
+  s.elastic_capacity = 8;
+  s.blobs = {{"inputs/a.bin", 0x1234'5678'9abc'def0ull, 2'000'000},
+             {"inputs/b.bin", 0xabcdull, 512}};
+  s.node_caches = {{0, {0xabcdull}},
+                   {3, {0xabcdull, 0x1234'5678'9abc'def0ull}}};
 
   obs::Span span;
   span.id = 1;
   span.name = "job.queued";
+  span.track = obs::track_job(1);
   span.begin = sim::seconds(1);
   span.end = sim::seconds(2);
   span.attrs = {{"job", "1"}};
-  s.journal = {span};
+  obs::Span child;
+  child.id = 2;
+  child.parent = 1;
+  child.name = "worker.run";
+  child.track = obs::track_node(3);
+  child.begin = sim::seconds(40);
+  child.attrs = {{"node", "3"}, {"task", "t42"}};
+  s.journal = {span, child};
   return s;
+}
+
+/// FNV-1a/64 of an image.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 1099511628211ull;
+  return h;
 }
 
 TEST(SnapshotCodec, RoundTripsEveryField) {
@@ -175,6 +217,15 @@ TEST(SnapshotCodec, RoundTripsEveryField) {
   EXPECT_EQ(s, back);
   // Serialization itself is deterministic.
   EXPECT_EQ(bytes, back.serialize());
+}
+
+TEST(SnapshotCodec, SampleImageIsPinned) {
+  // The wire format, byte for byte: changing any row layout, section or
+  // header field moves the digest. SnapshotOracle ties the live encoder,
+  // checkpoint(), to this reference encoder.
+  const std::vector<std::uint8_t> img = sample_snapshot().serialize();
+  EXPECT_EQ(img.size(), 7'769u);
+  EXPECT_EQ(fnv1a(img), 0x54c3e48d302f9588ull);
 }
 
 TEST(SnapshotCodec, RejectsCorruptInput) {
@@ -534,8 +585,8 @@ TEST(Recovery, GhostsDroppedWhenPilotsNeverRedial) {
   // Past restore_grace with nobody redialing: every ghost is reaped and
   // the rescued-in-place jobs fail over to the queue with a blameless
   // restart attempt on record. With the whole pool gone the queue is then
-  // unsatisfiable, so fail_unsatisfiable (on by default) settles the
-  // requeued jobs as kServiceAbort rather than wedging forever.
+  // unsatisfiable, so the service settles the requeued jobs as
+  // kServiceAbort rather than wedging forever.
   const Service& svc = jets.service();
   EXPECT_EQ(svc.restores(), 1u);
   EXPECT_EQ(svc.ghosts_dropped(), kNodes);
