@@ -257,7 +257,7 @@ void BM_StageFanoutDedup(benchmark::State& state) {
   // Service-side bookkeeping for one staging fan-out at scale: intern each
   // blob, drive the cold wave's per-node pending -> resident transitions,
   // then the warm wave's dedup queries (residency hit + the data-aware
-  // window score) — the pure table cost behind stage_job_inputs and
+  // window score) — the pure table cost behind stage_inputs and
   // claim_best, with no engine or wire traffic.
   const auto nodes = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kBlobs = 8;

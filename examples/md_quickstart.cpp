@@ -3,19 +3,51 @@
 // exchange acceptance rate depends on the temperature-ladder span — the
 // physics knob the paper's REM users tune (§3).
 //
-// Everything here is genuine computation (no simulated time involved);
-// this is the code that calibrates the NAMD task-duration model used by
-// the figure harnesses (apps::calibrate_from_kernel).
+// Everything here is genuine computation (no simulated time involved).
+// The last section times the kernel to extrapolate a NAMD segment's wall
+// time on this host; the figures instead use apps::NamdModel's fixed fit
+// of the paper's Fig 11.
 //
 // Build & run:  ./build/examples/md_quickstart
+#include <chrono>
 #include <cstdio>
+#include <string>
 
-#include "apps/namd.hh"
 #include "md/lj_system.hh"
 #include "md/analysis.hh"
 #include "md/replica_exchange.hh"
 
 using namespace jets;
+
+namespace {
+
+/// Derives the wall-time a segment of `steps` MD steps of an `atoms`-sized
+/// system would take, by actually running the Lennard-Jones kernel on a
+/// smaller system and extrapolating its cost. Returns the median seconds
+/// to plug into apps::NamdModel.
+double calibrate_from_kernel(std::size_t atoms, std::size_t steps,
+                             double machine_slowdown) {
+  // Run a small real LJ system and scale: the all-pairs force loop is
+  // O(N^2) at fixed density with our simple implementation (cell lists
+  // would make it O(N)); NAMD-like codes are closer to O(N), so we scale
+  // linearly in N and in steps, then apply the host-vs-BG/P slowdown.
+  md::LjConfig config;
+  config.particles = 500;
+  md::LjSystem sys(config);
+  sys.step(5);  // warm-up
+  const auto t0 = std::chrono::steady_clock::now();
+  constexpr std::size_t kMeasuredSteps = 10;
+  sys.step(kMeasuredSteps);
+  const auto t1 = std::chrono::steady_clock::now();
+  const double per_step_per_atom =
+      std::chrono::duration<double>(t1 - t0).count() /
+      static_cast<double>(kMeasuredSteps) /
+      static_cast<double>(config.particles);
+  return per_step_per_atom * static_cast<double>(atoms) *
+         static_cast<double>(steps) * machine_slowdown;
+}
+
+}  // namespace
 
 int main() {
   // --- NVE trajectory with energy conservation ---------------------------
@@ -67,8 +99,8 @@ int main() {
   std::printf("MSD over 500 steps: %.3f sigma^2, D ~ %.4f\n", msd.msd(),
               msd.diffusion(500 * config.dt));
 
-  // --- Calibration hook used by the harnesses ----------------------------
-  const double bgp_segment_s = apps::calibrate_from_kernel(
+  // --- Kernel-timed NAMD segment ------------------------------------------
+  const double bgp_segment_s = calibrate_from_kernel(
       /*atoms=*/44'992, /*steps=*/10, /*machine_slowdown=*/1.0);
   std::printf("\nkernel-extrapolated 44,992-atom 10-step segment on this "
               "host: %.2f s\n", bgp_segment_s);

@@ -1,9 +1,7 @@
 #include "apps/namd.hh"
 
-#include <chrono>
 #include <cmath>
 
-#include "md/lj_system.hh"
 #include "mpi/comm.hh"
 #include "sim/random.hh"
 
@@ -28,28 +26,6 @@ double sample_segment_seconds(const NamdModel& model, const std::string& tag) {
   // lognormal straggler tail. Median stays at model.median_seconds.
   const double floor = 0.915 * model.median_seconds;
   return floor + rng.lognormal_median(0.085 * model.median_seconds, model.sigma);
-}
-
-double calibrate_from_kernel(std::size_t atoms, std::size_t steps,
-                             double machine_slowdown) {
-  // Run a small real LJ system and scale: the all-pairs force loop is
-  // O(N^2) at fixed density with our simple implementation (cell lists
-  // would make it O(N)); NAMD-like codes are closer to O(N), so we scale
-  // linearly in N and in steps, then apply the host-vs-BG/P slowdown.
-  md::LjConfig config;
-  config.particles = 500;
-  md::LjSystem sys(config);
-  sys.step(5);  // warm-up
-  const auto t0 = std::chrono::steady_clock::now();
-  constexpr std::size_t kMeasuredSteps = 10;
-  sys.step(kMeasuredSteps);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double per_step_per_atom =
-      std::chrono::duration<double>(t1 - t0).count() /
-      static_cast<double>(kMeasuredSteps) /
-      static_cast<double>(config.particles);
-  return per_step_per_atom * static_cast<double>(atoms) *
-         static_cast<double>(steps) * machine_slowdown;
 }
 
 void install_namd_app(os::AppRegistry& registry, NamdModel model) {

@@ -6,10 +6,9 @@
 // files / 14.8 MB read, 3 output files / 2.2 MB written, ~11 KB of stdout.
 //
 // The compute time is sampled from a lognormal distribution whose median/
-// shape parameters default to a fit of Fig 11 — and can be re-derived from
-// the *real* MD kernel via calibrate_from_kernel(), which times the actual
-// Lennard-Jones integrator (examples/md_quickstart.cpp exercises this; the
-// figures use the fixed fit).
+// shape parameters default to a fit of Fig 11, which every figure uses.
+// examples/md_quickstart.cpp shows how timing the real Lennard-Jones
+// kernel (src/md/) would re-derive the median on another host.
 //
 // Usage:  namd_segment <median_s> <sigma> <tag> [out_prefix]
 // The <tag> seeds the duration sample, so a given segment's wall time is
@@ -41,14 +40,6 @@ struct NamdModel {
 /// only rank 0 performs file I/O (the MPI-IO aggregation the paper cites
 /// as an MPTC benefit: N/ppn filesystem clients instead of N).
 void install_namd_app(os::AppRegistry& registry, NamdModel model = {});
-
-/// Derives the wall-time a segment of `steps` MD steps of an `atoms`-sized
-/// system would take, by actually running the Lennard-Jones kernel on a
-/// smaller system and extrapolating O(N^2 within cutoff) cost. Returns the
-/// measured median seconds to plug into NamdModel. Real computation — used
-/// by the examples, not by the deterministic benches.
-double calibrate_from_kernel(std::size_t atoms, std::size_t steps,
-                             double machine_slowdown);
 
 /// Deterministic per-invocation duration sample shared by the app and the
 /// harness-side predictions.

@@ -6,53 +6,42 @@
 
 namespace jets::core {
 
+/// Every ChaosCounters field and the "jets.chaos.*" counter it mirrors to;
+/// attach_metrics() and bump() both walk this one list.
+constexpr std::pair<std::size_t ChaosCounters::*, const char*> kMirrors[] = {
+    {&ChaosCounters::pilots_killed, "jets.chaos.pilots_killed"},
+    {&ChaosCounters::connections_reset, "jets.chaos.connections_reset"},
+    {&ChaosCounters::nodes_stalled, "jets.chaos.nodes_stalled"},
+    {&ChaosCounters::workers_hung, "jets.chaos.workers_hung"},
+    {&ChaosCounters::workers_released, "jets.chaos.workers_released"},
+    {&ChaosCounters::nodes_degraded, "jets.chaos.nodes_degraded"},
+    {&ChaosCounters::services_crashed, "jets.chaos.services_crashed"},
+    {&ChaosCounters::services_restored, "jets.chaos.services_restored"},
+    {&ChaosCounters::allocations_denied, "jets.chaos.allocations_denied"},
+    {&ChaosCounters::allocations_stalled, "jets.chaos.allocations_stalled"},
+    {&ChaosCounters::allocations_preempted, "jets.chaos.allocations_preempted"},
+};
+
 void ChaosEngine::attach_metrics(obs::MetricsRegistry& registry) {
   if (metrics_ == &registry) return;  // idempotent re-attach
   // Switching registries (a restored Service re-binding a fresh one): seed
   // the new registry with the counts accumulated so far, so mirrored
   // counters never run behind counters_.
   metrics_ = &registry;
-  const auto sync = [this](const char* name, std::size_t v) {
+  for (const auto& [member, name] : kMirrors) {
     obs::Counter& c = metrics_->counter(name);
+    const std::size_t v = counters_.*member;
     if (c.value < v) c.inc(v - c.value);
-  };
-  sync("jets.chaos.pilots_killed", counters_.pilots_killed);
-  sync("jets.chaos.connections_reset", counters_.connections_reset);
-  sync("jets.chaos.nodes_stalled", counters_.nodes_stalled);
-  sync("jets.chaos.workers_hung", counters_.workers_hung);
-  sync("jets.chaos.workers_released", counters_.workers_released);
-  sync("jets.chaos.nodes_degraded", counters_.nodes_degraded);
-  sync("jets.chaos.services_crashed", counters_.services_crashed);
-  sync("jets.chaos.services_restored", counters_.services_restored);
-  sync("jets.chaos.allocations_denied", counters_.allocations_denied);
-  sync("jets.chaos.allocations_stalled", counters_.allocations_stalled);
-  sync("jets.chaos.allocations_preempted", counters_.allocations_preempted);
+  }
 }
 
 void ChaosEngine::bump(std::size_t ChaosCounters::* member, std::size_t d) {
   counters_.*member += d;
   if (!metrics_ || d == 0) return;
   // Fault firing is cold path; a name lookup per bump is fine.
-  const char* name =
-      member == &ChaosCounters::pilots_killed ? "jets.chaos.pilots_killed"
-      : member == &ChaosCounters::connections_reset
-          ? "jets.chaos.connections_reset"
-      : member == &ChaosCounters::nodes_stalled ? "jets.chaos.nodes_stalled"
-      : member == &ChaosCounters::workers_hung ? "jets.chaos.workers_hung"
-      : member == &ChaosCounters::workers_released
-          ? "jets.chaos.workers_released"
-      : member == &ChaosCounters::services_crashed
-          ? "jets.chaos.services_crashed"
-      : member == &ChaosCounters::services_restored
-          ? "jets.chaos.services_restored"
-      : member == &ChaosCounters::allocations_denied
-          ? "jets.chaos.allocations_denied"
-      : member == &ChaosCounters::allocations_stalled
-          ? "jets.chaos.allocations_stalled"
-      : member == &ChaosCounters::allocations_preempted
-          ? "jets.chaos.allocations_preempted"
-          : "jets.chaos.nodes_degraded";
-  metrics_->counter(name).inc(d);
+  for (const auto& [m, name] : kMirrors) {
+    if (m == member) metrics_->counter(name).inc(d);
+  }
 }
 
 void ChaosEngine::add_periodic(FaultKind kind, sim::Time first_at,

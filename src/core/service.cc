@@ -29,22 +29,16 @@ const char* to_string(JobStatus status) {
 Service::Service(os::Machine& machine, const os::AppRegistry& apps,
                  os::NodeId host, Config config)
     : machine_(&machine), apps_(&apps), host_(host), config_(config),
+      queue_(config.policy == SchedPolicy::kPriorityBackfill),
+      ready_(config.network_aware_grouping),
       retry_rng_(sim::Rng(config.retry.jitter_seed).fork("retry")) {
   kick_ch_ = std::make_unique<sim::Channel<int>>(machine.engine());
   all_done_ = std::make_unique<sim::Gate>(machine.engine());
-  ready_.set_indexed(config_.network_aware_grouping);
-  queue_.set_buckets(config_.policy == SchedPolicy::kPriorityBackfill);
   init_metrics();
 }
 
 void Service::init_metrics() {
-  if (config_.metrics) {
-    metrics_ = config_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  obs::MetricsRegistry& m = *metrics_;
+  obs::MetricsRegistry& m = metrics_;
   // reg() feeds counter_index_ as a side effect: the checkpoint codec
   // serializes counters by walking the index, and restore assigns back
   // through it, so adding a counter here automatically checkpoints it.
@@ -179,12 +173,9 @@ JobId Service::submit(JobSpec spec) {
   // The job's timeout is a deadline measured from submission: it covers
   // queue time too, so a job that can never be placed (e.g. wider than the
   // allocation) still settles.
-  const sim::Duration timeout = j.rec.spec.timeout > 0
-                                    ? j.rec.spec.timeout
-                                    : config_.default_job_timeout;
-  if (timeout > 0) {
+  if (j.rec.spec.timeout > 0) {
     j.timeout = machine_->engine().call_in(
-        timeout, [this, id] { deadline_expired(id); });
+        j.rec.spec.timeout, [this, id] { deadline_expired(id); });
   }
   if (started_) kick();
   return id;
@@ -254,48 +245,17 @@ std::vector<JobRecord> Service::records() const {
 std::size_t Service::ready_workers() const { return ready_.size(); }
 
 sim::Task<void> Service::stage_to_workers(const std::string& path) {
-  auto size = machine_->shared_fs().size(path);
-  if (!size) throw std::invalid_argument("stage_to_workers: no such file " + path);
-  // The service itself reads the file once from the shared filesystem,
-  // then fans it out over the persistent worker connections. This is the
-  // legacy broadcast path (Coasters-style pre-staging): the wire format —
-  // bare path, full payload per worker — is frozen; dedup'd per-job
-  // staging goes through stage_job_inputs instead.
-  co_await machine_->shared_fs().read(path);
-  const auto [digest, bytes] = blob_for(path);
-  const StageTable::Slot slot =
-      staging_.intern(digest, path, machine_->engine());
-  staging_.gate(slot).close();
-  // Handles recycle worker slots, so slot order is not registration order;
-  // the fan-out must stay in registration order (it fixes the wire
-  // serialization sequence), hence the sort by seq.
-  std::vector<std::pair<std::uint64_t, WorkerId>> targets;
+  // Handles recycle worker slots, so slot order is not registration order:
+  // sort by seq. The fan-out stages each node through its first worker.
+  std::vector<WorkerId> targets;
   workers_.for_each([&](WorkerId wid, const Worker& w) {
-    if (w.connected && w.sock && w.rpc) targets.emplace_back(w.seq, wid);
+    if (w.connected && w.sock && w.rpc) targets.push_back(wid);
   });
-  std::sort(targets.begin(), targets.end());
-  for (const auto& [seq, wid] : targets) {
-    Worker& w = workers_.at(wid);
-    ++staging_.remaining(slot);
-    net::rpc::StageReq req;
-    req.header.path = path;
-    req.header.bytes = *size;
-    req.legacy = true;
-    req.payload = *size;
-    const auto sent = w.rpc->call_cb<net::rpc::StageReq>(
-        std::move(req), [this, node = w.node, digest](auto r) {
-          stage_call_settled(node, digest, std::move(r));
-        });
-    if (!sent.ok()) {  // raced a close: write the pair off immediately
-      stage_call_settled(w.node, digest,
-                         net::rpc::Unexpected{net::rpc::RpcError::kPeerClosed});
-    }
-  }
-  if (staging_.remaining(slot) == 0) {
-    staging_.gate(slot).open();
-    co_return;
-  }
-  co_await staging_.gate(slot).wait();
+  std::sort(targets.begin(), targets.end(), [this](WorkerId a, WorkerId b) {
+    return workers_.at(a).seq < workers_.at(b).seq;
+  });
+  const std::vector<std::string> paths{path};
+  co_await stage_inputs(paths, targets, /*id=*/0, /*attempt=*/0);
 }
 
 // --- Input staging (CAS replication planner) ---------------------------------
@@ -311,19 +271,19 @@ std::pair<StageDigest, std::uint64_t> Service::blob_for(
   return info;
 }
 
-sim::Task<void> Service::stage_job_inputs(
-    JobId id, int attempt, const std::vector<WorkerId>& claimed) {
-  Job& job = jobs_.at(id);
-  const JobSpec& spec = job.rec.spec;
-  if (obs::Tracer* tr = tracer()) {
-    job.span_stage = tr->begin("job.stage", obs::track_job(id),
-                               job.span_attempt);
-  }
+sim::Task<void> Service::stage_inputs(const std::vector<std::string>& paths,
+                                      const std::vector<WorkerId>& targets,
+                                      JobId id, int attempt) {
+  const Job* job = id != 0 ? &jobs_.at(id) : nullptr;
+  const auto settled = [job, attempt] {
+    return job && (job->rec.status != JobStatus::kRunning ||
+                   job->rec.attempts != attempt);
+  };
   // Each node needs each blob once, whatever the job's ppn packs onto it:
-  // dedup the claimed workers to one representative per node, keeping
-  // claim order so the wire sequence is deterministic.
+  // dedup the targets to one representative per node, keeping their order
+  // so the wire sequence is deterministic.
   std::vector<std::pair<os::NodeId, WorkerId>> nodes;
-  for (WorkerId wid : claimed) {
+  for (WorkerId wid : targets) {
     const os::NodeId node = workers_.at(wid).node;
     bool seen = false;
     for (const auto& [n, rep] : nodes) {
@@ -335,7 +295,7 @@ sim::Task<void> Service::stage_job_inputs(
     if (!seen) nodes.emplace_back(node, wid);
   }
   std::vector<StageTable::Slot> waits;
-  for (const std::string& path : spec.stage_files) {
+  for (const std::string& path : paths) {
     const auto [digest, bytes] = blob_for(path);
     const StageTable::Slot slot =
         staging_.intern(digest, path, machine_->engine());
@@ -384,10 +344,7 @@ sim::Task<void> Service::stage_job_inputs(
             read_done = true;
             co_await machine_->shared_fs().read(path);
             // The read suspended us: the job (or the target) may be gone.
-            if (job.rec.status != JobStatus::kRunning ||
-                job.rec.attempts != attempt) {
-              break;  // caller re-checks and releases the claim
-            }
+            if (settled()) break;  // caller re-checks and releases the claim
           }
         }
         residency_.mark_pending(node, digest);
@@ -414,9 +371,7 @@ sim::Task<void> Service::stage_job_inputs(
       }
       waits.push_back(slot);
     }
-    if (job.rec.status != JobStatus::kRunning || job.rec.attempts != attempt) {
-      break;
-    }
+    if (settled()) break;
   }
   // Await every touched slot once (sorted + dedup'd for a deterministic
   // wait order). Gates open when their remaining count drains — by acks,
@@ -428,40 +383,28 @@ sim::Task<void> Service::stage_job_inputs(
   waits.erase(std::unique(waits.begin(), waits.end()), waits.end());
   for (const StageTable::Slot slot : waits) {
     co_await staging_.gate(slot).wait();
-    if (job.rec.status != JobStatus::kRunning || job.rec.attempts != attempt) {
-      break;  // settled mid-stage: stop waiting, the caller cleans up
-    }
+    if (settled()) break;  // settled mid-stage: the caller cleans up
   }
-  if (obs::Tracer* tr = tracer()) tr->end_and_clear(job.span_stage);
 }
 
 void Service::handle_staged_ack(WorkerId wid, const net::rpc::StageAck& ack) {
-  Worker* w = workers_.find(wid);
-  StageDigest digest = ack.digest;
-  if (digest != 0) {
-    if (w) {
-      // The blob is on the node now — even a late ack from an evicted
-      // worker makes that true, so commit unconditionally.
-      residency_.commit(w->node, digest);
-      // Evictions the worker's CAS performed to make room travel on the
-      // ack; apply them so the planner never trusts a stale peer.
-      for (const os::CasDigest evicted : ack.evictions) {
-        residency_.remove(w->node, evicted);
-        m_stage_evictions_->inc();
-      }
+  if (const Worker* w = workers_.find(wid)) {
+    // The blob is on the node now — even a late ack from an evicted
+    // worker makes that true, so commit unconditionally.
+    residency_.commit(w->node, ack.digest);
+    // Evictions the worker's CAS performed to make room travel on the
+    // ack; apply them so the planner never trusts a stale peer.
+    for (const os::CasDigest evicted : ack.evictions) {
+      residency_.remove(w->node, evicted);
+      m_stage_evictions_->inc();
     }
-  } else {
-    // Legacy bare-path ack (stage_to_workers broadcast).
-    const auto it = blob_info_.find(ack.path);
-    if (it == blob_info_.end()) return;
-    digest = it->second.first;
+    // A tracked worker's decrement belongs to its StageReq call (which
+    // completed, or was written off at eviction/EOF — then this late ack
+    // must not double-decrement).
+    return;
   }
-  // A tracked worker's decrement belongs to its StageReq call (which
-  // completed, or was written off at eviction/EOF — then this late ack
-  // must not double-decrement). Untracked sockets keep the historical
-  // unconditional decrement.
-  if (w) return;
-  const StageTable::Slot slot = staging_.find(digest);
+  // Untracked sockets keep the historical unconditional decrement.
+  const StageTable::Slot slot = staging_.find(ack.digest);
   if (slot == StageTable::kNone) return;
   std::uint32_t& rem = staging_.remaining(slot);
   if (rem > 0 && --rem == 0) staging_.gate(slot).open();
@@ -472,14 +415,12 @@ void Service::stage_call_settled(
     net::rpc::Expected<net::rpc::StageAck, net::rpc::RpcError> r) {
   if (r.ok()) {
     const net::rpc::StageAck& ack = r.value();
-    if (ack.digest != 0) {
-      // The blob is on the node now; commit before opening the gate so
-      // the planner can offer this node as a peer immediately.
-      residency_.commit(node, ack.digest);
-      for (const os::CasDigest evicted : ack.evictions) {
-        residency_.remove(node, evicted);
-        m_stage_evictions_->inc();
-      }
+    // The blob is on the node now; commit before opening the gate so the
+    // planner can offer this node as a peer immediately.
+    residency_.commit(node, ack.digest);
+    for (const os::CasDigest evicted : ack.evictions) {
+      residency_.remove(node, evicted);
+      m_stage_evictions_->inc();
     }
   } else {
     // The ack will never come (EOF drain, eviction write-off): forget the
@@ -562,14 +503,12 @@ sim::Task<void> Service::worker_handler(net::SocketPtr sock) {
     w.seq = next_worker_seq_++;
     w.node = reg.node;
     w.sock = sock;
-    w.connected = true;
     w.last_heard = machine_->engine().now();
     wid = workers_.insert(std::move(w));
-    workers_.at(wid).id = wid;
-    workers_.at(wid).rpc = &ch;
-    ++connected_;
-    m_workers_connected_->set(static_cast<std::int64_t>(connected_));
-    peak_capacity_ = std::max(peak_capacity_, connected_);
+    Worker& added = workers_.at(wid);
+    added.id = wid;
+    added.rpc = &ch;
+    set_connected(added, true);
   });
   ch.on<net::rpc::PingNote>([this, &wid](net::rpc::PingNote&&) {
     if (wid != 0) m_heartbeats_->inc();  // last_heard refreshed above
@@ -616,13 +555,7 @@ sim::Task<void> Service::worker_handler(net::SocketPtr sock) {
         }
         return;
       }
-      w.evicted = false;
-      --evicted_live_;
-      w.connected = true;
-      ++connected_;
-      m_workers_connected_->set(static_cast<std::int64_t>(connected_));
-      peak_capacity_ = std::max(peak_capacity_, connected_);
-      m_reenlisted_->inc();
+      reenlist(w);
     }
     ready_.push_back(wid, w.node);
     kick();
@@ -651,9 +584,7 @@ sim::Task<void> Service::worker_handler(net::SocketPtr sock) {
         w->rpc && !w->task_id.empty() &&
         w->rpc->has_pending(net::rpc::TaskDone::kTag, w->task_id);
     if (w->connected) {
-      w->connected = false;
-      --connected_;
-      m_workers_connected_->set(static_cast<std::int64_t>(connected_));
+      set_connected(*w, false);
       ready_.erase(wid, w->node);
       if (w->busy && w->job != 0) {
         // Its task cannot finish; fail the attempt so the job can retry on
@@ -719,8 +650,8 @@ std::optional<JobId> Service::choose_job() {
   });
 }
 
-std::vector<Service::WorkerId> Service::claim_workers(std::size_t count,
-                                                      const JobSpec& spec) {
+std::vector<WorkerId> Service::claim_workers(std::size_t count,
+                                             const JobSpec& spec) {
   std::vector<WorkerId> claimed;
   if (!node_elastic_.empty()) {
     // Elastic mode: FCFS among workers whose blocks are neither draining
@@ -734,12 +665,15 @@ std::vector<Service::WorkerId> Service::claim_workers(std::size_t count,
       ready_.erase_front(workers_.at(wid).node);
       claimed.push_back(wid);
     }
-  } else if (config_.data_aware_grouping && !spec.stage_files.empty()) {
-    // Data-aware refinement: among width-feasible windows, prefer the one
-    // whose nodes already hold (or are receiving) the most input bytes —
-    // warm cache beats short hops. Ties fall back to the min-span pick,
-    // so a cold cache (every score 0) reproduces claim_min_span exactly:
-    // that is what keeps cold runs byte-identical to the golden manifest.
+  } else {
+    // §7 extension: pick the window of ready workers with the smallest
+    // node-id span (node ids are laid out along the torus, so a small span
+    // means fewer hops between the job's processes). The pool keeps its
+    // node-sorted mirror up to date, so this is a single window scan.
+    // Data-aware refinement: a window whose nodes already hold (or are
+    // receiving) more of the job's input bytes wins first — warm cache
+    // beats short hops. A job without staged inputs, or a cold cache,
+    // scores 0 everywhere and gets the min-span pick.
     std::vector<std::pair<StageDigest, std::uint64_t>> wanted;
     wanted.reserve(spec.stage_files.size());
     for (const std::string& path : spec.stage_files) {
@@ -750,6 +684,7 @@ std::vector<Service::WorkerId> Service::claim_workers(std::size_t count,
     }
     claimed = ready_.claim_best(count, [&](const auto* win, std::size_t n) {
       std::uint64_t total = 0;
+      if (wanted.empty()) return total;
       for (std::size_t i = 0; i < n; ++i) {
         // The window is node-sorted; count each distinct node once.
         if (i > 0 && win[i].node == win[i - 1].node) continue;
@@ -757,12 +692,6 @@ std::vector<Service::WorkerId> Service::claim_workers(std::size_t count,
       }
       return total;
     });
-  } else {
-    // §7 extension: pick the window of ready workers with the smallest
-    // node-id span (node ids are laid out along the torus, so a small span
-    // means fewer hops between the job's processes). The pool keeps its
-    // node-sorted mirror up to date, so this is a single window scan.
-    claimed = ready_.claim_min_span(count);
   }
   for (WorkerId wid : claimed) workers_.at(wid).busy = true;
   return claimed;
@@ -837,7 +766,12 @@ sim::Task<void> Service::place_job(JobId id) {
   // workload) must reach the dispatch co_awaits with an unchanged event
   // sequence, so the staging path may not suspend even once for them.
   if (!spec.stage_files.empty()) {
-    co_await stage_job_inputs(id, attempt, claimed);
+    if (obs::Tracer* tr = tracer()) {
+      job.span_stage = tr->begin("job.stage", obs::track_job(id),
+                                 job.span_attempt);
+    }
+    co_await stage_inputs(spec.stage_files, claimed, id, attempt);
+    if (obs::Tracer* tr = tracer()) tr->end_and_clear(job.span_stage);
     if (job.rec.status != JobStatus::kRunning ||
         job.rec.attempts != attempt) {  // settled mid-stage
       release_undispatched(claimed, 0);
@@ -1257,11 +1191,6 @@ void Service::clear_node_elastic(const std::vector<os::NodeId>& nodes) {
   }
 }
 
-bool Service::node_draining(os::NodeId node) const {
-  auto it = node_elastic_.find(node);
-  return it != node_elastic_.end() && it->second.draining;
-}
-
 bool Service::worker_eligible(const Worker& w, const JobSpec& spec) const {
   auto it = node_elastic_.find(w.node);
   if (it == node_elastic_.end()) return true;
@@ -1281,8 +1210,8 @@ std::size_t Service::count_eligible(const JobSpec& spec) const {
   return n;
 }
 
-std::vector<Service::WorkerId> Service::claim_eligible(std::size_t count,
-                                                       const JobSpec& spec) {
+std::vector<WorkerId> Service::claim_eligible(std::size_t count,
+                                              const JobSpec& spec) {
   std::vector<WorkerId> claimed;
   claimed.reserve(count);
   for (WorkerId wid : ready_.live_fifo()) {
@@ -1339,9 +1268,7 @@ void Service::evict_worker(WorkerId wid) {
   // with "ready" and be re-enlisted.
   w.evicted = true;
   ++evicted_live_;
-  w.connected = false;
-  --connected_;
-  m_workers_connected_->set(static_cast<std::int64_t>(connected_));
+  set_connected(w, false);
   m_evicted_->inc();
   NodeHealth& h = node_health_[w.node];
   ++h.evictions;
@@ -1407,15 +1334,27 @@ void Service::reoffer_worker(WorkerId wid) {
   // stays out.
   if (!w.evicted || w.connected || w.busy || !w.sock) return;
   if (node_blacklisted(w.node)) return;
-  w.evicted = false;
-  --evicted_live_;
-  w.connected = true;
-  ++connected_;
-  m_workers_connected_->set(static_cast<std::int64_t>(connected_));
-  peak_capacity_ = std::max(peak_capacity_, connected_);
-  m_reenlisted_->inc();
+  reenlist(w);
   ready_.push_back(wid, w.node);
   kick();
+}
+
+void Service::set_connected(Worker& w, bool on) {
+  w.connected = on;
+  if (on) {
+    ++connected_;
+    peak_capacity_ = std::max(peak_capacity_, connected_);
+  } else {
+    --connected_;
+  }
+  m_workers_connected_->set(static_cast<std::int64_t>(connected_));
+}
+
+void Service::reenlist(Worker& w) {
+  w.evicted = false;
+  --evicted_live_;
+  set_connected(w, true);
+  m_reenlisted_->inc();
 }
 
 // --- Restore reconciliation -------------------------------------------------
@@ -1424,7 +1363,7 @@ void Service::reoffer_worker(WorkerId wid) {
 // functions below are the runtime half of recovery: deciding stale-vs-live
 // for each checkpointed worker as its pilot redials (or doesn't).
 
-Service::WorkerId Service::adopt_ghost(
+WorkerId Service::adopt_ghost(
     os::NodeId node, net::SocketPtr sock,
     const std::vector<std::string>& inventory) {
   // Prefer the ghost whose outstanding task the pilot announces (that pins
@@ -1457,11 +1396,8 @@ Service::WorkerId Service::adopt_ghost(
   --awaiting_;
   w.evicted = false;  // a redialing pilot is alive by definition
   w.sock = std::move(sock);
-  w.connected = true;
   w.last_heard = machine_->engine().now();
-  ++connected_;
-  m_workers_connected_->set(static_cast<std::int64_t>(connected_));
-  peak_capacity_ = std::max(peak_capacity_, connected_);
+  set_connected(w, true);
   m_reconciled_->inc();
 
   if (w.busy && w.job != 0) {

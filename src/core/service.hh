@@ -46,21 +46,19 @@
 // priority+backfill scheduling and network-aware worker grouping.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <limits>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/job.hh"
+#include "core/queues.hh"
 #include "core/staging.hh"
 #include "core/table.hh"
 #include "core/worker.hh"
@@ -107,7 +105,9 @@ class Service {
     sim::Duration mpi_launch_timeout = 0;
     SchedPolicy policy = SchedPolicy::kFifo;
     /// §7: group MPI jobs onto workers with nearby node ids (torus
-    /// locality) instead of first-come-first-served.
+    /// locality) instead of first-come-first-served. For a job naming
+    /// stage_files, the window holding most of those bytes wins; ties (and
+    /// every cold cache) keep the min-span window.
     bool network_aware_grouping = false;
     /// Content-addressed staging of JobSpec::stage_files: each distinct
     /// blob reaches a node at most once (later jobs are satisfied from
@@ -116,15 +116,6 @@ class Service {
     /// Off = the naive pre-CAS behavior: every job re-pushes every input
     /// to every one of its nodes (the abl_staging cold baseline).
     bool staging_cache = true;
-    /// Data-aware placement: among width-feasible node-sorted windows,
-    /// claim the one with the most resident input bytes for the job's
-    /// stage_files; ties fall back to the min-span/earliest-window rule,
-    /// so cold-cache picks are byte-identical to plain network-aware
-    /// grouping. Only meaningful with network_aware_grouping; no effect
-    /// on jobs without stage_files.
-    bool data_aware_grouping = true;
-    /// Applied to jobs whose spec has no timeout; 0 = none.
-    sim::Duration default_job_timeout = 0;
     /// Liveness deadline for *busy* workers: a worker that has been silent
     /// this long after being handed work is disregarded — removed from the
     /// pools, its job attempt failed so it retries elsewhere (§5 feature 3:
@@ -142,19 +133,15 @@ class Service {
     /// node may re-enlist with its eviction count halved (so a repeat
     /// offender is re-banned quickly). 0 = the ban is permanent.
     sim::Duration blacklist_probation = 0;
-    /// Grace period after a restore-from-snapshot during which checkpointed
-    /// workers are carried as "ghosts": they count toward capacity and hold
-    /// their slots for heartbeat reconciliation (a surviving pilot that
-    /// redials and re-registers reclaims its identity). Ghosts still absent
-    /// when the grace expires are dropped and their running jobs requeued
-    /// with kServiceRestart.
-    sim::Duration restore_grace = sim::seconds(10);
-    /// Metrics sink. The service registers its instruments here (dotted
-    /// "jets.service.*" names, see DESIGN.md §8) so harnesses can snapshot
-    /// one registry across components. nullptr = the service owns a
-    /// private registry; the counter accessors below work either way.
-    obs::MetricsRegistry* metrics = nullptr;
   };
+
+  /// Grace period after a restore-from-snapshot during which checkpointed
+  /// workers are carried as "ghosts": they count toward capacity and hold
+  /// their slots for heartbeat reconciliation (a surviving pilot that
+  /// redials and re-registers reclaims its identity). Ghosts still absent
+  /// when the grace expires are dropped and their running jobs requeued
+  /// with kServiceRestart.
+  static constexpr sim::Duration kRestoreGrace = sim::seconds(10);
 
   /// Observation hooks for benchmark harnesses.
   struct Hooks {
@@ -197,11 +184,12 @@ class Service {
   /// Coasters bridge, whose Swift app calls block on individual jobs.
   sim::Task<void> wait_job(JobId id);
 
-  /// Coasters data channel (§4.1): pushes `path` (which must exist on the
-  /// shared filesystem) to every *currently connected* worker's node-local
-  /// storage over the worker sockets, and completes when all have
-  /// acknowledged. Removes the need for a separate transfer mechanism;
-  /// workers that join later are unaffected.
+  /// Coasters data channel (§4.1): stages `path` (which must exist on the
+  /// shared filesystem) into the node-local storage of every node with a
+  /// *currently connected* worker, over the worker sockets and through the
+  /// same digest-addressed fan-out as job inputs, and completes when all
+  /// have acknowledged. Removes the need for a separate transfer
+  /// mechanism; workers that join later are unaffected.
   sim::Task<void> stage_to_workers(const std::string& path);
 
   const JobRecord& record(JobId id) const { return jobs_.at(id).rec; }
@@ -216,11 +204,11 @@ class Service {
   /// randomness, mutates nothing, so checkpointing cannot perturb the run.
   Checkpoint checkpoint() const;
 
-  /// The metrics registry this service reports to: Config::metrics when
-  /// set, otherwise a private one. All the counter accessors below are
-  /// views over it — the registry holds the truth.
-  obs::MetricsRegistry& metrics() { return *metrics_; }
-  const obs::MetricsRegistry& metrics() const { return *metrics_; }
+  /// The metrics registry this service reports to (dotted
+  /// "jets.service.*" names, see DESIGN.md §8). All the counter accessors
+  /// below are views over it — the registry holds the truth.
+  obs::MetricsRegistry& metrics() { return metrics_; }
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   // Live counters (sampled by harnesses for Figs 10/13).
   std::size_t connected_workers() const { return connected_; }
@@ -258,12 +246,10 @@ class Service {
   /// across the restore) and later settled successfully.
   std::size_t jobs_rescued() const { return m_rescued_->value; }
   /// Checkpointed workers dropped because they never redialed within
-  /// Config::restore_grace.
+  /// kRestoreGrace.
   std::size_t ghosts_dropped() const { return m_ghosts_dropped_->value; }
   /// Ghost workers still awaiting reconciliation (0 once the grace ran out).
   std::size_t awaiting_workers() const { return awaiting_; }
-  /// Engine time this service was restored from a snapshot (-1 = never).
-  sim::Time restored_at() const { return restored_at_; }
 
   // Staging counters (abl_staging bench and the staging test lane).
   /// (node, blob) pairs any job asked for — the denominator of the dedup
@@ -275,8 +261,6 @@ class Service {
   std::size_t stage_peer_copies() const { return m_stage_peer_copies_->value; }
   /// Requests satisfied from warm cache with a zero-byte ack.
   std::size_t stage_warm_hits() const { return m_stage_warm_hits_->value; }
-  /// Requests that piggybacked on a transfer already in flight.
-  std::size_t stage_coalesced() const { return m_stage_coalesced_->value; }
   /// Acks written off because the worker died mid-stage (satellite S1).
   std::size_t stage_acks_lost() const { return m_stage_acks_lost_->value; }
   /// Cache evictions reported by workers' staged acks.
@@ -312,7 +296,6 @@ class Service {
   /// when the pool is momentarily small but can grow back.
   void set_elastic_capacity(std::size_t cap) { elastic_capacity_ = cap; }
 
-  bool node_draining(os::NodeId node) const;
   /// Jobs requeued at a drain deadline (the zero-jobs-lost path).
   std::size_t drain_requeues() const { return m_drain_requeues_->value; }
   /// Placements refused by the walltime claim gate.
@@ -337,333 +320,6 @@ class Service {
   std::size_t ready_physical_size() const { return ready_.physical_size(); }
 
  private:
-  using WorkerId = std::uint64_t;
-
-  /// Lets the differential property suite drive PendingQueue/ReadyPool
-  /// directly against naive reference models (tests only).
-  friend struct ServiceTestAccess;
-
-  /// Pending-job backlog with O(1)-amortized membership changes at any
-  /// scale. Queue entries carry the job's (immutable) width and priority as
-  /// a struct-of-arrays sidecar, so dispatch scans never touch the job
-  /// table. Removal is lazy, the same way the engine's event heap retires
-  /// cancelled events: erase() retires the job's *ticket* (stored in a
-  /// dense per-JobId vector), stale entries are dropped when they surface
-  /// at a scan front, and wholesale compaction runs once stale copies
-  /// outnumber live ones — so a requeue/deadline/backfill-heavy workload
-  /// never pays O(n) per settle the way std::erase on the deque did.
-  /// Tickets are globally monotone: a job requeued after a retry gets a
-  /// fresh ticket, so its old entry reads stale (no ABA).
-  class PendingQueue {
-   public:
-    struct Entry {
-      JobId id = 0;
-      std::uint64_t ticket = 0;
-      std::uint32_t width = 0;  // JobSpec::workers_needed(), cached
-      int priority = 0;
-    };
-
-    /// The priority-bucket mirror is only paid for when the backfill
-    /// policy will actually scan it. Must be set before first use.
-    void set_buckets(bool on) { use_buckets_ = on; }
-
-    void push_back(JobId id, int priority, std::uint32_t width) {
-      const std::uint64_t t = ++next_ticket_;
-      ticket_slot(id) = t;
-      ++live_;
-      fifo_.push_back(Entry{id, t, width, priority});
-      if (use_buckets_) {
-        buckets_[priority].push_back(Entry{id, t, width, priority});
-        ++bucket_entries_;
-      }
-    }
-    void erase(JobId id) {
-      if (id == 0 || id > tickets_.size()) return;
-      std::uint64_t& t = tickets_[id - 1];
-      if (t == 0) return;  // not queued (e.g. backing off): no-op as before
-      t = 0;
-      --live_;
-      maybe_compact();
-    }
-    /// Head of the live FIFO; requires !empty().
-    JobId front() {
-      drop_stale_front();
-      return fifo_.front().id;
-    }
-    /// Cached width of the live head; requires !empty().
-    std::uint32_t front_width() {
-      drop_stale_front();
-      return fifo_.front().width;
-    }
-    void pop_front() {
-      drop_stale_front();
-      tickets_[fifo_.front().id - 1] = 0;
-      fifo_.pop_front();
-      --live_;
-    }
-    bool empty() const { return live_ == 0; }
-    std::size_t size() const { return live_; }
-    std::size_t physical_size() const { return fifo_.size(); }
-    /// Visits live jobs in submission order (reaping and consistency
-    /// walks); stale entries are skipped in place.
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      for (const Entry& e : fifo_) {
-        if (is_live(e)) fn(e.id, e.width);
-      }
-    }
-
-    /// First job in (priority desc, FIFO-within-priority) order whose
-    /// cached width `fits`; removed from the queue when found. `fits` may
-    /// take (width) or (id, width) — the elastic claim gate needs the id
-    /// to look up the job's expected runtime.
-    template <typename Fits>
-    std::optional<JobId> pop_first_fit(Fits&& fits) {
-      const auto accepts = [&fits](const Entry& e) {
-        if constexpr (std::is_invocable_v<Fits&, JobId, std::uint32_t>) {
-          return static_cast<bool>(fits(e.id, e.width));
-        } else {
-          return static_cast<bool>(fits(e.width));
-        }
-      };
-      for (auto bit = buckets_.begin(); bit != buckets_.end();) {
-        std::deque<Entry>& bucket = bit->second;
-        // Retired entries at the bucket front are free to drop.
-        while (!bucket.empty() && !is_live(bucket.front())) {
-          bucket.pop_front();
-          --bucket_entries_;
-        }
-        for (const Entry& e : bucket) {
-          if (!is_live(e)) continue;
-          if (accepts(e)) {
-            const JobId id = e.id;
-            tickets_[id - 1] = 0;  // entry (and its fifo copy) now stale
-            --live_;
-            maybe_compact();
-            return id;
-          }
-        }
-        if (bucket.empty()) {
-          bit = buckets_.erase(bit);
-        } else {
-          ++bit;
-        }
-      }
-      return std::nullopt;
-    }
-
-   private:
-    bool is_live(const Entry& e) const {
-      return tickets_[e.id - 1] == e.ticket;
-    }
-    std::uint64_t& ticket_slot(JobId id) {
-      if (id > tickets_.size()) tickets_.resize(static_cast<std::size_t>(id));
-      return tickets_[id - 1];
-    }
-    void drop_stale_front() {
-      while (!fifo_.empty() && !is_live(fifo_.front())) fifo_.pop_front();
-    }
-    /// Rebuilds the deques (preserving live order) once stale copies
-    /// dominate; amortized O(1) against the erases that created them.
-    void maybe_compact() {
-      if (fifo_.size() > 2 * live_ + 64) {
-        std::deque<Entry> keep;
-        for (const Entry& e : fifo_) {
-          if (is_live(e)) keep.push_back(e);
-        }
-        fifo_.swap(keep);
-      }
-      if (use_buckets_ && bucket_entries_ > 2 * live_ + 64) {
-        bucket_entries_ = 0;
-        for (auto bit = buckets_.begin(); bit != buckets_.end();) {
-          std::deque<Entry> keep;
-          for (const Entry& e : bit->second) {
-            if (is_live(e)) keep.push_back(e);
-          }
-          bit->second.swap(keep);
-          bucket_entries_ += bit->second.size();
-          bit = bit->second.empty() ? buckets_.erase(bit) : std::next(bit);
-        }
-      }
-    }
-
-    bool use_buckets_ = false;
-    std::uint64_t next_ticket_ = 0;
-    std::size_t live_ = 0;
-    std::size_t bucket_entries_ = 0;
-    std::deque<Entry> fifo_;
-    std::map<int, std::deque<Entry>, std::greater<int>> buckets_;
-    /// Dense per-JobId live ticket (0 = not queued), indexed by id-1.
-    std::vector<std::uint64_t> tickets_;
-  };
-
-  /// Ready-worker pool. FCFS claims pop the FIFO deque; removal anywhere
-  /// else is lazy-deletion on a per-worker-slot ticket (workers re-enter
-  /// the pool after every job, so tickets — not ids — are what keeps a
-  /// stale entry from aliasing the worker's next enlistment). When
-  /// network-aware grouping is on, a mirror of the pool sorted by
-  /// (node, arrival) is maintained eagerly as before so each MPI placement
-  /// stays one sliding-window span scan.
-  class ReadyPool {
-   public:
-    struct Entry {
-      os::NodeId node = 0;
-      std::uint64_t arrival = 0;
-      WorkerId wid = 0;
-      auto operator<=>(const Entry&) const = default;
-    };
-
-    /// Must be set before any worker enters the pool.
-    void set_indexed(bool on) { indexed_ = on; }
-
-    void push_back(WorkerId wid, os::NodeId node) {
-      const std::uint64_t t = ++next_ticket_;
-      ticket_slot(wid) = t;
-      ++live_;
-      fifo_.push_back(FifoEntry{wid, t});
-      if (indexed_) {
-        const Entry e{node, arrivals_++, wid};
-        by_node_.insert(std::upper_bound(by_node_.begin(), by_node_.end(), e),
-                        e);
-      }
-    }
-    void erase(WorkerId wid, os::NodeId node) {
-      const std::uint32_t slot = slot_of(wid);
-      if (slot >= tickets_.size() || tickets_[slot] == 0) return;  // not pooled
-      tickets_[slot] = 0;
-      --live_;
-      maybe_compact();
-      if (indexed_) index_erase(wid, node);
-    }
-    /// Live head of the FIFO; requires !empty().
-    WorkerId front() {
-      drop_stale_front();
-      return fifo_.front().wid;
-    }
-    void erase_front(os::NodeId node) {
-      drop_stale_front();
-      const WorkerId wid = fifo_.front().wid;
-      tickets_[slot_of(wid)] = 0;
-      fifo_.pop_front();
-      --live_;
-      if (indexed_) index_erase(wid, node);
-    }
-    bool empty() const { return live_ == 0; }
-    std::size_t size() const { return live_; }
-    std::size_t physical_size() const { return fifo_.size(); }
-    /// Visits pooled workers in FIFO order; stale entries are skipped.
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      for (const FifoEntry& e : fifo_) {
-        if (is_live(e)) fn(e.wid);
-      }
-    }
-    /// Live FIFO view for the consistency test hook (cold path).
-    std::vector<WorkerId> live_fifo() const {
-      std::vector<WorkerId> out;
-      out.reserve(live_);
-      for_each([&](WorkerId wid) { out.push_back(wid); });
-      return out;
-    }
-    const std::vector<Entry>& index() const { return by_node_; }
-
-    /// Claims the `count` workers whose sorted window has the smallest
-    /// node-id span (ties keep the earliest window); removes them from the
-    /// pool and returns them in (node, arrival) order. Requires
-    /// count <= size() and the index to be enabled.
-    std::vector<WorkerId> claim_min_span(std::size_t count) {
-      return claim_best(count, [](const Entry*, std::size_t) {
-        return std::uint64_t{0};
-      });
-    }
-
-    /// Data-aware variant: `score(window, count)` rates each window (the
-    /// resident input bytes of the job being placed); the highest-scoring
-    /// window wins, ties fall back to smallest span then earliest window.
-    /// With an all-zero scorer this is *exactly* claim_min_span — the
-    /// determinism contract the golden-manifest gate enforces for
-    /// cold-cache runs.
-    template <typename Score>
-    std::vector<WorkerId> claim_best(std::size_t count, Score&& score) {
-      std::size_t best = 0;
-      os::NodeId best_span = std::numeric_limits<os::NodeId>::max();
-      std::uint64_t best_bytes = 0;
-      for (std::size_t i = 0; i + count <= by_node_.size(); ++i) {
-        const os::NodeId span = by_node_[i + count - 1].node - by_node_[i].node;
-        const std::uint64_t bytes = score(&by_node_[i], count);
-        if (bytes > best_bytes || (bytes == best_bytes && span < best_span)) {
-          best_bytes = bytes;
-          best_span = span;
-          best = i;
-        }
-      }
-      std::vector<WorkerId> claimed;
-      claimed.reserve(count);
-      for (std::size_t k = best; k < best + count; ++k) {
-        claimed.push_back(by_node_[k].wid);
-      }
-      by_node_.erase(by_node_.begin() + static_cast<std::ptrdiff_t>(best),
-                     by_node_.begin() + static_cast<std::ptrdiff_t>(best + count));
-      for (WorkerId wid : claimed) {
-        tickets_[slot_of(wid)] = 0;  // fifo copy goes stale
-        --live_;
-      }
-      maybe_compact();
-      return claimed;
-    }
-
-   private:
-    struct FifoEntry {
-      WorkerId wid = 0;
-      std::uint64_t ticket = 0;
-    };
-
-    static constexpr std::uint32_t slot_of(WorkerId wid) {
-      return static_cast<std::uint32_t>(wid & 0xffffffffu);
-    }
-    bool is_live(const FifoEntry& e) const {
-      const std::uint32_t slot = slot_of(e.wid);
-      return slot < tickets_.size() && tickets_[slot] == e.ticket;
-    }
-    std::uint64_t& ticket_slot(WorkerId wid) {
-      const std::uint32_t slot = slot_of(wid);
-      if (slot >= tickets_.size()) tickets_.resize(slot + 1);
-      return tickets_[slot];
-    }
-    void drop_stale_front() {
-      while (!fifo_.empty() && !is_live(fifo_.front())) fifo_.pop_front();
-    }
-    void maybe_compact() {
-      if (fifo_.size() <= 2 * live_ + 64) return;
-      std::deque<FifoEntry> keep;
-      for (const FifoEntry& e : fifo_) {
-        if (is_live(e)) keep.push_back(e);
-      }
-      fifo_.swap(keep);
-    }
-
-    void index_erase(WorkerId wid, os::NodeId node) {
-      auto it = std::lower_bound(by_node_.begin(), by_node_.end(),
-                                 Entry{node, 0, 0});
-      for (; it != by_node_.end() && it->node == node; ++it) {
-        if (it->wid == wid) {
-          by_node_.erase(it);
-          return;
-        }
-      }
-    }
-
-    bool indexed_ = false;
-    std::uint64_t arrivals_ = 0;
-    std::uint64_t next_ticket_ = 0;
-    std::size_t live_ = 0;
-    std::deque<FifoEntry> fifo_;
-    std::vector<Entry> by_node_;  // sorted by (node, arrival)
-    /// Dense per-worker-slot live ticket (0 = not in the pool), indexed by
-    /// the SlotMap slot of the worker's handle.
-    std::vector<std::uint64_t> tickets_;
-  };
-
   struct Worker {
     WorkerId id = 0;
     /// Registration order (1, 2, 3, ...): handles recycle worker slots, so
@@ -751,7 +407,7 @@ class Service {
     sim::Time banned_until = -1;
   };
 
-  /// Binds metrics_/m_* to Config::metrics or a private registry.
+  /// Registers the service's instruments in metrics_ and caches m_*.
   void init_metrics();
   /// Restore path (defined in snapshot.cc with the codec): rebuilds every
   /// table, queue, counter, and timer from a parsed snapshot, moving the
@@ -760,8 +416,8 @@ class Service {
   void apply_snapshot(Snapshot&& snap);
   /// The live tables as the snapshot encoder's row source (snapshot.cc).
   class ImageRows;
-  /// Fires once restore_grace after a restore: drops ghost workers that
-  /// never redialed, requeueing their jobs with kServiceRestart.
+  /// Fires kRestoreGrace after a restore: drops ghost workers that never
+  /// redialed, requeueing their jobs with kServiceRestart.
   void reconcile_ghosts();
   /// Adopts a redialing pilot into a ghost slot (heartbeat reconciliation).
   /// `inventory` is the task ids the pilot still has in flight; returns the
@@ -781,8 +437,8 @@ class Service {
   /// Picks the next dispatchable job per policy, or nullopt.
   std::optional<JobId> choose_job();
   /// Selects and claims `count` ready workers (FCFS or network-aware; when
-  /// `spec` names stage_files and data_aware_grouping is on, the window
-  /// maximizing resident input bytes wins, ties keep the min-span pick).
+  /// `spec` names stage_files, the window maximizing resident input bytes
+  /// wins, ties keep the min-span pick).
   std::vector<WorkerId> claim_workers(std::size_t count, const JobSpec& spec);
   sim::Task<void> place_job(JobId id);
   void job_finished(JobId id, int status, FailureReason reason);
@@ -825,6 +481,13 @@ class Service {
   /// there with kWalltimeDrain before the pilots die.
   void drain_deadline(os::NodeId node);
 
+  /// A worker joins (true) or leaves (false) the connected capacity: the
+  /// flag, the count, its gauge and the peak all move together.
+  void set_connected(Worker& w, bool on);
+  /// Takes an evicted worker back into the connected capacity, counted as
+  /// re-enlisted (the caller offers it to the ready pool).
+  void reenlist(Worker& w);
+
   /// Liveness machinery (§5 feature 3 taken beyond EOF detection).
   void liveness_check(WorkerId wid);
   void evict_worker(WorkerId wid);
@@ -845,13 +508,16 @@ class Service {
   /// Digest + size of a shared-fs path, interned on first sight so every
   /// job naming the same path agrees on the blob identity.
   std::pair<StageDigest, std::uint64_t> blob_for(const std::string& path);
-  /// Stages spec.stage_files onto the claimed workers' nodes: warm cache
-  /// -> zero-byte ack, in-flight (node, digest) -> coalesce on the slot
-  /// gate, otherwise plan push vs peer copy and send the 4-arg header.
-  /// Awaits every ack (or write-off). Callers must re-check job state
-  /// after the co_await, exactly like the dispatch fan-out.
-  sim::Task<void> stage_job_inputs(JobId id, int attempt,
-                                   const std::vector<WorkerId>& claimed);
+  /// Stages `paths` onto the nodes of `targets`, through the first target
+  /// on each node: warm cache -> zero-byte ack, in-flight (node, digest)
+  /// -> coalesce on the slot gate, otherwise plan push vs peer copy and
+  /// send the header. Awaits every ack (or write-off). Stops early once
+  /// attempt `attempt` of job `id` has settled (id 0 = no job); callers
+  /// must re-check job state after the co_await, exactly like the
+  /// dispatch fan-out.
+  sim::Task<void> stage_inputs(const std::vector<std::string>& paths,
+                               const std::vector<WorkerId>& targets, JobId id,
+                               int attempt);
   /// Unmatched "staged" ack bookkeeping (acks whose StageReq call was
   /// already written off, or acks from never-registered sockets): commits
   /// residency for tracked workers; decrements the slot count only for
@@ -926,15 +592,11 @@ class Service {
   std::size_t awaiting_ = 0;
   /// Armed by apply_snapshot when ghosts exist; fires reconcile_ghosts.
   sim::TimerHandle reconcile_timer_;
-  /// Engine time of the restore (-1 = never restored); fig10's recover
-  /// scenario derives MTTR from it.
-  sim::Time restored_at_ = -1;
 
   /// Instruments cached out of the registry at construction (stable
   /// addresses): one pointer-indirect add per event, no name lookups on
   /// the hot path. The registry (metrics_) holds the authoritative values.
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::MetricsRegistry metrics_;
   obs::Counter* m_completed_ = nullptr;
   obs::Counter* m_failed_ = nullptr;
   obs::Counter* m_quarantined_ = nullptr;

@@ -739,7 +739,7 @@ void Service::apply_snapshot(Snapshot&& snap) {
   // not (or vice versa) restore/default independently — same skip-forward
   // compatibility as unknown sections.
   for (const auto& [name, value] : snap.counters) {
-    metrics_->counter(name).value = value;
+    metrics_.counter(name).value = value;
   }
 
   // Every checkpointed worker comes back as a ghost: slot + capacity held,
@@ -901,10 +901,9 @@ void Service::apply_snapshot(Snapshot&& snap) {
     all_done_->close();
   }
   m_restores_->inc();
-  restored_at_ = now;
   if (awaiting_ > 0) {
     reconcile_timer_ = machine_->engine().call_in(
-        config_.restore_grace, [this] { reconcile_ghosts(); });
+        kRestoreGrace, [this] { reconcile_ghosts(); });
   }
 }
 

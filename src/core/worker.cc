@@ -11,23 +11,6 @@
 
 namespace jets::core {
 
-net::Message make_run_message(const std::string& task_id,
-                              const std::vector<std::string>& argv,
-                              const std::map<std::string, std::string>& vars) {
-  return *net::rpc::frame(net::rpc::TaskRun(task_id, argv, vars));
-}
-
-RunRequest parse_run_message(const net::Message& m) {
-  RunRequest r;
-  auto decoded = net::rpc::take<net::rpc::TaskRun>(net::Message(m));
-  if (!decoded.ok()) return r;  // malformed: empty request (never on-wire)
-  net::rpc::TaskRun& run = decoded.value();
-  r.task_id = std::move(run.task_id);
-  r.argv = std::move(run.argv);
-  r.vars = std::move(run.vars);
-  return r;
-}
-
 namespace {
 
 /// State shared between the worker's receive loop, its task wrappers, and
@@ -224,53 +207,39 @@ sim::Task<void> worker_main(const os::AppRegistry* apps, WorkerConfig config,
     chan.on<net::rpc::StageReq>(
         // By value: the coroutine frame owns the request (see Channel::on).
         [&, state](net::rpc::StageReq req) -> sim::Task<void> {
-          if (!req.legacy) {
-            // Digest-addressed job staging: install through the node's CAS
-            // so repeat blobs dedup, and report any evictions the install
-            // caused back on the ack — the service's residency view
-            // depends on it.
-            const net::StageHeader& h = req.header;
-            std::vector<os::CasDigest> evicted;
-            switch (h.source) {
-              case net::StageHeader::Source::kWarm:
-                // Zero-byte probe: the service believes this digest is
-                // already resident. Normally just an LRU touch; on a miss
-                // (the ack reporting the eviction is still in flight) fall
-                // back to a pull from the service's shared store over the
-                // fabric.
-                if (!node.cas().touch(h.digest)) {
-                  co_await sim::delay(machine.network().fabric().transfer_time(
-                      config.service.node, env.node, h.bytes));
-                  evicted = co_await node.cas().put(h.digest, h.path, h.bytes);
-                }
-                break;
-              case net::StageHeader::Source::kPeer:
-                // Intra-group copy: the bytes cross peer->here, not
-                // service->here — this message itself carried none, so
-                // charge the fabric for the peer link before installing.
+          // Install through the node's CAS so repeat blobs dedup, and
+          // report any evictions the install caused back on the ack — the
+          // service's residency view depends on it.
+          const net::StageHeader& h = req.header;
+          std::vector<os::CasDigest> evicted;
+          switch (h.source) {
+            case net::StageHeader::Source::kWarm:
+              // Zero-byte probe: the service believes this digest is
+              // already resident. Normally just an LRU touch; on a miss (the
+              // ack reporting the eviction is still in flight) fall back to
+              // a pull from the service's shared store over the fabric.
+              if (!node.cas().touch(h.digest)) {
                 co_await sim::delay(machine.network().fabric().transfer_time(
-                    h.peer, env.node, h.bytes));
+                    config.service.node, env.node, h.bytes));
                 evicted = co_await node.cas().put(h.digest, h.path, h.bytes);
-                break;
-              case net::StageHeader::Source::kPush:
-                // The bytes arrived with this message (wire time already
-                // charged by the socket); just install.
-                evicted = co_await node.cas().put(h.digest, h.path, h.bytes);
-                break;
-            }
-            net::rpc::StageAck ack;
-            ack.path = h.path;
-            ack.digest = h.digest;
-            ack.evictions = std::move(evicted);
-            net::rpc::post(*state->sock, std::move(ack));
-          } else {
-            // Data channel (§4.1): the file's bytes arrived with this
-            // message (wire time already charged by the socket); persist
-            // them locally.
-            co_await node.local_fs().write(req.header.path, req.payload);
-            net::rpc::post(*state->sock,
-                           net::rpc::StageAck{req.header.path, 0, {}});
+              }
+              break;
+            case net::StageHeader::Source::kPeer:
+              // Intra-group copy: the bytes cross peer->here, not
+              // service->here — this message itself carried none, so charge
+              // the fabric for the peer link before installing.
+              co_await sim::delay(machine.network().fabric().transfer_time(
+                  h.peer, env.node, h.bytes));
+              evicted = co_await node.cas().put(h.digest, h.path, h.bytes);
+              break;
+            case net::StageHeader::Source::kPush:
+              // The bytes arrived with this message (wire time already
+              // charged by the socket); just install.
+              evicted = co_await node.cas().put(h.digest, h.path, h.bytes);
+              break;
           }
+          net::rpc::post(*state->sock, net::rpc::StageAck(h.path, h.digest,
+                                                          std::move(evicted)));
         });
     co_await chan.serve();
     // Service connection EOF'd. Without redial the pilot exits here (the

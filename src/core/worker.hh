@@ -88,62 +88,11 @@ struct WorkerConfig {
   /// exiting, up to reconnect_attempts tries. The re-registration carries
   /// the pilot's outstanding task inventory so a snapshot-restored service
   /// can reconcile the pilot with its checkpointed ghost (see
-  /// Service::Config::restore_grace). 0 disables — EOF ends the pilot, the
+  /// Service::kRestoreGrace). 0 disables — EOF ends the pilot, the
   /// pre-recovery behavior and the default for every golden benchmark.
   sim::Duration reconnect_backoff = 0;
   int reconnect_attempts = 10;
 };
-
-/// Protocol tags between worker and service (also used by Coasters):
-///   worker -> service:  "reg" [node, task...]  after staging; on a
-///                        crash-recovery redial the extra args list the
-///                        pilot's outstanding task ids (its inventory),
-///                        which the restored service uses to reconcile the
-///                        pilot with its checkpointed ghost
-///                       "ready"                idle, requesting work
-///                       "done" [task, status, reason]
-///                        task finished; reason is "app" (the command's own
-///                        exit), "watchdog" (worker-side task watchdog fired,
-///                        status 124) or "killed" (service-requested kill,
-///                        status 137)
-///                       "staged" [path]        stage-in written locally
-///                        (legacy broadcast ack); the digest-addressed form
-///                        is "staged" [path, d=<hex16>, e=<hex16>...] — d
-///                        names the installed blob, each e reports a CAS
-///                        eviction the install caused (keeps the service's
-///                        residency view honest)
-///                       "hb"                   liveness ping while busy
-///   service -> worker:  "run" [task, n, argv..., k=v...]
-///                       "kill" [task]
-///                       "stagein" [path] + payload bytes (data channel:
-///                        file contents pushed over this connection, §4.1);
-///                        the digest-addressed form is "stagein"
-///                        [path, d=<hex16>, b=<bytes>, s=<src>] where src is
-///                        "push" (payload carries the bytes), "peer:<node>"
-///                        (copy from that peer over the fabric) or "warm"
-///                        (zero-byte probe of a cache-resident blob) — see
-///                        net/staging.hh for the codec
-inline constexpr const char* kMsgRegister = "reg";
-inline constexpr const char* kMsgReady = "ready";
-inline constexpr const char* kMsgDone = "done";
-inline constexpr const char* kMsgPing = "hb";
-inline constexpr const char* kMsgRun = "run";
-inline constexpr const char* kMsgKill = "kill";
-inline constexpr const char* kMsgStageIn = "stagein";
-inline constexpr const char* kMsgStaged = "staged";
-
-/// Builds a "run" message for `task_id` executing `argv` with env `vars`.
-net::Message make_run_message(const std::string& task_id,
-                              const std::vector<std::string>& argv,
-                              const std::map<std::string, std::string>& vars);
-
-/// Decoded form of a "run" message.
-struct RunRequest {
-  std::string task_id;
-  std::vector<std::string> argv;
-  std::map<std::string, std::string> vars;
-};
-RunRequest parse_run_message(const net::Message& m);
 
 /// Builds the worker agent program. `apps` resolves task argv[0]s and must
 /// outlive all workers. Install into a registry or exec directly via

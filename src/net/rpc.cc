@@ -32,7 +32,6 @@ std::string to_string(const DecodeError& e) {
 // --- StageReq ---------------------------------------------------------------
 
 std::size_t StageReq::text_size() const {
-  if (legacy) return header.path.size() + 1;
   std::size_t n = header.path.size() + 1 + kDigestArgSize +
                   2 + decimal_size(header.bytes) + 1;
   switch (header.source) {
@@ -48,44 +47,68 @@ std::size_t StageReq::text_size() const {
 }
 
 bool StageReq::normalize() {
-  const bool known_source = header.source == StageHeader::Source::kPush ||
-                            header.source == StageHeader::Source::kPeer ||
-                            header.source == StageHeader::Source::kWarm;
-  if (legacy || !known_source) {
-    // [path] + payload, or a digest frame missing its source arg: both
-    // decode as the legacy form.
-    StageHeader h;
-    h.path = std::move(header.path);
-    h.bytes = payload;
-    header = std::move(h);
-    legacy = true;
-  } else if (header.source != StageHeader::Source::kPeer) {
-    header.peer = 0;
+  switch (header.source) {
+    case StageHeader::Source::kPush:
+    case StageHeader::Source::kWarm:
+      header.peer = 0;
+      return true;
+    case StageHeader::Source::kPeer:
+      return true;
   }
-  return true;
+  return false;
 }
 
 Message StageReq::encode() const {
-  if (legacy) {
-    return Message(kTag, {header.path}, payload);
+  std::vector<std::string> args;
+  args.reserve(4);
+  args.push_back(header.path);
+  args.push_back("d=" + hex16(header.digest));
+  args.push_back("b=" + std::to_string(header.bytes));
+  switch (header.source) {
+    case StageHeader::Source::kPush:
+      args.push_back("s=push");
+      break;
+    case StageHeader::Source::kPeer:
+      args.push_back("s=peer:" + std::to_string(header.peer));
+      break;
+    case StageHeader::Source::kWarm:
+      args.push_back("s=warm");
+      break;
   }
-  return Message(kTag, encode_stage_args(header), payload);
+  return Message(kTag, std::move(args), payload);
 }
 
 Expected<StageReq, DecodeError> StageReq::decode(const Message& m) {
-  if (m.tag != kTag) return Unexpected{DecodeError{Kind::kBadTag, "tag"}};
-  if (m.args.empty()) return Unexpected{DecodeError{Kind::kMissingArg, "path"}};
+  const auto fail = [](Kind kind, const char* field) {
+    return Unexpected{DecodeError{kind, field}};
+  };
+  if (m.tag != kTag) return fail(Kind::kBadTag, "tag");
+  if (m.args.size() < 4) return fail(Kind::kMissingArg, "source");
+  if (m.args.size() > 4) return fail(Kind::kTrailingArgs, "args");
+  const std::string_view d = m.args[1], b = m.args[2], s = m.args[3];
   StageReq r;
+  r.header.path = m.args[0];
   r.payload = m.payload_bytes;
-  if (const auto h = parse_stage_args(m.args)) {
-    r.header = *h;
+  const auto digest =
+      d.starts_with("d=") ? parse_hex16(d.substr(2)) : std::nullopt;
+  if (!digest) return fail(Kind::kBadDigest, "digest");
+  r.header.digest = *digest;
+  const auto bytes = b.starts_with("b=")
+                         ? parse_number<std::uint64_t>(b.substr(2))
+                         : std::nullopt;
+  if (!bytes) return fail(Kind::kBadNumber, "bytes");
+  r.header.bytes = *bytes;
+  if (s == "s=push") {
+    r.header.source = StageHeader::Source::kPush;
+  } else if (s == "s=warm") {
+    r.header.source = StageHeader::Source::kWarm;
+  } else if (s.starts_with("s=peer:")) {
+    const auto peer = parse_number<NodeId>(s.substr(7));
+    if (!peer) return fail(Kind::kBadNumber, "peer");
+    r.header.source = StageHeader::Source::kPeer;
+    r.header.peer = *peer;
   } else {
-    // Legacy broadcast fallback: anything not matching the digest grammar
-    // is [path] (+ payload). This mirrors the worker's historical
-    // behavior and keeps the pre-CAS channel working.
-    r.legacy = true;
-    r.header.path = m.args[0];
-    r.header.bytes = m.payload_bytes;
+    return fail(Kind::kBadEnum, "source");
   }
   return r;
 }

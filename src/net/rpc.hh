@@ -155,9 +155,9 @@ std::string to_string(const DecodeError& e);
 //   Rest{inventory}             the remaining args verbatim
 //   Token{reason, names}        an enum as its name; a value outside
 //                               `names` travels as names[0]
-//   Digests{digest, evictions}  nothing if digest is 0; else "d=<hex16>",
-//                               then "e=<hex16>" per eviction (a zero
-//                               eviction is undecodable, so refused)
+//   Digests{digest, evictions}  "d=<hex16>", then "e=<hex16>" per
+//                               eviction (a zero digest or eviction is
+//                               undecodable, so refused)
 //
 // A verb's `payload` rides the frame's payload_bytes, not its args.
 // decode() checks arity before content: fewer args than the list needs is
@@ -228,7 +228,7 @@ struct TextSize {
       size += std::char_traits<char>::length(v.name()) + 1;
     } else {
       static_assert(kIs<F, Digests>);
-      if (v.digest != 0) size += kDigestArgSize * (1 + v.evictions.size());
+      size += kDigestArgSize * (1 + v.evictions.size());
     }
   }
 };
@@ -256,7 +256,6 @@ struct TextArgs {
       args.emplace_back(v.name());
     } else {
       static_assert(kIs<F, Digests>);
-      if (v.digest == 0) return;
       args.push_back("d=" + hex16(v.digest));
       for (const std::uint64_t e : v.evictions) args.push_back("e=" + hex16(e));
     }
@@ -275,13 +274,13 @@ struct TextArity {
   void operator()(const char* name, const F&) {
     if constexpr (std::is_same_v<F, std::optional<double>>) {
       if (max != kAny) ++max;
-    } else if constexpr (kIs<F, std::map> || kIs<F, Rest> ||
-                         kIs<F, Digests>) {
+    } else if constexpr (kIs<F, std::map> || kIs<F, Rest>) {
       max = kAny;
-    } else {  // one arg: a string, a number, a token, or a list's count
+    } else {  // one arg: a string, a number, a token, a list's count, or
+              // a digest ahead of its evictions
       ++min;
       last_needed = name;
-      max = kIs<F, Counted> || max == kAny ? kAny : max + 1;
+      max = kIs<F, Counted> || kIs<F, Digests> || max == kAny ? kAny : max + 1;
     }
   }
 };
@@ -343,7 +342,6 @@ class TextFields {
       error = DecodeError{Kind::kBadEnum, name};
     } else {
       static_assert(kIs<T, Digests>);
-      if (done() || !args_[at_].starts_with("d=")) return;  // digest 0
       v.digest = hex(args_[at_++], "d");
       while (!error && !done()) {
         if (!args_[at_].starts_with("e=")) {
@@ -364,9 +362,11 @@ class TextFields {
       error = DecodeError{DecodeError::Kind::kBadNumber, name};
     }
   }
-  /// A "d=" or "e=" arg's digest: 16 lowercase hex chars, not zero.
+  /// A "<name>=" arg's digest: the prefix, then 16 lowercase hex chars,
+  /// not zero.
   std::uint64_t hex(std::string_view arg, const char* name) {
-    const auto d = parse_hex16(arg.substr(2));
+    const bool prefixed = arg.size() >= 2 && arg[0] == name[0] && arg[1] == '=';
+    const auto d = prefixed ? parse_hex16(arg.substr(2)) : std::nullopt;
     if (!d || *d == 0) error = DecodeError{DecodeError::Kind::kBadDigest, name};
     return d.value_or(0);
   }
@@ -403,10 +403,8 @@ struct TextNormal {
     } else if constexpr (kIs<T, Token>) {
       if (v.index() >= v.names.size()) v.set(0);
     } else if constexpr (kIs<T, Digests>) {
-      if (v.digest == 0) {
-        v.evictions.clear();
-      } else if (std::find(v.evictions.begin(), v.evictions.end(), 0u) !=
-                 v.evictions.end()) {
+      if (v.digest == 0 || std::find(v.evictions.begin(), v.evictions.end(),
+                                     0u) != v.evictions.end()) {
         ok = false;
       }
     }
@@ -567,16 +565,15 @@ struct KillReq : Verb<KillReq> {
   bool operator==(const KillReq&) const = default;
 };
 
-/// "staged" [path] or [path, d=<hex>, e=<hex>...] — stage-in ack. Reply to
-/// StageReq, correlated by path. digest == 0 means the legacy form.
+/// "staged" [path, d=<hex>, e=<hex>...] — stage-in ack. Reply to StageReq,
+/// correlated by path.
 struct StageAck : Verb<StageAck> {
   static constexpr const char* kTag = "staged";
   std::string path;
   std::uint64_t digest = 0;
   std::vector<std::uint64_t> evictions;
   StageAck() = default;
-  explicit StageAck(std::string p, std::uint64_t d = 0,
-                    std::vector<std::uint64_t> ev = {})
+  StageAck(std::string p, std::uint64_t d, std::vector<std::uint64_t> ev = {})
       : path(std::move(p)), digest(d), evictions(std::move(ev)) {}
   std::string correlation_key() const { return path; }
   static void fields(auto& ar, auto& v) {
@@ -586,26 +583,24 @@ struct StageAck : Verb<StageAck> {
   bool operator==(const StageAck&) const = default;
 };
 
-/// "stagein" — input staging. Digest form carries the CAS header; the
-/// legacy broadcast form is [path] + payload. The one verb whose codec is
-/// written out rather than derived from a field list: a frame whose args
-/// do not match the digest grammar decodes as legacy (that fallback *is*
-/// the protocol — see parse_stage_args), which no field form expresses.
-/// The empty-args frame is a decode error rather than the out_of_range
-/// throw it used to be.
+/// "stagein" [path, d=<hex>, b=<bytes>, s=<source>] + payload — input
+/// staging (the header grammar is in net/staging.hh). The one verb whose
+/// codec is written out rather than derived from a field list: its args
+/// pack prefixed fields and an "s=peer:<node>" token, a shape no other
+/// verb has, and a field form for it would make every archive branch on
+/// this one verb.
 struct StageReq {
   static constexpr const char* kTag = "stagein";
   using Resp = StageAck;
   StageHeader header;
-  bool legacy = false;
-  std::uint64_t payload = 0;  // message payload_bytes (kPush / legacy)
+  std::uint64_t payload = 0;  // message payload_bytes (kPush)
   StageReq() = default;
-  explicit StageReq(StageHeader h, bool leg = false, std::uint64_t pay = 0)
-      : header(std::move(h)), legacy(leg), payload(pay) {}
+  explicit StageReq(StageHeader h, std::uint64_t pay = 0)
+      : header(std::move(h)), payload(pay) {}
   std::string correlation_key() const { return header.path; }
   std::size_t text_size() const;
-  /// A legacy frame carries only the path (bytes = payload); a digest
-  /// frame carries the peer only for Source::kPeer.
+  /// The peer travels only for Source::kPeer; a source outside the enum
+  /// writes no source arg, so the text wire refuses it.
   bool normalize();
   Message encode() const;
   static Expected<StageReq, DecodeError> decode(const Message& m);

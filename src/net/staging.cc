@@ -1,7 +1,5 @@
 #include "net/staging.hh"
 
-#include "net/number.hh"
-
 namespace jets::net {
 
 std::string hex16(std::uint64_t v) {
@@ -28,56 +26,6 @@ std::optional<std::uint64_t> parse_hex16(std::string_view s) {
     }
   }
   return v;
-}
-
-std::vector<std::string> encode_stage_args(const StageHeader& h) {
-  std::vector<std::string> args;
-  args.reserve(4);
-  args.push_back(h.path);
-  args.push_back("d=" + hex16(h.digest));
-  args.push_back("b=" + std::to_string(h.bytes));
-  switch (h.source) {
-    case StageHeader::Source::kPush:
-      args.push_back("s=push");
-      break;
-    case StageHeader::Source::kPeer:
-      args.push_back("s=peer:" + std::to_string(h.peer));
-      break;
-    case StageHeader::Source::kWarm:
-      args.push_back("s=warm");
-      break;
-  }
-  return args;
-}
-
-std::optional<StageHeader> parse_stage_args(
-    const std::vector<std::string>& args) {
-  if (args.size() != 4) return std::nullopt;
-  std::string_view d(args[1]), b(args[2]), s(args[3]);
-  if (!d.starts_with("d=") || !b.starts_with("b=") || !s.starts_with("s=")) {
-    return std::nullopt;
-  }
-  StageHeader h;
-  h.path = args[0];
-  const auto digest = parse_hex16(d.substr(2));
-  const auto bytes = rpc::parse_number<std::uint64_t>(b.substr(2));
-  if (!digest || !bytes) return std::nullopt;
-  h.digest = *digest;
-  h.bytes = *bytes;
-  s.remove_prefix(2);
-  if (s == "push") {
-    h.source = StageHeader::Source::kPush;
-  } else if (s == "warm") {
-    h.source = StageHeader::Source::kWarm;
-  } else if (s.starts_with("peer:")) {
-    const auto peer = rpc::parse_number<std::uint64_t>(s.substr(5));
-    if (!peer) return std::nullopt;
-    h.source = StageHeader::Source::kPeer;
-    h.peer = static_cast<NodeId>(*peer);
-  } else {
-    return std::nullopt;
-  }
-  return h;
 }
 
 StagePlan plan_transfer(const Fabric& fabric, NodeId source, NodeId target,

@@ -1,4 +1,4 @@
-// Staging transfer planning and the "stagein" digest wire header.
+// Staging transfer planning and the "stagein" wire header.
 //
 // The service's replication planner asks one question per (blob, node)
 // pair: what is the cheapest way to get these bytes there? Either the
@@ -9,18 +9,17 @@
 // min-span windows claim_workers builds). plan_transfer() prices both
 // with the machine's Fabric and picks the cheaper, deterministically.
 //
-// The wire header extends the legacy single-arg "stagein" [path] message
-// (which stays byte-identical for the Coasters broadcast channel) with a
-// digest, a byte count, and a source directive:
+// The "stagein" frame (net::rpc::StageReq) carries the header as
 //
 //   args: [path, "d=<16 lowercase hex>", "b=<bytes>", source]
 //   source: "s=push"         payload carried by this message
 //           "s=peer:<node>"  fetch from <node>'s cache (zero payload)
 //           "s=warm"         cache probe: already resident (zero payload)
 //
-// Acks mirror it: "staged" [path, "d=<hex>", "e=<hex>"...] where each
-// "e=" names a digest the worker's cache evicted to make room, so the
-// service's residency table tracks the node's real contents.
+// Acks (net::rpc::StageAck) mirror it: "staged" [path, "d=<hex>",
+// "e=<hex>"...] where each "e=" names a digest the worker's cache evicted
+// to make room, so the service's residency table tracks the node's real
+// contents.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +27,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "net/fabric.hh"
 #include "sim/time.hh"
@@ -56,15 +54,6 @@ struct StageHeader {
 std::string hex16(std::uint64_t digest);
 /// Parses hex16()'s form; anything else is nullopt.
 std::optional<std::uint64_t> parse_hex16(std::string_view s);
-
-/// Renders the header as "stagein" message args (see format above).
-std::vector<std::string> encode_stage_args(const StageHeader& h);
-
-/// Parses "stagein" args. A legacy single-arg message (or anything not
-/// matching the header grammar) returns nullopt — callers fall back to the
-/// pre-CAS broadcast semantics.
-std::optional<StageHeader> parse_stage_args(
-    const std::vector<std::string>& args);
 
 /// One planned transfer for a (blob, target-node) pair.
 struct StagePlan {

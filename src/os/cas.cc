@@ -13,32 +13,6 @@ CasDigest cas_digest(std::string_view path, std::uint64_t bytes) {
   return h;
 }
 
-std::string cas_digest_hex(CasDigest d) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[d & 0xf];
-    d >>= 4;
-  }
-  return out;
-}
-
-CasDigest cas_digest_from_hex(std::string_view hex) {
-  if (hex.size() != 16) return 0;
-  CasDigest d = 0;
-  for (char c : hex) {
-    d <<= 4;
-    if (c >= '0' && c <= '9') {
-      d |= static_cast<CasDigest>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      d |= static_cast<CasDigest>(c - 'a' + 10);
-    } else {
-      return 0;
-    }
-  }
-  return d;
-}
-
 sim::Task<std::vector<CasDigest>> CasStore::put(CasDigest d, std::string path,
                                                 std::uint64_t bytes) {
   std::vector<CasDigest> evicted;

@@ -32,12 +32,6 @@ using CasDigest = std::uint64_t;
 /// core::record_digest: FNV-1a/64, mixed byte by byte.
 CasDigest cas_digest(std::string_view path, std::uint64_t bytes);
 
-/// Renders a digest as fixed-width lowercase hex (wire headers); parse
-/// returns 0 for malformed input (0 is never a valid digest of real
-/// identity in practice — the FNV offset basis is nonzero).
-std::string cas_digest_hex(CasDigest d);
-CasDigest cas_digest_from_hex(std::string_view hex);
-
 class CasStore {
  public:
   struct Stats {

@@ -1,6 +1,8 @@
 #include "swift/script.hh"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -74,12 +76,12 @@ class Lexer {
         }
         current_.kind = Tok::kFloat;
         current_.text = src_.substr(start, pos_ - start);
-        current_.float_value = std::stod(current_.text);
+        current_.float_value = literal<double>();
         return;
       }
       current_.kind = Tok::kInt;
       current_.text = src_.substr(start, pos_ - start);
-      current_.int_value = std::stoll(current_.text);
+      current_.int_value = literal<std::int64_t>();
       return;
     }
     if (c == '"') {
@@ -135,6 +137,19 @@ class Lexer {
       }
       return;
     }
+  }
+
+  /// The current numeric token's value. std::stoll/stod would throw
+  /// std::out_of_range for a literal past the type's range.
+  template <typename T>
+  T literal() const {
+    const std::string& text = current_.text;
+    T v{};
+    if (std::from_chars(text.data(), text.data() + text.size(), v).ec !=
+        std::errc()) {
+      throw ScriptError(line_, "number out of range: " + text);
+    }
+    return v;
   }
 
   const std::string& src_;
@@ -497,25 +512,36 @@ class ScriptInterp {
       case Expr::Kind::kVar: {
         auto it = env_.find(e.name);
         if (it == env_.end()) {
-          throw ScriptError(0, "unknown loop variable '" + e.name + "'");
+          throw ScriptError(line_, "unknown loop variable '" + e.name + "'");
         }
         return it->second;
       }
       case Expr::Kind::kBinary: {
         const std::int64_t a = eval(*e.lhs);
         const std::int64_t b = eval(*e.rhs);
+        std::int64_t r = 0;
+        bool overflow = false;
         switch (e.op) {
-          case Tok::kPlus: return a + b;
-          case Tok::kMinus: return a - b;
-          case Tok::kStar: return a * b;
+          case Tok::kPlus: overflow = __builtin_add_overflow(a, b, &r); break;
+          case Tok::kMinus: overflow = __builtin_sub_overflow(a, b, &r); break;
+          case Tok::kStar: overflow = __builtin_mul_overflow(a, b, &r); break;
           case Tok::kModMod:
-            if (b == 0) throw ScriptError(0, "modulus by zero");
-            return ((a % b) + b) % b;
-          default: throw ScriptError(0, "bad operator");
+            if (b == 0) throw ScriptError(line_, "modulus by zero");
+            // a % b is undefined exactly when a / b overflows.
+            overflow = a == std::numeric_limits<std::int64_t>::min() && b == -1;
+            if (overflow) break;
+            // Floored modulus: the result takes b's sign. r + b cannot
+            // overflow, since r and b differ in sign there.
+            r = a % b;
+            if (r != 0 && (r < 0) != (b < 0)) r += b;
+            break;
+          default: throw ScriptError(line_, "bad operator");
         }
+        if (overflow) throw ScriptError(line_, "integer overflow");
+        return r;
       }
     }
-    throw ScriptError(0, "bad expression");
+    throw ScriptError(line_, "bad expression");
   }
 
   DataPtr resolve(const FileRef& f) {
@@ -531,13 +557,19 @@ class ScriptInterp {
   }
 
   void exec(const Stmt& s) {
+    line_ = s.line;
     switch (s.kind) {
       case Stmt::Kind::kFileDecl:
         runner_->vars_[s.decl_name];  // declare (possibly empty) slot map
         return;
-      case Stmt::Kind::kSet:
-        resolve(s.target)->set();
+      case Stmt::Kind::kSet: {
+        const DataPtr var = resolve(s.target);
+        if (var->is_set()) {
+          throw ScriptError(s.line, "'" + s.target.name + "' is already set");
+        }
+        var->set();
         return;
+      }
       case Stmt::Kind::kApp: {
         AppCall call;
         call.argv.push_back(s.app_name);
@@ -611,6 +643,8 @@ class ScriptInterp {
   ScriptRunner* runner_;
   SwiftEngine* engine_;
   std::map<std::string, std::int64_t> env_;
+  /// Line of the statement being executed, for expression errors.
+  std::size_t line_ = 0;
 };
 
 void ScriptRunner::run(const std::string& source) {

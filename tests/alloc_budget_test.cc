@@ -189,6 +189,33 @@ TEST_F(AllocBudget, TypedPmiAndMpiFramesAllocateNothing) {
   EXPECT_EQ(taken, 8);
 }
 
+// A stage-in header rides the frame's inline body, so a new StageReq field
+// that grows it past the buffer brings back a heap allocation per send.
+static_assert(sizeof(rpc::StageReq) <= Body::kInlineBytes);
+
+TEST_F(AllocBudget, TypedStageFramesAllocateNothing) {
+  // Like the PMI and MPI verbs, the header travels as its struct; a path as
+  // short as a real input's name stays in the string's own buffer.
+  int taken = 0;
+  engine.spawn("reader", [](SocketPtr s, int& n) -> Task<void> {
+    while (auto m = co_await s->recv()) {
+      if (rpc::take<rpc::StageReq>(std::move(*m)).ok()) ++n;
+    }
+  }(server, taken));
+  const StageHeader push{"ens_input", 0xabc, 4096, StageHeader::Source::kPush,
+                         0};
+  const StageHeader peer{"ens_input", 0xabc, 4096, StageHeader::Source::kPeer,
+                         7};
+  auto burst = [&] {
+    rpc::post(*client, rpc::StageReq(push, /*pay=*/4096));
+    rpc::post(*client, rpc::StageReq(peer));
+    engine.run();
+  };
+  burst();  // warm-up: event slab, arena slots, inbox ring
+  EXPECT_EQ(allocations_in(burst), 0u);
+  EXPECT_EQ(taken, 4);
+}
+
 constexpr std::size_t kAllocsPerCall = 5;
 
 TEST_F(AllocBudget, RpcCallReplyCostIsPinned) {

@@ -1,4 +1,4 @@
-// Focused tests for the worker protocol, service edge cases, and the
+// Focused tests for service edge cases, the data channel, and the
 // dispatcher's bookkeeping under unusual sequences.
 #include <gtest/gtest.h>
 
@@ -12,24 +12,6 @@ namespace jets::core {
 namespace {
 
 using test::TestBed;
-
-TEST(WorkerProtocol, RunMessageRoundTrips) {
-  const std::map<std::string, std::string> vars{{"A", "1"}, {"B", "x=y"}};
-  net::Message m = make_run_message("t42", {"app", "--flag", "arg"}, vars);
-  EXPECT_EQ(m.tag, kMsgRun);
-  RunRequest r = parse_run_message(m);
-  EXPECT_EQ(r.task_id, "t42");
-  EXPECT_EQ(r.argv, (std::vector<std::string>{"app", "--flag", "arg"}));
-  EXPECT_EQ(r.vars.at("A"), "1");
-  EXPECT_EQ(r.vars.at("B"), "x=y");  // value may itself contain '='
-}
-
-TEST(WorkerProtocol, EmptyArgsAndVars) {
-  net::Message m = make_run_message("t1", {"solo"}, {});
-  RunRequest r = parse_run_message(m);
-  EXPECT_EQ(r.argv.size(), 1u);
-  EXPECT_TRUE(r.vars.empty());
-}
 
 struct EdgeBed : TestBed {
   explicit EdgeBed(std::size_t nodes)
@@ -194,14 +176,13 @@ TEST(ServiceEdge, RecordsSurviveRetriesWithAccurateAttempts) {
 TEST(ServiceEdge, MpiJobLargerThanAllocationTimesOutCleanly) {
   EdgeBed bed(2);
   bed.machine.shared_fs().put("mpi_sleep", 1'000'000);
-  StandaloneOptions opts;
-  opts.service.default_job_timeout = sim::seconds(20);
-  StandaloneJets jets(bed.machine, bed.apps, opts);
+  StandaloneJets jets(bed.machine, bed.apps, StandaloneOptions{});
   jets.start(bed.nodes(2));
   JobSpec wide;
   wide.kind = JobKind::kMpi;
   wide.nprocs = 16;  // can never fit 2 workers
   wide.argv = {"mpi_sleep", "1"};
+  wide.timeout = sim::seconds(20);
   BatchReport report;
   bed.engine.spawn("t", [](StandaloneJets& jets, JobSpec wide,
                            BatchReport& out) -> sim::Task<void> {
@@ -269,6 +250,43 @@ TEST(DataChannel, StagingUnknownFileThrows) {
   }(jets, threw));
   bed.engine.run();
   EXPECT_TRUE(threw);
+}
+
+TEST(DataChannel, StagesEachNodeOnceWhateverItsWorkerCount) {
+  // Two workers per node: the channel stages through one of them, so each
+  // node gets one copy, and a later job naming the file finds it warm.
+  constexpr std::size_t kNodes = 4;
+  EdgeBed bed(kNodes);
+  bed.machine.shared_fs().put("/gpfs/dataset", 8'000'000);
+  StandaloneOptions opts;
+  opts.workers_per_node = 2;
+  opts.worker.task_overhead = sim::milliseconds(2);
+  StandaloneJets jets(bed.machine, bed.apps, opts);
+  jets.start(bed.nodes(kNodes));
+  std::size_t copies = 0;
+  BatchReport report;
+  bed.engine.spawn("t", [](StandaloneJets& jets, std::size_t& copies,
+                           BatchReport& out) -> sim::Task<void> {
+    co_await jets.wait_workers();
+    EXPECT_EQ(jets.service().connected_workers(), 2 * kNodes);
+    co_await jets.service().stage_to_workers("/gpfs/dataset");
+    copies = jets.service().stage_pushes() + jets.service().stage_peer_copies();
+    JobSpec job;
+    job.argv = {"sleep", "1"};
+    job.stage_files = {"/gpfs/dataset"};
+    std::vector<JobSpec> batch;
+    batch.push_back(std::move(job));
+    out = co_await jets.run_batch(std::move(batch));
+  }(jets, copies, report));
+  bed.engine.run();
+  EXPECT_EQ(copies, kNodes);
+  EXPECT_EQ(report.completed, 1u);
+  const Service& svc = jets.service();
+  EXPECT_EQ(svc.stage_pushes() + svc.stage_peer_copies(), kNodes);
+  EXPECT_EQ(svc.stage_warm_hits(), 1u);
+  for (os::NodeId n = 0; n < kNodes; ++n) {
+    EXPECT_TRUE(bed.machine.node(n).local_fs().exists("/gpfs/dataset")) << n;
+  }
 }
 
 TEST(DataChannel, StagedBinarySpeedsUpSubsequentTasks) {

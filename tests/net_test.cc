@@ -6,7 +6,6 @@
 
 #include "net/fabric.hh"
 #include "net/socket.hh"
-#include "net/staging.hh"
 #include "sim/sim.hh"
 
 namespace jets::net {
@@ -303,59 +302,6 @@ TEST_F(SocketTest, ArenaDrainsWhenReaderClosesMidBatch) {
   // pipe teardown — so the arena holds no message bytes.
   EXPECT_EQ(net.arena().in_flight(), 0u);
   EXPECT_GE(net.arena().flushes(), 1u);
-}
-
-TEST(StageArgs, DigestFormRoundTripsAllSources) {
-  for (const auto source : {StageHeader::Source::kPush,
-                            StageHeader::Source::kPeer,
-                            StageHeader::Source::kWarm}) {
-    StageHeader h;
-    h.path = "inputs/x.bin";
-    h.digest = 0x00000000000000ffull;
-    h.bytes = 4096;
-    h.source = source;
-    h.peer = source == StageHeader::Source::kPeer ? 9 : 0;
-    const auto parsed = parse_stage_args(encode_stage_args(h));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->path, h.path);
-    EXPECT_EQ(parsed->digest, h.digest);
-    EXPECT_EQ(parsed->bytes, h.bytes);
-    EXPECT_EQ(parsed->source, h.source);
-    EXPECT_EQ(parsed->peer, h.peer);
-  }
-}
-
-TEST(StageArgs, LegacyFallbackEdgeCases) {
-  // Anything outside the digest grammar must return nullopt (the caller's
-  // legacy-broadcast fallback), not parse half a header or throw.
-  // Empty digest value.
-  EXPECT_FALSE(parse_stage_args({"p", "d=", "b=5", "s=push"}).has_value());
-  // Digest wrong length / wrong case / non-hex.
-  EXPECT_FALSE(parse_stage_args({"p", "d=12345", "b=5", "s=push"}).has_value());
-  EXPECT_FALSE(
-      parse_stage_args({"p", "d=ABCDEF0123456789", "b=5", "s=push"})
-          .has_value());
-  EXPECT_FALSE(
-      parse_stage_args({"p", "d=zzzzzzzzzzzzzzzz", "b=5", "s=push"})
-          .has_value());
-  // Non-numeric, empty, signed, or overflowing byte counts.
-  const std::string d = "d=00000000000000ff";
-  EXPECT_FALSE(parse_stage_args({"p", d, "b=abc", "s=push"}).has_value());
-  EXPECT_FALSE(parse_stage_args({"p", d, "b=", "s=push"}).has_value());
-  EXPECT_FALSE(parse_stage_args({"p", d, "b=-1", "s=push"}).has_value());
-  EXPECT_FALSE(
-      parse_stage_args({"p", d, "b=99999999999999999999", "s=push"})
-          .has_value());
-  // Unknown or malformed source directives.
-  EXPECT_FALSE(parse_stage_args({"p", d, "b=5", "s=bogus"}).has_value());
-  EXPECT_FALSE(parse_stage_args({"p", d, "b=5", "s=peer:"}).has_value());
-  EXPECT_FALSE(parse_stage_args({"p", d, "b=5", "s=peer:x"}).has_value());
-  // Wrong arity: the legacy single-arg frame and a five-arg frame.
-  EXPECT_FALSE(parse_stage_args({"p"}).has_value());
-  EXPECT_FALSE(parse_stage_args({"p", d, "b=5", "s=push", "extra"})
-                   .has_value());
-  // Keys swapped out of grammar order.
-  EXPECT_FALSE(parse_stage_args({"p", "b=5", d, "s=push"}).has_value());
 }
 
 TEST_F(SocketTest, SendSyncWaitsForSerialization) {

@@ -582,7 +582,7 @@ TEST(Recovery, GhostsDroppedWhenPilotsNeverRedial) {
                    }(jets, std::move(jobs)));
   bed.engine.run_until(sim::seconds(60));
 
-  // Past restore_grace with nobody redialing: every ghost is reaped and
+  // Past kRestoreGrace with nobody redialing: every ghost is reaped and
   // the rescued-in-place jobs fail over to the queue with a blameless
   // restart attempt on record. With the whole pool gone the queue is then
   // unsatisfiable, so the service settles the requeued jobs as
@@ -720,6 +720,104 @@ TEST(SnapshotOracle, LiveImagesMatchTheReferenceEncoder) {
   const Snapshot ghosts = Snapshot::parse(images[3]);
   ASSERT_EQ(ghosts.workers.size(), kNodes);
   for (const WorkerSnap& w : ghosts.workers) EXPECT_FALSE(w.connected);
+}
+
+/// A staged drill on 16 nodes: 240 jobs naming shared inputs, every eighth
+/// a 4-proc gang, five priority levels under backfill and network-aware
+/// grouping, periodic socket stalls long enough for liveness evictions,
+/// and a service crash at 9 s restored a second later from the newest
+/// image. Returns every image checkpoint() wrote, one per 2 modelled
+/// seconds until the batch settled.
+std::vector<std::vector<std::uint8_t>> staged_drill_images() {
+  constexpr std::size_t kNodes = 16;
+  constexpr std::size_t kJobs = 240;
+  RecoveryBed bed(kNodes);
+  bed.machine.shared_fs().put("ens_a", 6'000'000);
+  bed.machine.shared_fs().put("ens_b", 2'000'000);
+  bed.machine.shared_fs().put("ens_c", 500'000);
+  StandaloneOptions options = recover_options();
+  options.service.policy = SchedPolicy::kPriorityBackfill;
+  options.service.network_aware_grouping = true;
+  options.service.worker_liveness_timeout = sim::seconds(2);
+  options.service.retry.max_attempts = 20;
+  options.worker.heartbeat_interval = sim::milliseconds(500);
+  StandaloneJets jets(bed.machine, bed.apps, options);
+  RecoveryBed::enlist(jets, kNodes);
+
+  const std::vector<std::vector<std::string>> inputs = {
+      {"ens_a"}, {"ens_b", "ens_c"}, {"ens_c"}};
+  std::vector<JobSpec> jobs;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    JobSpec s = i % 8 == 0 ? mpi_job(4, {"mpi_sleep", "1"})
+                           : seq_job({"sleep", i % 3 == 0 ? "2" : "1"});
+    s.stage_files = inputs[i % inputs.size()];
+    s.priority = static_cast<int>(i % 5);
+    jobs.push_back(std::move(s));
+  }
+
+  std::vector<std::vector<std::uint8_t>> images;
+  ChaosEngine chaos(bed.machine, sim::Rng(2011).fork("drill"));
+  chaos.add_periodic(FaultKind::kSocketStall, sim::seconds(1), sim::seconds(3),
+                     6, sim::seconds(3));
+  Fault crash;
+  crash.at = sim::seconds(9);
+  crash.kind = FaultKind::kServiceCrash;
+  crash.duration = sim::seconds(1);
+  chaos.add(crash);
+  chaos.set_service_crash(
+      [&] { jets.crash_service(); },
+      [&] { jets.restore_service(Snapshot::parse(images.back())); });
+
+  bed.engine.spawn("submit",
+                   [](StandaloneJets& jets, ChaosEngine& chaos,
+                      std::vector<JobSpec> jobs) -> sim::Task<void> {
+                     co_await jets.wait_workers();
+                     jets.service().submit_batch(jobs);
+                     chaos.start();
+                   }(jets, chaos, std::move(jobs)));
+  bed.engine.spawn(
+      "checkpointer",
+      [](StandaloneJets& jets,
+         std::vector<std::vector<std::uint8_t>>& images) -> sim::Task<void> {
+        for (;;) {
+          co_await sim::delay(sim::seconds(2));
+          if (!jets.service_up()) continue;
+          images.push_back(jets.checkpoint().serialize());
+          const Service& s = jets.service();
+          if (s.completed_jobs() + s.failed_jobs() + s.quarantined_jobs() ==
+              kJobs) {
+            co_return;
+          }
+        }
+      }(jets, images));
+  bed.engine.run_until(sim::seconds(600));
+  EXPECT_LT(bed.engine.now(), sim::seconds(600)) << "batch did not settle";
+  EXPECT_EQ(chaos.counters().services_restored, 1u);
+  EXPECT_EQ(jets.service().completed_jobs(), kJobs);
+  EXPECT_GT(jets.service().evicted_workers(), 0u);
+  EXPECT_GT(jets.service().stage_warm_hits(), 0u);
+  return images;
+}
+
+TEST(SnapshotOracle, LiveImagesArePinned) {
+  // checkpoint() output byte for byte, on a run that moves every live
+  // table: a change to scheduling, staging, eviction or restore that moves
+  // any image fails here, not only a change to the codec.
+  const std::vector<std::vector<std::uint8_t>> images = staged_drill_images();
+  const std::vector<std::pair<std::size_t, std::uint64_t>> pinned = {
+      {47'925, 0xbe31d639212a0d73ull}, {48'574, 0x48c02872b5f39342ull},
+      {49'152, 0xeb0440144a2e6fbcull}, {49'746, 0x0f125286a60b251full},
+      {50'359, 0xa17178ed77c07a55ull}, {50'968, 0xe53079f2e10f8d6full},
+      {51'631, 0x9124cd364ef9e762ull}, {52'323, 0xa72ec38f4b613173ull},
+      {52'998, 0xceabb70f4dc2e82eull}, {53'694, 0x52ef6c3a7db0e379ull},
+      {54'390, 0x83367a15b2d681d7ull}, {54'710, 0x6261c1d569d2974dull},
+      {55'038, 0xa88b828812c47f91ull}, {55'277, 0x164d3fe4ed9efec4ull},
+      {55'133, 0x5bf5396b201903c7ull}};
+  ASSERT_EQ(images.size(), pinned.size());
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    EXPECT_EQ(images[i].size(), pinned[i].first) << "image " << i;
+    EXPECT_EQ(fnv1a(images[i]), pinned[i].second) << "image " << i;
+  }
 }
 
 // --- Journal continuity ------------------------------------------------------

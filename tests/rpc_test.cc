@@ -179,14 +179,19 @@ GoldenTable<KillReq> golden<KillReq>() {
 template <>
 GoldenTable<StageAck> golden<StageAck>() {
   return {"staged",
-          {{StageAck("in.pdb"), {"in.pdb"}},
+          {// A zero digest makes the text frame undecodable.
+           {StageAck("in.pdb", 0),
+            {"in.pdb", "d=0000000000000000"},
+            0,
+            true},
            {StageAck("p", 0xdeadbeef01020304ull, {0x1, 0xff}),
             {"p", "d=deadbeef01020304", "e=0000000000000001",
              "e=00000000000000ff"}},
-           // Digest 0 is the legacy form: its evictions never reach the
-           // wire.
-           {StageAck("p", 0, {0x5}), {"p"}},
-           // A zero eviction digest makes the text frame undecodable.
+           {StageAck("p", 0, {0x5}),
+            {"p", "d=0000000000000000", "e=0000000000000005"},
+            0,
+            true},
+           // So does a zero eviction digest.
            {StageAck("p", 0x5, {0x6, 0}),
             {"p", "d=0000000000000005", "e=0000000000000006",
              "e=0000000000000000"},
@@ -209,15 +214,12 @@ GoldenTable<StageReq> golden<StageReq>() {
        {std::pair{S::kPush, with({"s=push"})},
         std::pair{S::kPeer, with({"s=peer:12"})},
         std::pair{S::kWarm, with({"s=warm"})},
-        // An unknown source writes no source arg, so the frame decodes
-        // as the legacy form.
+        // An unknown source writes no source arg, so the frame is refused.
         std::pair{static_cast<S>(7), head}}) {
     // The peer travels only for kPeer.
     const StageHeader h{"inputs/a.bin", 0xabc, 4096, src, 12};
-    t.rows.emplace_back(StageReq(h, /*leg=*/false, /*pay=*/4096), args, 4096);
-    // Legacy: only the path travels; bytes come from the payload.
-    t.rows.emplace_back(StageReq(h, /*leg=*/true, /*pay=*/777),
-                        std::vector<std::string>{"inputs/a.bin"}, 777);
+    t.rows.emplace_back(StageReq(h, /*pay=*/4096), args, 4096,
+                        /*refuse=*/args.size() < 4);
   }
   return t;
 }
@@ -351,7 +353,7 @@ TYPED_TEST(RpcVerb, GoldenFramesRoundTrip) {
     if (!back.ok()) continue;
     // The decoded value re-encodes to the frame of the value a typed send
     // delivers: the pinned frame itself, unless the text form split a var
-    // key at its '=' or dropped an unknown stage source.
+    // key at its '='.
     const Message again = back.value().encode();
     const Message sent = take<M>(*frame(g.value)).value().encode();
     EXPECT_EQ(again.args, sent.args);
@@ -398,9 +400,9 @@ TEST(RpcRoundTrip, TaskRunArgvAndVars) {
 }
 
 TEST(RpcRoundTrip, StageAckLegacyAndDigest) {
-  auto legacy = StageAck::decode(StageAck("in.pdb").encode());
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy.value().digest, 0u);
+  // The bare-path form of the old broadcast channel is gone from the wire.
+  EXPECT_EQ(StageAck::decode(Message("staged", {"in.pdb"})).error().kind,
+            DecodeError::Kind::kMissingArg);
   StageAck full("in.pdb", 0xdeadbeef01020304ull, {0x1ull, 0xffull});
   auto r = StageAck::decode(full.encode());
   ASSERT_TRUE(r.ok());
@@ -418,18 +420,12 @@ TEST(RpcRoundTrip, StageReqLegacyAndDigestForms) {
   h.peer = 12;
   auto r = StageReq::decode(StageReq(h).encode());
   ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r.value().legacy);
-  EXPECT_EQ(r.value().header.digest, 0xabcull);
-  EXPECT_EQ(r.value().header.bytes, 4096u);
-  EXPECT_EQ(r.value().header.peer, 12u);
-  // Legacy broadcast form: [path] + payload, bytes taken from the payload.
-  StageHeader lh;
-  lh.path = "bcast.dat";
-  auto lr = StageReq::decode(StageReq(lh, /*leg=*/true, /*pay=*/777).encode());
-  ASSERT_TRUE(lr.ok());
-  EXPECT_TRUE(lr.value().legacy);
-  EXPECT_EQ(lr.value().header.path, "bcast.dat");
-  EXPECT_EQ(lr.value().header.bytes, 777u);
+  EXPECT_EQ(r.value().header, h);
+  // The bare-path form of the old broadcast channel is gone from the wire.
+  EXPECT_EQ(StageReq::decode(Message("stagein", {"bcast.dat"}, 777))
+                .error()
+                .kind,
+            DecodeError::Kind::kMissingArg);
 }
 
 TEST(RpcRoundTrip, PmiFamily) {
@@ -543,9 +539,12 @@ TEST(RpcDecode, KillReq) {
 
 TEST(RpcDecode, StageAck) {
   EXPECT_EQ(reject<StageAck>(Message("staged")), Kind::kMissingArg);
-  // Legacy form admits exactly one arg.
+  // The digest is required.
+  EXPECT_EQ(reject<StageAck>(Message("staged", {"p"})), Kind::kMissingArg);
   EXPECT_EQ(reject<StageAck>(Message("staged", {"p", "q"})),
-            Kind::kTrailingArgs);
+            Kind::kBadDigest);
+  EXPECT_EQ(reject<StageAck>(Message("staged", {"p", "e=00000000000000ff"})),
+            Kind::kBadDigest);
   // Digest grammar: 16 lowercase hex, nonzero.
   EXPECT_EQ(reject<StageAck>(Message("staged", {"p", "d="})), Kind::kBadDigest);
   EXPECT_EQ(reject<StageAck>(Message("staged", {"p", "d=12345"})),
@@ -562,15 +561,42 @@ TEST(RpcDecode, StageAck) {
       Kind::kBadDigest);
 }
 
-TEST(RpcDecode, StageReqEmptyFrameIsErrorNotThrow) {
-  // The pre-RPC worker indexed args[0] unchecked; an empty "stagein" threw
-  // std::out_of_range. Now it is a typed decode error.
+TEST(RpcDecode, StageReq) {
+  // Arity: exactly [path, d=, b=, s=]. The pre-RPC worker indexed args[0]
+  // unchecked; an empty "stagein" threw std::out_of_range.
   EXPECT_EQ(reject<StageReq>(Message("stagein")), Kind::kMissingArg);
-  // But the legacy fallback is NOT an error: a frame outside the digest
-  // grammar is the old broadcast protocol.
-  auto r = StageReq::decode(Message("stagein", {"p", "d=zz", "b=1", "s=push"}));
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.value().legacy);
+  EXPECT_EQ(reject<StageReq>(Message("stagein", {"p"})), Kind::kMissingArg);
+  const std::string d = "d=00000000000000ff";
+  EXPECT_EQ(reject<StageReq>(Message("stagein", {"p", d, "b=5"})),
+            Kind::kMissingArg);
+  EXPECT_EQ(reject<StageReq>(Message("stagein", {"p", d, "b=5", "s=push", "x"})),
+            Kind::kTrailingArgs);
+  // The digest: "d=", then 16 lowercase hex chars.
+  for (const char* bad : {"d=", "d=12345", "d=ABCDEF0123456789",
+                          "d=zzzzzzzzzzzzzzzz", "x=0123456789abcdef", "b=5"}) {
+    EXPECT_EQ(reject<StageReq>(Message("stagein", {"p", bad, "b=5", "s=push"})),
+              Kind::kBadDigest)
+        << bad;
+  }
+  // The byte count: "b=", then a full unsigned 64-bit number.
+  for (const char* bad : {"b=abc", "b=", "b=-1", "b=99999999999999999999",
+                          "b=five", d.c_str()}) {
+    EXPECT_EQ(reject<StageReq>(Message("stagein", {"p", d, bad, "s=push"})),
+              Kind::kBadNumber)
+        << bad;
+  }
+  // The source: push, warm, or peer:<node id>.
+  for (const char* bad : {"s=bogus", "s=teleport", "push", "b=5"}) {
+    EXPECT_EQ(reject<StageReq>(Message("stagein", {"p", d, "b=5", bad})),
+              Kind::kBadEnum)
+        << bad;
+  }
+  for (const char* bad : {"s=peer:", "s=peer:x", "s=peer:-1",
+                          "s=peer:4294967296"}) {
+    EXPECT_EQ(reject<StageReq>(Message("stagein", {"p", d, "b=5", bad})),
+              Kind::kBadNumber)
+        << bad;
+  }
 }
 
 TEST(RpcDecode, PmiNumericFields) {

@@ -12,7 +12,7 @@
 // (golden-trace determinism).
 //
 // Part 2 — table churn. The worker SlotMap and the service's lazy-deletion
-// PendingQueue/ReadyPool (core/service.hh, core/table.hh) replace map
+// PendingQueue/ReadyPool (core/queues.hh, core/table.hh) replace map
 // scans on the million-worker hot path; random enlist/evict/re-enlist and
 // submit/cancel/dispatch scripts are replayed against naive map/vector
 // reference models, entry for entry, including the slot-recycling ABA
@@ -26,7 +26,7 @@
 #include <set>
 #include <vector>
 
-#include "core/service.hh"
+#include "core/queues.hh"
 #include "core/table.hh"
 #include "sim/sim.hh"
 
@@ -280,13 +280,6 @@ TEST(OrderDifferential, KilledActorsResumptionsAreSkippedInPlace) {
 }  // namespace jets::sim
 
 namespace jets::core {
-
-/// Test-only window into Service's private table types (befriended there).
-struct ServiceTestAccess {
-  using PendingQueue = Service::PendingQueue;
-  using ReadyPool = Service::ReadyPool;
-};
-
 namespace {
 
 using sim::Rng;
@@ -360,8 +353,7 @@ class QueueChurnTest
 TEST_P(QueueChurnTest, PendingQueueMatchesNaiveFifo) {
   const auto [seed, buckets] = GetParam();
   Rng rng(seed);
-  ServiceTestAccess::PendingQueue q;
-  q.set_buckets(buckets);
+  PendingQueue q(buckets);
   std::vector<RefJob> ref;  // live jobs, submission order
   JobId next_id = 1;
 
@@ -435,8 +427,7 @@ class PoolChurnTest
 TEST_P(PoolChurnTest, ReadyPoolMatchesNaiveVector) {
   const auto [seed, indexed] = GetParam();
   Rng rng(seed);
-  ServiceTestAccess::ReadyPool pool;
-  pool.set_indexed(indexed);
+  ReadyPool pool(indexed);
   SlotMap<os::NodeId> workers;  // mints wids exactly as the service does
   std::vector<RefReady> ref;    // pooled workers, FIFO order
   std::vector<std::uint64_t> live_wids;
@@ -498,7 +489,11 @@ TEST_P(PoolChurnTest, ReadyPoolMatchesNaiveVector) {
       for (std::size_t k = best; k < best + count; ++k) {
         want.push_back(sorted[k].wid);
       }
-      EXPECT_EQ(pool.claim_min_span(count), want);
+      // A zero scorer: every window ties, so the min-span rule decides.
+      const auto zero = [](const ReadyPool::Entry*, std::size_t) {
+        return std::uint64_t{0};
+      };
+      EXPECT_EQ(pool.claim_best(count, zero), want);
       for (std::uint64_t wid : want) ref_remove(wid);
     }
     ASSERT_EQ(pool.size(), ref.size());

@@ -1,11 +1,11 @@
 // Input-staging suite (ctest label "staging"): the CAS blob store
-// (os/cas.hh), the stage-in wire codec and replication planner
-// (net/staging.hh), the service-side staging tables (core/staging.hh), and
-// the end-to-end dedup path through Service::stage_job_inputs. The
-// invariants:
+// (os/cas.hh), the replication planner (net/staging.hh; the stage-in wire
+// codec is pinned in rpc_test), the service-side staging tables
+// (core/staging.hh), and the end-to-end dedup path through
+// Service::stage_inputs. The invariants:
 //
-//   * digests and wire headers round-trip; malformed input degrades to the
-//     legacy broadcast semantics rather than throwing;
+//   * digests round-trip through their wire text; malformed text is
+//     refused rather than read as a digest;
 //   * a bounded CasStore never evicts pinned or recently-used entries
 //     before older unpinned ones, and reports every eviction;
 //   * a batch of jobs sharing stage_files pushes each distinct blob to a
@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -37,7 +38,7 @@ namespace {
 using test::mpi_job;
 using test::seq_job;
 
-// --- Digests and the wire codec ----------------------------------------------
+// --- Digests ----------------------------------------------------------------
 
 TEST(CasDigest, DistinctIdentitiesDistinctDigests) {
   const auto a = os::cas_digest("input_a", 1'000);
@@ -49,57 +50,15 @@ TEST(CasDigest, DistinctIdentitiesDistinctDigests) {
 
 TEST(CasDigest, HexRoundTrip) {
   const auto d = os::cas_digest("some/path", 123'456);
-  const std::string hex = os::cas_digest_hex(d);
+  const std::string hex = net::hex16(d);
   EXPECT_EQ(hex.size(), 16u);
-  EXPECT_EQ(os::cas_digest_from_hex(hex), d);
-  // Malformed input parses to the never-valid digest 0.
-  EXPECT_EQ(os::cas_digest_from_hex(""), 0u);
-  EXPECT_EQ(os::cas_digest_from_hex("zz"), 0u);
-  EXPECT_EQ(os::cas_digest_from_hex("123"), 0u);
-  EXPECT_EQ(os::cas_digest_from_hex("0123456789abcdefff"), 0u);
-}
-
-TEST(StageCodec, HeaderRoundTripsAllSources) {
-  for (auto src : {net::StageHeader::Source::kPush,
-                   net::StageHeader::Source::kPeer,
-                   net::StageHeader::Source::kWarm}) {
-    net::StageHeader h;
-    h.path = "ens_input_a";
-    h.digest = os::cas_digest(h.path, 8'000'000);
-    h.bytes = 8'000'000;
-    h.source = src;
-    h.peer = 37;
-    const auto args = encode_stage_args(h);
-    ASSERT_EQ(args.size(), 4u);
-    EXPECT_EQ(args[0], h.path);
-    const auto back = net::parse_stage_args(args);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->path, h.path);
-    EXPECT_EQ(back->digest, h.digest);
-    EXPECT_EQ(back->bytes, h.bytes);
-    EXPECT_EQ(back->source, h.source);
-    if (src == net::StageHeader::Source::kPeer) {
-      EXPECT_EQ(back->peer, h.peer);
-    }
-  }
-}
-
-TEST(StageCodec, LegacyAndMalformedFallBack) {
-  // The pre-CAS broadcast form: one arg, no header.
-  EXPECT_FALSE(net::parse_stage_args({"some_file"}).has_value());
-  EXPECT_FALSE(net::parse_stage_args({}).has_value());
-  // Wrong prefixes / counts / numbers degrade to legacy, never throw.
-  EXPECT_FALSE(
-      net::parse_stage_args({"p", "x=0123456789abcdef", "b=5", "s=push"})
-          .has_value());
-  EXPECT_FALSE(net::parse_stage_args({"p", "d=0123456789abcdef", "b=five",
-                                      "s=push"})
-                   .has_value());
-  EXPECT_FALSE(net::parse_stage_args({"p", "d=0123456789abcdef", "b=5",
-                                      "s=teleport"})
-                   .has_value());
-  EXPECT_FALSE(net::parse_stage_args({"p", "d=0123456789abcdef", "b=5"})
-                   .has_value());
+  EXPECT_EQ(net::parse_hex16(hex), d);
+  // Malformed input is refused, not read as some digest.
+  EXPECT_EQ(net::parse_hex16(""), std::nullopt);
+  EXPECT_EQ(net::parse_hex16("zz"), std::nullopt);
+  EXPECT_EQ(net::parse_hex16("123"), std::nullopt);
+  EXPECT_EQ(net::parse_hex16("0123456789abcdefff"), std::nullopt);
+  EXPECT_EQ(net::parse_hex16("0123456789ABCDEF"), std::nullopt);
 }
 
 // --- The replication planner -------------------------------------------------
@@ -378,7 +337,7 @@ TEST(StagingService, DataAwareClaimPrefersTheWarmWindow) {
   // blobs; a third job wanting the second blob must land on the second
   // pair even though the min-span rule alone would hand it the first.
   // (Data-aware picking refines the network-aware window scan, so that
-  // knob must be on; FCFS claiming stays untouched either way.)
+  // knob must be on; FCFS claiming stays untouched.)
   constexpr std::size_t kNodes = 4;
   StagingBed bed(kNodes);
   bed.machine.shared_fs().put("in_x", 6'000'000);
@@ -407,13 +366,12 @@ TEST(StagingService, DataAwareClaimPrefersTheWarmWindow) {
 // --- Determinism -------------------------------------------------------------
 
 /// One mixed batch with no stage_files anywhere, run with the staging
-/// machinery configured per `enabled`.
+/// cache configured per `enabled`.
 std::uint64_t cold_run_digest(bool enabled) {
   constexpr std::size_t kNodes = 4;
   StagingBed bed(kNodes);
   StandaloneOptions options = StagingBed::fast_options();
   options.service.staging_cache = enabled;
-  options.service.data_aware_grouping = enabled;
   StandaloneJets jets(bed.machine, bed.apps, options);
   StagingBed::enlist(jets, kNodes);
 

@@ -176,7 +176,39 @@ TEST(Script, UndeclaredVariableRejected) {
 
 TEST(Script, DoubleSetRejected) {
   ScriptBed bed(2);
-  EXPECT_THROW(bed.runner.run("file a; set a; set a;"), std::logic_error);
+  EXPECT_THROW(bed.runner.run("file a; set a; set a;"), ScriptError);
+}
+
+TEST(Script, HostileInputsRaiseScriptErrorWithTheirLine) {
+  // Each once escaped as a standard-library exception, a signal or
+  // undefined behaviour instead of a ScriptError naming the line.
+  struct Case {
+    std::string source;
+    std::size_t line;
+  };
+  const Case cases[] = {
+      // INT64_MIN %% -1: the quotient overflows (SIGFPE on x86).
+      {"file o[];\napp (o[(0 - 9223372036854775807 - 1) %% (0 - 1)]) = noop();",
+       2},
+      // Signed overflow in +, - and *.
+      {"file o[];\napp (o[9223372036854775807 + 1]) = noop();", 2},
+      {"file o[];\napp (o[0 - 9223372036854775807 - 2]) = noop();", 2},
+      {"file o[];\n\napp (o[4611686018427387904 * 2]) = noop();", 3},
+      // Literals past int64 and past double (std::out_of_range).
+      {"file o[];\napp (o[99999999999999999999]) = noop();", 2},
+      {"file o;\napp (o) = sleep(" + std::string(400, '9') + ".5);", 2},
+      // A second set of one variable (std::logic_error, no line).
+      {"file t;\nset t;\nset t;", 3},
+  };
+  for (const Case& c : cases) {
+    ScriptBed bed(1);
+    try {
+      bed.runner.run(c.source);
+      ADD_FAILURE() << "accepted: " << c.source;
+    } catch (const ScriptError& e) {
+      EXPECT_EQ(e.line(), c.line) << c.source;
+    }
+  }
 }
 
 TEST(Script, UnterminatedStringRejected) {
