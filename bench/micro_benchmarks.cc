@@ -236,7 +236,7 @@ void BM_CasStorePutGet(benchmark::State& state) {
   constexpr std::uint64_t kBlobBytes = 1'000'000;
   for (auto _ : state) {
     sim::Engine e;
-    os::LocalFs fs(e, sim::microseconds(10), 1e9);
+    os::LocalFs fs(sim::microseconds(10), 1e9);
     os::CasStore cas(fs, kBlobBytes * static_cast<std::uint64_t>(n) / 2);
     e.spawn("cas", [](os::CasStore& cas, int n) -> sim::Task<void> {
       for (int i = 0; i < n; ++i) {

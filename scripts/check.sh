@@ -21,7 +21,9 @@
 # builds src/ with its own -Wall -Wextra -Wpedantic flags, then checks
 # that counts and digests repeat, that traced and untraced passes agree
 # on the modelled outputs, and that the metric names match
-# BENCHMARK.json), and the scale suite re-runs at 10^5 workers — release
+# BENCHMARK.json), the allocation census (scripts/alloc_census.sh) takes
+# one small seq_flood pass and must agree with the pass's own allocation
+# count to 0.1 %, and the scale suite re-runs at 10^5 workers — release
 # build only, under a wall-clock budget. The default preset also runs a
 # crash-recovery smoke: the fig10 recover scenario (JETS_RECOVER=1) must
 # report replay digest/snapshot byte-equality and verbatim preservation of
@@ -153,6 +155,9 @@ if [[ "$run_default" == 1 ]]; then
 
   echo "== benchmark self-test: perfbench builds and repeats its counts =="
   python3 perfbench/run.py --self-test
+
+  echo "== allocation census: seq_flood --small, census total = pass allocs (0.1 %) =="
+  ./scripts/alloc_census.sh seq_flood --small --top 10
 
   echo "== scale suite at 10^5 workers (release build, 10 min budget) =="
   JETS_SCALE_N=100000 timeout 600 ./build/tests/scale_test

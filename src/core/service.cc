@@ -434,11 +434,11 @@ void Service::stage_call_settled(
   if (rem > 0 && --rem == 0) staging_.gate(slot).open();
 }
 
-void Service::on_task_done(const net::rpc::TaskDone& done) {
-  const auto tit = task_to_job_.find(done.task_id);
-  if (tit == task_to_job_.end()) return;
-  const JobId jid = tit->second;
-  task_to_job_.erase(tit);
+void Service::on_task_done(JobId jid, const net::rpc::TaskDone& done) {
+  // Only the job's current task settles it: a done for an attempt the job
+  // has already written off (or an MPI proxy's exit) changes nothing.
+  const Job* j = jobs_.find(jid);
+  if (!j || j->task_id.empty() || j->task_id != done.task_id) return;
   // The worker's exit-reason token ("app"/"watchdog"/"killed", see
   // worker.hh) all classify as the application's own failure: the
   // watchdog kill (124) means the *app* hung, and service-requested
@@ -446,6 +446,23 @@ void Service::on_task_done(const net::rpc::TaskDone& done) {
   job_finished(jid, done.status,
                done.status == 0 ? FailureReason::kNone
                                 : FailureReason::kAppExit);
+}
+
+JobId Service::task_holder(WorkerId sender,
+                           const std::string& task_id) const {
+  // Usually the sender holds the task. After a restore, though, the ids
+  // the crashed service issued past its last checkpoint are issued again,
+  // so a pilot's done for its old task names a task another worker now
+  // holds; that worker's job is the one the id resolves to.
+  const Worker& w = workers_.at(sender);
+  if (w.task_id == task_id) return w.job;
+  JobId holder = 0;
+  workers_.for_each([&](WorkerId, const Worker& o) {
+    if (o.job == 0 || o.task_id != task_id) return;
+    const Job* j = jobs_.find(o.job);
+    if (j && j->task_id == task_id) holder = o.job;
+  });
+  return holder;
 }
 
 void Service::check_all_done() {
@@ -566,9 +583,13 @@ sim::Task<void> Service::worker_handler(net::SocketPtr sock) {
     handle_staged_ack(wid, ack);
   });
   ch.on<net::rpc::TaskDone>([this, &wid](net::rpc::TaskDone&& done) {
-    // Unmatched dones: MPI proxy exits (mpiexec owns their outcome — the
-    // on_task_done lookup misses) and tasks the service no longer tracks.
-    if (wid != 0) on_task_done(done);
+    // Unmatched dones: MPI proxy exits (mpiexec owns their outcome — their
+    // job has no task id), tasks the service no longer tracks, and tasks of
+    // restored attempts (no call is pending for them).
+    if (wid == 0) return;
+    if (const JobId holder = task_holder(wid, done.task_id)) {
+      on_task_done(holder, done);
+    }
   });
   co_await ch.serve();
   // Worker gone (allocation expired, node fault, kill): disregard it.
@@ -716,9 +737,11 @@ sim::Task<void> Service::place_job(JobId id) {
   const JobSpec& spec = job.rec.spec;
   const auto needed = static_cast<std::size_t>(spec.workers_needed());
   job.assigned = claim_workers(needed, spec);
-  // Local copy: job.assigned is cleared if the job settles (eviction,
-  // deadline) while this coroutine is suspended in a dispatch delay.
-  const std::vector<WorkerId> claimed = job.assigned;
+  // The attempt's workers. job_finished() leaves the vector alone, so the
+  // undispatched ones can still be released if the job settles while this
+  // coroutine is suspended; the dispatch loop places one job at a time, so
+  // nothing claims into it meanwhile.
+  const std::vector<WorkerId>& claimed = job.assigned;
   job.rec.status = JobStatus::kRunning;
   job.rec.started_at = machine_->engine().now();
   // Attempt generation: if the job settles *and* is re-placed while this
@@ -781,7 +804,6 @@ sim::Task<void> Service::place_job(JobId id) {
 
   if (spec.kind == JobKind::kSequential) {
     const std::string tid = "t" + std::to_string(next_task_++);
-    task_to_job_[tid] = id;
     job.task_id = tid;
     workers_.at(claimed.front()).task_id = tid;
     co_await sim::delay(config_.dispatch_overhead);
@@ -809,10 +831,10 @@ sim::Task<void> Service::place_job(JobId id) {
     run.vars = spec.vars;
     const auto sent = w->rpc->call_cb<net::rpc::TaskRun>(
         std::move(run),
-        [this](net::rpc::Expected<net::rpc::TaskDone, net::rpc::RpcError> r) {
+        [this, id](net::rpc::Expected<net::rpc::TaskDone, net::rpc::RpcError> r) {
           // Errors (kPeerClosed drain) need no action here: the disconnect
           // bookkeeping fails the attempt at its historical point.
-          if (r.ok()) on_task_done(r.value());
+          if (r.ok()) on_task_done(id, r.value());
         });
     if (!sent.ok()) {
       // call_cb counted the refusal; just fail the attempt.
@@ -919,15 +941,14 @@ void Service::job_finished(JobId id, int status, FailureReason reason) {
   // is itself hung would otherwise leak as busy-forever once its job has
   // settled; the pending check evicts it instead. Responsive stragglers
   // cancel the timer through their done/ready cycle.
+  // job.assigned stays as it is: it names the workers of the job's latest
+  // attempt, and is read only while the job runs (a placement still
+  // suspended in place_job() releases the undispatched ones from it).
   for (WorkerId wid : job.assigned) {
     Worker* w = workers_.find(wid);
     if (w && w->job == id) w->job = 0;
   }
-  job.assigned.clear();
-  if (!job.task_id.empty()) {
-    task_to_job_.erase(job.task_id);
-    job.task_id.clear();
-  }
+  job.task_id.clear();
   if (job.mpx) {
     // Release any actor still blocked in mpx->wait() before destroying the
     // gate it waits on, then tear down the control service (PMI EOF

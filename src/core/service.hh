@@ -53,7 +53,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -361,6 +360,7 @@ class Service {
     /// Mpiexec::wait() when the job settles, so the object must outlive
     /// that resumption even though the service has already let go.
     std::shared_ptr<pmi::Mpiexec> mpx;
+    /// The latest attempt's workers; meaningful only while kRunning.
     std::vector<WorkerId> assigned;
     std::string task_id;  // sequential jobs: the outstanding task id
     sim::TimerHandle timeout;
@@ -530,9 +530,13 @@ class Service {
   void stage_call_settled(
       os::NodeId node, StageDigest digest,
       net::rpc::Expected<net::rpc::StageAck, net::rpc::RpcError> r);
-  /// A sequential task's "done" (matched run-call completion, or a stray
-  /// done for a task the service no longer tracks).
-  void on_task_done(const net::rpc::TaskDone& done);
+  /// A sequential task's "done" for job `jid` (the run call's completion,
+  /// or an unmatched done resolved through its worker): settles the
+  /// job's attempt if the task is still the job's current one.
+  void on_task_done(JobId jid, const net::rpc::TaskDone& done);
+  /// The job whose current task is `task_id`, for a done `sender` sent
+  /// with no call pending; 0 if no job has that task.
+  JobId task_holder(WorkerId sender, const std::string& task_id) const;
 
   os::Machine* machine_;
   const os::AppRegistry* apps_;
@@ -554,9 +558,6 @@ class Service {
   /// EOF behind generation-checked handles. See core/table.hh.
   DenseTable<Job> jobs_;
   SlotMap<Worker> workers_;
-  /// Outstanding sequential tasks. Lookup-only (never iterated), so the
-  /// unordered map is deterministic and O(1) on the done-message path.
-  std::unordered_map<std::string, JobId> task_to_job_;
   PendingQueue queue_;
   ReadyPool ready_;
   /// In-flight stage-ins, digest-keyed (satellite S2 — replaces the old

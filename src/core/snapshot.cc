@@ -593,9 +593,11 @@ class Service::ImageRows {
   template <typename Fn>
   void jobs(Fn&& fn) const {
     svc_.jobs_.for_each([&](JobId, const Job& job) {
-      // An attempt's worker may already be gone (EOF under a running
-      // job); only workers still in the table are written.
+      // Only a running job has an attempt's workers, and one may already
+      // be gone (EOF under a running job); only workers still in the table
+      // are written.
       const Walk seqs{[&](auto&& emit) {
+        if (job.rec.status != JobStatus::kRunning) return;
         for (WorkerId wid : job.assigned) {
           if (const Worker* w = svc_.workers_.find(wid)) emit(w->seq);
         }
@@ -799,7 +801,6 @@ void Service::apply_snapshot(Snapshot&& snap) {
       }
       if (j.rec.spec.kind == JobKind::kSequential && !js.task_id.empty() &&
           have_workers) {
-        task_to_job_[js.task_id] = id;
         j.task_id = std::move(js.task_id);
         j.assigned = std::move(assigned);
         j.restored_running = true;

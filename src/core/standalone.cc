@@ -24,8 +24,6 @@ sim::Summary BatchReport::wall_times() const {
 
 os::Machine::Pid start_worker(os::Machine& machine, const os::AppRegistry& apps,
                               os::NodeId node, WorkerConfig config) {
-  os::Env* env_slot = nullptr;  // owned by the wrapper frame below
-  (void)env_slot;
   // The worker runs as a plain process; its Program closure owns the config.
   os::Program body = worker_program(apps, std::move(config));
   return machine.exec(
@@ -71,7 +69,9 @@ sim::Task<BatchReport> StandaloneJets::run_batch(std::vector<JobSpec> jobs) {
   BatchReport report;
   report.batch_started = machine_->engine().now();
   report.total_slots = workers_.size();
-  const std::vector<JobId> ids = service_->submit_batch(jobs);
+  std::vector<JobId> ids;
+  ids.reserve(jobs.size());
+  for (JobSpec& spec : jobs) ids.push_back(service_->submit(std::move(spec)));
   co_await service_->wait_all();
   report.batch_finished = machine_->engine().now();
   // Scope the report to *this* batch; the service's counters are

@@ -1,8 +1,9 @@
 #include "core/worker.hh"
 
-#include <map>
+#include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "net/rpc.hh"
 #include "net/staging.hh"
@@ -13,12 +14,20 @@ namespace jets::core {
 
 namespace {
 
+/// A task started but not yet reported done.
+struct Outstanding {
+  std::string task_id;
+  os::Machine::Pid pid;
+};
+
 /// State shared between the worker's receive loop, its task wrappers, and
 /// its heartbeat actor.
 struct WorkerState {
   net::SocketPtr sock;
-  /// Tasks started but not yet reported done (task id -> pid).
-  std::map<std::string, os::Machine::Pid> outstanding;
+  /// Tasks started but not yet reported done, in start order. A pilot runs
+  /// one task at a time (a few with oversubscription), so a scan is short
+  /// and the vector's capacity is reused task after task.
+  std::vector<Outstanding> outstanding;
   /// Chaos hang control, if a registry was configured (null otherwise).
   std::shared_ptr<WorkerHangControl> ctl;
   /// Open while `outstanding` is non-empty; the heartbeat actor parks on
@@ -30,6 +39,19 @@ struct WorkerState {
   bool closed = false;
 
   bool hung() const { return ctl && ctl->hung(); }
+
+  std::vector<Outstanding>::iterator find(const std::string& task_id) {
+    return std::find_if(
+        outstanding.begin(), outstanding.end(),
+        [&](const Outstanding& o) { return o.task_id == task_id; });
+  }
+  /// Forgets `task_id`; false if it was not outstanding.
+  bool erase(const std::string& task_id) {
+    const auto it = find(task_id);
+    if (it == outstanding.end()) return false;
+    outstanding.erase(it);
+    return true;
+  }
   void track_work() {
     if (!work_gate) return;
     if (outstanding.empty()) {
@@ -50,7 +72,7 @@ sim::Task<void> task_wrapper(os::Machine* machine, const os::AppRegistry* apps,
   os::Env env;
   env.machine = machine;
   env.node = node;
-  env.argv = req.argv;
+  env.argv = std::move(req.argv);
   env.vars = std::move(req.vars);
   // RAII: if the pilot (and so this wrapper) is killed mid-task, frame
   // teardown closes the span at the kill time.
@@ -69,7 +91,7 @@ sim::Task<void> task_wrapper(os::Machine* machine, const os::AppRegistry* apps,
   if (state->hung()) co_await state->ctl->gate().wait();
   // If a "kill" raced ahead of completion, the kill handler already
   // reported this task; avoid a duplicate done/ready pair.
-  if (state->outstanding.erase(req.task_id) == 0) co_return;
+  if (!state->erase(req.task_id)) co_return;
   state->track_work();
   net::rpc::post(*state->sock,
                  net::rpc::TaskDone{req.task_id, status,
@@ -168,7 +190,11 @@ sim::Task<void> worker_main(const os::AppRegistry* apps, WorkerConfig config,
           env.node, "task:" + task_id,
           task_wrapper(&machine, apps, env.node, std::move(req), state),
           std::move(opts));
-      state->outstanding[task_id] = pid;
+      if (auto it = state->find(task_id); it != state->outstanding.end()) {
+        it->pid = pid;  // an id re-issued by a restored service
+      } else {
+        state->outstanding.push_back(Outstanding{task_id, pid});
+      }
       state->track_work();
       if (config.task_watchdog > 0) {
         machine.engine().call_in(
@@ -178,8 +204,8 @@ sim::Task<void> worker_main(const os::AppRegistry* apps, WorkerConfig config,
               // hung it cannot fire (and it does not re-arm — on release
               // the task wrapper reports the task normally).
               if (state->hung()) return;
-              auto it = state->outstanding.find(task_id);
-              if (it == state->outstanding.end() || it->second != pid) return;
+              auto it = state->find(task_id);
+              if (it == state->outstanding.end() || it->pid != pid) return;
               machine_ptr->kill(pid);
               state->outstanding.erase(it);
               state->track_work();
@@ -194,9 +220,9 @@ sim::Task<void> worker_main(const os::AppRegistry* apps, WorkerConfig config,
       }
     });
     chan.on<net::rpc::KillReq>([&, state](net::rpc::KillReq&& kill) {
-      auto it = state->outstanding.find(kill.task_id);
+      auto it = state->find(kill.task_id);
       if (it == state->outstanding.end()) return;
-      machine.kill(it->second);
+      machine.kill(it->pid);
       state->outstanding.erase(it);
       state->track_work();
       net::rpc::post(*state->sock,
@@ -263,15 +289,16 @@ sim::Task<void> worker_main(const os::AppRegistry* apps, WorkerConfig config,
       }
     }
     if (!redialed) break;  // gave up: pilot exits as before
-    // The inventory (map order = sorted task ids, deterministic). Tasks
-    // that finished during the outage are simply absent — the service's
-    // reconciliation treats a checkpointed-but-unannounced task as a
-    // lost done and fails that attempt blamelessly.
+    // The inventory (sorted task ids, deterministic). Tasks that finished
+    // during the outage are simply absent — the service's reconciliation
+    // treats a checkpointed-but-unannounced task as a lost done and fails
+    // that attempt blamelessly.
     net::rpc::RegisterReq reg;
     reg.node = env.node;
-    for (const auto& [tid, pid] : state->outstanding) {
-      reg.inventory.push_back(tid);
+    for (const Outstanding& o : state->outstanding) {
+      reg.inventory.push_back(o.task_id);
     }
+    std::sort(reg.inventory.begin(), reg.inventory.end());
     net::rpc::post(*state->sock, std::move(reg));
     // Only an idle pilot volunteers for work; a busy one re-enters the
     // pool through its normal done/ready cycle. In-flight task wrappers

@@ -1068,8 +1068,7 @@ class Channel {
     p.resp_tag = Resp::kTag;
     p.key = std::move(key);
     p.credited = window_ != nullptr;
-    p.complete = [cb = std::function<void(Expected<Resp, RpcError>)>(
-                      std::forward<F>(cb))](void* resp, RpcError err) {
+    p.complete = [cb = std::forward<F>(cb)](void* resp, RpcError err) mutable {
       if (resp) {
         cb(Expected<Resp, RpcError>(std::move(*static_cast<Resp*>(resp))));
       } else {

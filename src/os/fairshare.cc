@@ -1,6 +1,6 @@
 #include "os/fairshare.hh"
 
-#include <cmath>
+#include <algorithm>
 
 namespace jets::os {
 
@@ -16,7 +16,7 @@ void FairShareServer::advance_clock() {
 void FairShareServer::schedule_next_completion() {
   pending_timer_.cancel();
   if (transfers_.empty()) return;
-  const double next_deadline = transfers_.begin()->first;
+  const double next_deadline = transfers_.front().virtual_deadline;
   const double remaining = std::max(0.0, next_deadline - virtual_clock_);
   const double real_seconds =
       remaining * static_cast<double>(transfers_.size()) / bps_;
@@ -29,20 +29,21 @@ void FairShareServer::complete_due_transfers() {
   // Numerical slack: anything within half a nanosecond of service is done.
   const double eps = bps_ * 0.5e-9;
   while (!transfers_.empty() &&
-         transfers_.begin()->first <= virtual_clock_ + eps) {
-    transfers_.begin()->second.done->open();
-    transfers_.erase(transfers_.begin());
+         transfers_.front().virtual_deadline <= virtual_clock_ + eps) {
+    std::pop_heap(transfers_.begin(), transfers_.end(), Later{});
+    const sim::Resumption& caller = transfers_.back().caller;
+    if (!caller.expired()) engine_->schedule(engine_->now(), caller);
+    transfers_.pop_back();
   }
   schedule_next_completion();
 }
 
-sim::Task<void> FairShareServer::transfer(std::uint64_t bytes) {
+void FairShareServer::admit(std::uint64_t bytes, sim::Resumption caller) {
   advance_clock();
-  auto done = std::make_shared<sim::Gate>(*engine_);
-  Transfer t{virtual_clock_ + static_cast<double>(bytes), done};
-  transfers_.emplace(t.virtual_deadline, t);
+  transfers_.push_back(Transfer{virtual_clock_ + static_cast<double>(bytes),
+                                arrivals_++, caller});
+  std::push_heap(transfers_.begin(), transfers_.end(), Later{});
   schedule_next_completion();
-  co_await done->wait();
 }
 
 }  // namespace jets::os

@@ -13,11 +13,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <vector>
 
 #include "sim/engine.hh"
-#include "sim/sync.hh"
 #include "sim/task.hh"
 #include "sim/time.hh"
 
@@ -31,19 +29,47 @@ class FairShareServer {
   FairShareServer(const FairShareServer&) = delete;
   FairShareServer& operator=(const FairShareServer&) = delete;
 
-  /// Transfers `bytes` through the shared server; completes after this
-  /// transfer's fair share of bandwidth has moved all bytes.
-  sim::Task<void> transfer(std::uint64_t bytes);
+  /// Awaiter of transfer(): admits the transfer when the caller suspends
+  /// and resumes it once its share has moved every byte.
+  struct TransferAwaiter {
+    FairShareServer* server;
+    std::uint64_t bytes;
+    bool await_ready() const noexcept { return false; }
+    template <typename Promise>
+    void await_suspend(std::coroutine_handle<Promise> h) {
+      server->admit(bytes, sim::Resumption::of(h, h.promise().context()));
+    }
+    void await_resume() const noexcept {}
+  };
+
+  /// `co_await transfer(bytes)`: moves `bytes` through the shared server;
+  /// completes after this transfer's fair share of bandwidth has moved all
+  /// bytes. A caller killed mid-transfer keeps its share until the
+  /// transfer's deadline, as an abandoned read keeps the servers busy.
+  TransferAwaiter transfer(std::uint64_t bytes) { return {this, bytes}; }
 
   std::size_t active_transfers() const { return transfers_.size(); }
   double bytes_per_second() const { return bps_; }
 
  private:
+  /// A transfer in flight. The server owns it, not the caller's frame, so
+  /// a killed caller's transfer stays in the share until its deadline.
   struct Transfer {
     double virtual_deadline;  // V value at which this transfer completes
-    std::shared_ptr<sim::Gate> done;
+    std::uint64_t arrival;    // admission order, breaks deadline ties
+    sim::Resumption caller;   // expired once the caller's actor is gone
+  };
+  /// Min-heap order on (virtual_deadline, arrival).
+  struct Later {
+    bool operator()(const Transfer& a, const Transfer& b) const {
+      if (a.virtual_deadline != b.virtual_deadline) {
+        return a.virtual_deadline > b.virtual_deadline;
+      }
+      return a.arrival > b.arrival;
+    }
   };
 
+  void admit(std::uint64_t bytes, sim::Resumption caller);
   /// Advances V(t) to `now` and (re)schedules the next completion timer.
   void advance_clock();
   void schedule_next_completion();
@@ -53,9 +79,10 @@ class FairShareServer {
   double bps_;
   double virtual_clock_ = 0.0;  // total service delivered per active stream
   sim::Time clock_updated_at_ = 0;
-  std::uint64_t next_id_ = 0;
-  // Ordered by virtual deadline so the next completion is begin().
-  std::multimap<double, Transfer> transfers_;
+  std::uint64_t arrivals_ = 0;
+  /// Binary heap (Later), so the next completion is front(). Its capacity
+  /// is kept, so a warm server admits and completes without allocating.
+  std::vector<Transfer> transfers_;
   sim::TimerHandle pending_timer_;
 };
 

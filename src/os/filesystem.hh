@@ -54,8 +54,8 @@ class FileStore {
 /// Node-local RAM filesystem: fast, uncontended, private to one node.
 class LocalFs final : public FileStore {
  public:
-  LocalFs(sim::Engine& engine, sim::Duration op_latency, double bytes_per_second)
-      : engine_(&engine), latency_(op_latency), bps_(bytes_per_second) {}
+  LocalFs(sim::Duration op_latency, double bytes_per_second)
+      : latency_(op_latency), bps_(bytes_per_second) {}
 
   sim::Task<void> read(const std::string& path) override;
   sim::Task<void> write(const std::string& path, std::uint64_t bytes) override;
@@ -73,7 +73,6 @@ class LocalFs final : public FileStore {
   void remove(const std::string& path) override { files_.erase(path); }
 
  private:
-  sim::Engine* engine_;
   sim::Duration latency_;
   double bps_;
   std::unordered_map<std::string, std::uint64_t> files_;
@@ -87,7 +86,7 @@ class LocalFs final : public FileStore {
 class SharedFs final : public FileStore {
  public:
   SharedFs(sim::Engine& engine, sim::Duration op_latency, double bytes_per_second)
-      : engine_(&engine), latency_(op_latency),
+      : latency_(op_latency),
         server_(std::make_unique<FairShareServer>(engine, bytes_per_second)) {}
 
   sim::Task<void> read(const std::string& path) override;
@@ -131,7 +130,6 @@ class SharedFs final : public FileStore {
     ~ClientGuard() { --fs->clients_; }
   };
 
-  sim::Engine* engine_;
   sim::Duration latency_;
   std::unique_ptr<FairShareServer> server_;
   std::unordered_map<std::string, std::uint64_t> files_;

@@ -97,6 +97,9 @@ sim::Task<void> Machine::load_binary(NodeId node, const std::string& binary) {
 
 sim::Task<void> Machine::run_process(NodeId node, sim::Task<void> body,
                                      ExecOptions opts) {
+  // Does not suspend. A process killed before this first step never has
+  // the guard, but kill() has given its row back already.
+  const RowRelease row(this, *co_await sim::current_context());
   const NodeSpec& spec = this->node(node).spec();
   // A chaos-degraded node pays its exec multiplier on fork and wrapper
   // startup; the scale is sampled per charge, so healing mid-run takes
@@ -114,58 +117,71 @@ sim::Task<void> Machine::run_process(NodeId node, sim::Task<void> body,
 
 Machine::Pid Machine::exec(NodeId node, std::string name, sim::Task<void> body,
                            ExecOptions opts) {
-  const Pid pid = next_pid_++;
-  sim::ActorId actor = engine_->spawn(
-      std::move(name), run_process(node, std::move(body), std::move(opts)));
-  processes_[pid] = actor;
-  pid_by_actor_[actor] = pid;
   // fork semantics: if exec() was called from inside another simulated
   // process, the new process joins its tree (kill takes the whole subtree).
-  if (sim::ActorId caller = engine_->running_actor(); caller != 0) {
-    auto parent = pid_by_actor_.find(caller);
-    if (parent != pid_by_actor_.end()) {
-      children_[parent->second].push_back(pid);
-    }
+  const Process* parent = find(engine_->running_actor());
+  const std::uint32_t parent_row =
+      parent ? static_cast<std::uint32_t>(parent - procs_.data()) : kNone;
+  const Pid pid = engine_->spawn(
+      std::move(name), run_process(node, std::move(body), std::move(opts)));
+  const std::uint32_t row = *engine_->actor_slot(pid);
+  if (row >= procs_.size()) procs_.resize(row + 1);
+  // A row still set here lost its actor to an engine-level kill before the
+  // process took its first step (so before its guard existed).
+  release(row, procs_[row].pid);
+  Process& p = procs_[row];
+  p.pid = pid;
+  if (parent_row != kNone) {
+    Process& up = procs_[parent_row];
+    p.parent = parent_row;
+    p.prev_sibling = up.last_child;
+    (up.last_child != kNone ? procs_[up.last_child].next_sibling
+                            : up.first_child) = row;
+    up.last_child = row;
   }
-  // Reap the table entry when the process ends (whatever the cause).
-  engine_->spawn("reaper", [](Machine* m, Pid pid, sim::ActorId actor) -> sim::Task<void> {
-    co_await m->engine_->join(actor);
-    m->processes_.erase(pid);
-    m->pid_by_actor_.erase(actor);
-    m->children_.erase(pid);
-  }(this, pid, actor));
+  ++live_;
   return pid;
 }
 
-bool Machine::kill(Pid pid) {
-  auto it = processes_.find(pid);
-  if (it == processes_.end()) return false;
-  // Take down the subtree first (ZeptoOS-like: the pilot script's children
-  // die with it). Copy the child list: kills mutate the map.
-  if (auto kids = children_.find(pid); kids != children_.end()) {
-    const std::vector<Pid> copy = kids->second;
-    for (Pid child : copy) kill(child);
+const Machine::Process* Machine::find(Pid pid) const {
+  const std::optional<std::uint32_t> row = engine_->actor_slot(pid);
+  if (!row || *row >= procs_.size() || procs_[*row].pid != pid) return nullptr;
+  return &procs_[*row];
+}
+
+void Machine::release(std::uint32_t row, Pid pid) {
+  if (row >= procs_.size() || pid == 0 || procs_[row].pid != pid) return;
+  Process& p = procs_[row];
+  if (p.parent != kNone) {
+    Process& up = procs_[p.parent];
+    (p.prev_sibling != kNone ? procs_[p.prev_sibling].next_sibling
+                             : up.first_child) = p.next_sibling;
+    (p.next_sibling != kNone ? procs_[p.next_sibling].prev_sibling
+                             : up.last_child) = p.prev_sibling;
   }
-  it = processes_.find(pid);
-  if (it == processes_.end()) return true;  // reaped during child kills
-  const sim::ActorId actor = it->second;
-  processes_.erase(it);
-  pid_by_actor_.erase(actor);
-  children_.erase(pid);
-  return engine_->kill(actor);
+  for (std::uint32_t c = p.first_child; c != kNone;) {
+    Process& child = procs_[c];
+    c = child.next_sibling;
+    child.parent = child.prev_sibling = child.next_sibling = kNone;
+  }
+  p = Process{};
+  --live_;
 }
 
-bool Machine::alive(Pid pid) const {
-  auto it = processes_.find(pid);
-  return it != processes_.end() && engine_->is_live(it->second);
+void Machine::kill_tree(std::uint32_t row) {
+  // Take down the subtree first (ZeptoOS-like: the pilot script's children
+  // die with it), oldest child first. Each kill unlinks its child.
+  while (procs_[row].first_child != kNone) kill_tree(procs_[row].first_child);
+  const Pid pid = procs_[row].pid;
+  release(row, pid);
+  engine_->kill(pid);
 }
 
-std::size_t Machine::process_count() const { return processes_.size(); }
-
-sim::Task<void> Machine::wait(Pid pid) {
-  auto it = processes_.find(pid);
-  if (it == processes_.end()) co_return;
-  co_await engine_->join(it->second);
+bool Machine::kill(Pid pid) {
+  const Process* p = find(pid);
+  if (!p) return false;
+  kill_tree(static_cast<std::uint32_t>(p - procs_.data()));
+  return true;
 }
 
 // --- BatchScheduler --------------------------------------------------------------

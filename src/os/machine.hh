@@ -21,7 +21,6 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/fabric.hh"
@@ -70,7 +69,7 @@ class Node {
  public:
   Node(sim::Engine& engine, NodeId id, const NodeSpec& spec)
       : id_(id), spec_(spec),
-        local_fs_(engine, spec.local_fs_latency, spec.local_fs_bps),
+        local_fs_(spec.local_fs_latency, spec.local_fs_bps),
         cas_(local_fs_, spec.cas_capacity),
         cores_(engine, spec.cores) {}
 
@@ -130,7 +129,8 @@ struct ExecOptions {
 
 class Machine {
  public:
-  using Pid = std::uint64_t;
+  /// A process is one engine actor, and its pid is that actor's id.
+  using Pid = sim::ActorId;
 
   Machine(sim::Engine& engine, MachineSpec spec);
 
@@ -193,27 +193,68 @@ class Machine {
   /// Forks a process on `node` running `body`. Startup cost (fork/exec +
   /// binary load per `opts`) is charged before the body starts. Returns
   /// immediately with the pid. If called from within another simulated
-  /// process, the new process becomes its child (kill takes the subtree).
+  /// process, the new process becomes its child (kill takes the subtree)
+  /// until it ends.
   Pid exec(NodeId node, std::string name, sim::Task<void> body,
            ExecOptions opts = {});
 
   /// SIGKILL to the whole process tree rooted at `pid`: children first,
   /// then the process itself; coroutine teardown closes their sockets.
+  /// Every killed process leaves the table at once.
   bool kill(Pid pid);
 
-  bool alive(Pid pid) const;
-  std::size_t process_count() const;
+  bool alive(Pid pid) const { return find(pid) != nullptr; }
+  /// Processes started and not yet ended or killed.
+  std::size_t process_count() const { return live_; }
 
-  /// Awaitable completion of a process (like waitpid).
-  sim::Task<void> wait(Pid pid);
+  /// `co_await wait(pid)`: completion of a process (like waitpid).
+  sim::JoinAwaiter wait(Pid pid) { return engine_->join(pid); }
 
   /// The simulated I/O time to load `binary` on `node`: node-local if
   /// staged there, shared-fs otherwise. Exposed for tests and models.
   sim::Task<void> load_binary(NodeId node, const std::string& binary);
 
  private:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// A process table row. Rows are indexed by the process actor's engine
+  /// slot, so finding a pid or the running process needs no map of its
+  /// own; a row holds a process iff its pid is that actor's live id. The
+  /// tree is intrusive: each row links its first and last child and its
+  /// siblings by row index.
+  struct Process {
+    Pid pid = 0;  // 0: no process
+    std::uint32_t parent = kNone;
+    std::uint32_t first_child = kNone;
+    std::uint32_t last_child = kNone;
+    std::uint32_t prev_sibling = kNone;
+    std::uint32_t next_sibling = kNone;
+  };
+
+  /// Lives in a process's run_process frame and gives its row back when
+  /// the frame goes: at the process's end, or when it is killed.
+  class RowRelease {
+   public:
+    RowRelease(Machine* machine, const sim::ActorContext& self)
+        : machine_(machine), row_(self.slot), pid_(self.id) {}
+    RowRelease(const RowRelease&) = delete;
+    RowRelease& operator=(const RowRelease&) = delete;
+    ~RowRelease() { machine_->release(row_, pid_); }
+
+   private:
+    Machine* machine_;
+    std::uint32_t row_;
+    Pid pid_;
+  };
+
   sim::Task<void> run_process(NodeId node, sim::Task<void> body,
                               ExecOptions opts);
+  const Process* find(Pid pid) const;
+  /// Frees row `row` if it still holds `pid`: unlinks it from its parent,
+  /// and its live children become orphans.
+  void release(std::uint32_t row, Pid pid);
+  /// Kills the tree rooted at row `row`, children first.
+  void kill_tree(std::uint32_t row);
 
   sim::Engine* engine_;
   MachineSpec spec_;
@@ -221,11 +262,9 @@ class Machine {
   SharedFs shared_fs_;
   std::vector<std::unique_ptr<Node>> nodes_;
   obs::Tracer* tracer_ = nullptr;
-  Pid next_pid_ = 1;
   net::Port next_port_ = 10000;
-  std::unordered_map<Pid, sim::ActorId> processes_;
-  std::unordered_map<sim::ActorId, Pid> pid_by_actor_;
-  std::unordered_map<Pid, std::vector<Pid>> children_;
+  std::vector<Process> procs_;
+  std::size_t live_ = 0;
 };
 
 /// Typed failure taxonomy for allocation requests. Distinct from the

@@ -122,6 +122,15 @@ class Engine {
   bool kill(ActorId id);
 
   bool is_live(ActorId id) const { return id_to_slot_.contains(id); }
+  /// The slab slot a live actor occupies, or nullopt. A finished actor's
+  /// slot goes to a later one, so a layer that keeps per-actor rows in a
+  /// vector indexed by slot stores the id in the row and checks it (as
+  /// os::Machine's process table does).
+  std::optional<std::uint32_t> actor_slot(ActorId id) const {
+    const auto it = id_to_slot_.find(id);
+    if (it == id_to_slot_.end()) return std::nullopt;
+    return it->second;
+  }
   std::size_t live_actor_count() const { return id_to_slot_.size(); }
   const std::string* actor_name(ActorId id) const;
 

@@ -20,46 +20,6 @@
 
 namespace jets::sim {
 
-/// A broadcast event. wait() suspends until open(); open() releases all
-/// current and future waiters until close() re-arms it.
-class Gate {
- public:
-  explicit Gate(Engine& engine) : engine_(&engine) {}
-  Gate(const Gate&) = delete;
-  Gate& operator=(const Gate&) = delete;
-
-  bool is_open() const noexcept { return open_; }
-
-  void open() {
-    if (open_) return;
-    open_ = true;
-    for (Resumption& r : waiters_) {
-      engine_->schedule(engine_->now(), std::move(r));
-    }
-    waiters_.clear();
-  }
-
-  /// Re-arms the gate so subsequent wait() calls block again.
-  void close() { open_ = false; }
-
-  struct WaitAwaiter {
-    Gate* gate;
-    bool await_ready() const noexcept { return gate->open_; }
-    template <typename Promise>
-    void await_suspend(std::coroutine_handle<Promise> h) {
-      gate->waiters_.push_back(Resumption::of(h, h.promise().context()));
-    }
-    void await_resume() const noexcept {}
-  };
-
-  auto wait() { return WaitAwaiter{this}; }
-
- private:
-  Engine* engine_;
-  bool open_ = false;
-  std::vector<Resumption> waiters_;
-};
-
 namespace detail {
 
 class WaitList;
@@ -177,6 +137,53 @@ class Ring {
 };
 
 }  // namespace detail
+
+/// A broadcast event. wait() suspends until open(); open() releases all
+/// current and future waiters until close() re-arms it. Waiters park on
+/// their own awaiters (see Channel::RecvAwaiter), so waiting allocates
+/// nothing; a gate destroyed under waiters detaches them.
+class Gate {
+ public:
+  explicit Gate(Engine& engine) : engine_(&engine) {}
+  Gate(const Gate&) = delete;
+  Gate& operator=(const Gate&) = delete;
+
+  bool is_open() const noexcept { return open_; }
+  std::size_t waiting() const noexcept { return waiters_.size(); }
+
+  void open() {
+    if (open_) return;
+    open_ = true;
+    while (!waiters_.empty()) {
+      engine_->schedule(engine_->now(), waiters_.pop_front()->resume);
+    }
+  }
+
+  /// Re-arms the gate so subsequent wait() calls block again.
+  void close() { open_ = false; }
+
+  class WaitAwaiter : public detail::WaitNode {
+   public:
+    explicit WaitAwaiter(Gate* gate) : gate_(gate) {}
+    bool await_ready() const noexcept { return gate_->open_; }
+    template <typename Promise>
+    void await_suspend(std::coroutine_handle<Promise> h) {
+      resume = Resumption::of(h, h.promise().context());
+      gate_->waiters_.push_back(this);
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    Gate* gate_;
+  };
+
+  WaitAwaiter wait() { return WaitAwaiter(this); }
+
+ private:
+  Engine* engine_;
+  bool open_ = false;
+  detail::WaitList waiters_;
+};
 
 /// Unbounded FIFO message channel. Senders never block; receivers block
 /// until a value arrives, the channel is closed, or (recv_for) a timeout

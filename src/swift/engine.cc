@@ -1,7 +1,5 @@
 #include "swift/engine.hh"
 
-#include <sstream>
-
 namespace jets::swift {
 
 SwiftEngine::SwiftEngine(os::Machine& machine, CoasterService& coasters,
@@ -15,33 +13,7 @@ SwiftEngine::SwiftEngine(os::Machine& machine, CoasterService& coasters)
 void SwiftEngine::app(AppCall call) {
   ++registered_;
   all_done_->close();
-  DotRecord rec;
-  rec.label = call.argv.empty() ? "app" : call.argv.front();
-  for (const DataPtr& in : call.inputs) rec.inputs.push_back(in->path());
-  for (const DataPtr& out : call.outputs) rec.outputs.push_back(out->path());
-  dot_records_.push_back(std::move(rec));
   machine_->engine().spawn("swift-stmt", statement_actor(std::move(call)));
-}
-
-std::string SwiftEngine::to_dot() const {
-  std::ostringstream os;
-  os << "digraph workflow {\n  rankdir=LR;\n"
-     << "  node [fontsize=10];\n";
-  std::size_t n = 0;
-  for (const DotRecord& rec : dot_records_) {
-    const std::string id = "app" + std::to_string(n++);
-    os << "  " << id << " [shape=box, label=\"" << rec.label << "\"];\n";
-    for (const std::string& in : rec.inputs) {
-      os << "  \"" << in << "\" [shape=ellipse];\n";
-      os << "  \"" << in << "\" -> " << id << ";\n";
-    }
-    for (const std::string& out : rec.outputs) {
-      os << "  \"" << out << "\" [shape=ellipse];\n";
-      os << "  " << id << " -> \"" << out << "\";\n";
-    }
-  }
-  os << "}\n";
-  return os.str();
 }
 
 void SwiftEngine::note_settled() {
@@ -67,15 +39,15 @@ sim::Task<void> SwiftEngine::statement_actor(AppCall call) {
     }
   } else {
     core::JobSpec spec;
-    spec.argv = call.argv;
+    spec.argv = std::move(call.argv);
     if (call.mpi) {
       spec.kind = core::JobKind::kMpi;
       spec.nprocs = call.nprocs;
       spec.ppn = call.ppn;
     }
     core::JobRecord rec = co_await coasters_->run_job(std::move(spec));
-    records_.push_back(rec);
     ok = rec.status == core::JobStatus::kDone;
+    records_.push_back(std::move(rec));
   }
 
   if (ok) {

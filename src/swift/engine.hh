@@ -63,10 +63,6 @@ class SwiftEngine {
   /// any statement fails (Swift aborts the script on app errors).
   sim::Task<void> run_to_completion();
 
-  /// Renders the registered dataflow as Graphviz DOT (the Fig 16 picture):
-  /// app nodes as boxes, file variables as ellipses, edges by direction.
-  std::string to_dot() const;
-
   std::size_t registered() const { return registered_; }
   std::size_t completed() const { return completed_; }
   std::size_t failed() const { return failed_; }
@@ -80,12 +76,6 @@ class SwiftEngine {
   CoasterService* coasters_;
   Config config_;
   std::unique_ptr<sim::Gate> all_done_;
-  struct DotRecord {
-    std::string label;
-    std::vector<std::string> inputs;
-    std::vector<std::string> outputs;
-  };
-  std::vector<DotRecord> dot_records_;
   std::size_t registered_ = 0;
   std::size_t completed_ = 0;
   std::size_t failed_ = 0;

@@ -1,17 +1,19 @@
-// Allocation budget of the simulated message path and of a service
-// checkpoint.
+// Allocation budget of the simulated message path, of a process's and a
+// sequential job's life, and of a service checkpoint.
 //
 // This binary replaces the global operator new with a counting one, so a
 // test can assert how many heap allocations a steady-state operation
 // costs. Putting an allocation back on the send -> deliver -> recv path (a
 // heap closure per delivery event, a wait state per blocked receive, a
 // coroutine frame per socket receive, a decimal-string frame per protocol
-// verb, a coroutine frame per MPI send or receive on a wired pair), or a
-// per-job copy back into checkpoint(), fails here, in ctest, and not only
-// in the host-cost benchmark.
+// verb, a coroutine frame per MPI send or receive on a wired pair), on a
+// gate wait or a shared-filesystem transfer, into process bookkeeping or a
+// job's dispatch, or a per-job copy back into checkpoint(), fails here, in
+// ctest, and not only in the host-cost benchmark.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -216,15 +218,15 @@ TEST_F(AllocBudget, TypedStageFramesAllocateNothing) {
   EXPECT_EQ(taken, 4);
 }
 
-constexpr std::size_t kAllocsPerCall = 5;
+constexpr std::size_t kAllocsPerCall = 4;
 
 TEST_F(AllocBudget, RpcCallReplyCostIsPinned) {
   // A pump-mode PMI get against a raw-socket responder. The round trip's
   // allocations, both sides: the call() and pump_until() coroutine frames,
-  // the shared wait state, and the completion callback and its
-  // type-erasing wrapper. The frames are typed, so neither carries an
-  // argument vector; correlation (the scan of the pending calls)
-  // allocates nothing.
+  // the shared wait state, and the completion callback (stored once, not
+  // wrapped in a second std::function). The frames are typed, so neither
+  // carries an argument vector; correlation (the scan of the pending
+  // calls) allocates nothing.
   engine.spawn("kvs", [](SocketPtr s) -> Task<void> {
     while (auto m = co_await s->recv()) {
       auto get = rpc::take<rpc::PmiGet>(std::move(*m));
@@ -305,6 +307,94 @@ TEST(AllocBudgetComm, WiredSendRecvAllocatesNothing) {
 }  // namespace
 }  // namespace jets::mpi
 
+namespace jets::os {
+namespace {
+
+using sim::Engine;
+using sim::Task;
+
+TEST(AllocBudgetProcess, SequentialChildrenCostTheSameEach) {
+  // A long-lived parent execs batches of children one after another. Each
+  // child costs its spawn and its frames, nothing that stays behind: a
+  // finished child leaves its parent's list, so the thousandth costs what
+  // the first did.
+  Engine engine;
+  Machine machine(engine, Machine::breadboard(1));
+  sim::Channel<int> batches(engine);
+  machine.exec(0, "parent", [](Machine& m, sim::Channel<int>& batches)
+                                -> Task<void> {
+    while (const auto n = co_await batches.recv()) {
+      for (int i = 0; i < *n; ++i) {
+        // Not one full-expression with the co_await: exec()'s default
+        // ExecOptions is an aggregate prvalue (see the GCC 12 note in
+        // net/rpc.hh).
+        const Machine::Pid child =
+            m.exec(0, "child", []() -> Task<void> { co_return; }());
+        co_await m.wait(child);
+      }
+    }
+  }(machine, batches));
+  engine.run();
+  auto children = [&](int n) {
+    return allocations_in([&] {
+      batches.push(n);
+      engine.run();
+    });
+  };
+  children(4);  // warm-up: event and actor slabs, the process table
+  const std::size_t one = children(1);
+  EXPECT_EQ(children(10), 10 * one);
+  EXPECT_EQ(children(1'000), 1'000 * one);
+  EXPECT_EQ(machine.process_count(), 1u);
+}
+
+TEST(AllocBudgetProcess, GateWaitAndSharedReadAllocateOnlyFrames) {
+  // Gate waiters park in their own frames, and a shared-filesystem
+  // transfer is a slot in the server's heap, not a gate and a map node of
+  // its own: once warm, the only allocation of a read is the read()
+  // coroutine's frame.
+  Engine engine;
+  sim::Gate gate(engine);
+  SharedFs fs(engine, sim::milliseconds(1), 1e6);
+  fs.put("/gpfs/input", 4'096);
+  int woken = 0;
+  int reads = 0;
+  for (int i = 0; i < 3; ++i) {
+    engine.spawn("waiter", [](sim::Gate& g, int& woken) -> Task<void> {
+      for (;;) {
+        co_await g.wait();
+        ++woken;
+        co_await sim::delay(sim::milliseconds(1));
+      }
+    }(gate, woken));
+    engine.spawn("reader", [](SharedFs& fs, sim::Gate& g,
+                              int& reads) -> Task<void> {
+      for (;;) {
+        co_await g.wait();
+        co_await fs.read("/gpfs/input");
+        ++reads;
+      }
+    }(fs, gate, reads));
+  }
+  auto pulse = [&] {
+    gate.open();
+    gate.close();
+    engine.run();
+  };
+  engine.run();
+  pulse();  // warm-up: event slab, the transfer heap
+  const std::size_t allocs = allocations_in([&] {
+    for (int i = 0; i < 5; ++i) pulse();
+  });
+  EXPECT_EQ(woken, 18);
+  EXPECT_EQ(reads, 18);
+  EXPECT_EQ(allocs, 15u) << "one read() frame per read";
+  engine.shutdown();  // end the parked actors while the gate and fs live
+}
+
+}  // namespace
+}  // namespace jets::os
+
 namespace jets::core {
 namespace {
 
@@ -318,6 +408,41 @@ std::size_t checkpoint_allocations(std::size_t jobs) {
       jets, std::vector<JobSpec>(jobs, test::seq_job({"sleep", "0.01"})));
   EXPECT_EQ(report.completed, jobs);
   return allocations_in([&] { (void)jets.checkpoint().serialize(); });
+}
+
+/// Allocations per job of a batch of `n` one-task jobs through a warm
+/// service, rounded: the job table and the report grow in blocks, which
+/// comes to well under one allocation per job.
+long allocations_per_job(test::ServiceBed& bed, StandaloneJets& jets,
+                         std::size_t n) {
+  auto batch = [&](std::size_t jobs) {
+    std::vector<JobSpec> specs(jobs, test::seq_job({"sleep", "0.01"}));
+    return allocations_in([&] {
+      EXPECT_EQ(bed.run(jets, std::move(specs)).completed, jobs);
+    });
+  };
+  const std::size_t fixed = batch(0);
+  return std::lround(static_cast<double>(batch(n) - fixed) /
+                     static_cast<double>(n));
+}
+
+/// One sequential job's whole life through StandaloneJets: submit, claim,
+/// the run call, the worker's exec and binary load, the app, its done and
+/// ready, and the report row. The 16: the records it leaves behind (its
+/// attempt's history entry and node list, and the report's copy of its
+/// argv, history and nodes), the claimed-worker vector, the TaskRun's argv
+/// copy and frame body, the task actor (its context and id-map node), and
+/// the place_job, run_process, load_binary, shared-FS read, task wrapper
+/// and app frames.
+constexpr long kAllocsPerSeqJob = 16;
+
+TEST(AllocBudgetJob, SequentialJobCostIsPinnedWhateverTheBatch) {
+  test::ServiceBed bed(os::Machine::breadboard(4), {{"sleep", 16'384}});
+  StandaloneJets jets(bed.machine, bed.apps, test::ServiceBed::fast_options());
+  test::ServiceBed::enlist(jets, 4);
+  (void)allocations_per_job(bed, jets, 1'000);  // warm-up
+  EXPECT_EQ(allocations_per_job(bed, jets, 100), kAllocsPerSeqJob);
+  EXPECT_EQ(allocations_per_job(bed, jets, 1'000), kAllocsPerSeqJob);
 }
 
 TEST(AllocBudgetCheckpoint, AllocationsDoNotGrowWithTheJobTable) {

@@ -85,7 +85,7 @@ TEST(FairShare, ManyTransfersConserveWork) {
 
 TEST(LocalFs, ReadChargesLatencyPlusBandwidth) {
   Engine e;
-  LocalFs fs(e, sim::milliseconds(1), 1e6);
+  LocalFs fs(sim::milliseconds(1), 1e6);
   fs.put("/bin/app", 1'000'000);
   Time done = -1;
   e.spawn("t", [](Engine& e, LocalFs& fs, Time& done) -> Task<void> {
@@ -98,7 +98,7 @@ TEST(LocalFs, ReadChargesLatencyPlusBandwidth) {
 
 TEST(LocalFs, MissingFileThrows) {
   Engine e;
-  LocalFs fs(e, 0, 1e6);
+  LocalFs fs(0, 1e6);
   bool threw = false;
   e.spawn("t", [](LocalFs& fs, bool& threw) -> Task<void> {
     try {
@@ -216,6 +216,109 @@ TEST_F(MachineTest, KillTerminatesProcess) {
   engine.run();
   EXPECT_FALSE(completed);
   EXPECT_FALSE(machine.alive(pid));
+  EXPECT_EQ(machine.process_count(), 0u);
+}
+
+// --- Process lifetimes under kill ---------------------------------------------
+//
+// A parent with three children: one still in its fork delay, one mid
+// shared-filesystem read, one waiting on a gate. A survivor outside the
+// tree reads the same file alongside the doomed read.
+
+/// A breadboard node on a 1 MB/s shared filesystem with no metadata cost.
+MachineSpec slow_gpfs() {
+  MachineSpec spec = Machine::breadboard(2);
+  spec.shared_fs_latency = 0;
+  spec.shared_fs_bps = 1e6;
+  return spec;
+}
+
+/// Execs the survivor's read, then a parent whose children fork 4 ms after
+/// it did; both reads start at 8 ms.
+Machine::Pid start_tree(Machine& machine, sim::Gate& gate, Time& survivor_done,
+                        bool& child_finished) {
+  machine.shared_fs().put("/gpfs/data", 1'000'000);
+  machine.exec(1, "survivor", [](Machine& m, Time& done) -> Task<void> {
+    co_await sim::delay(m.node(1).spec().fork_exec);
+    co_await m.shared_fs().read("/gpfs/data");
+    done = m.engine().now();
+  }(machine, survivor_done));
+  return machine.exec(0, "parent", [](Machine& m, sim::Gate& gate,
+                                      bool& finished) -> Task<void> {
+    ExecOptions slow_start;
+    slow_start.extra_startup = sim::seconds(10);
+    m.exec(0, "forking", [](bool& finished) -> Task<void> {
+      finished = true;
+      co_return;
+    }(finished), std::move(slow_start));
+    m.exec(0, "reading", [](Machine& m, bool& finished) -> Task<void> {
+      co_await m.shared_fs().read("/gpfs/data");
+      finished = true;
+    }(m, finished));
+    m.exec(0, "waiting", [](sim::Gate& gate, bool& finished) -> Task<void> {
+      co_await gate.wait();
+      finished = true;
+    }(gate, finished));
+    co_await sim::delay(sim::seconds(100));
+  }(machine, gate, child_finished));
+}
+
+TEST(MachineKill, KilledReadKeepsItsShareUntilItsDeadline) {
+  // Both 1 MB reads start at 8 ms and share 1 MB/s. The doomed one dies at
+  // 1 s, but an abandoned read keeps the servers busy until its deadline,
+  // so the survivor still needs 2 s, as if both had finished.
+  Engine engine;
+  Machine machine(engine, slow_gpfs());
+  sim::Gate gate(engine);
+  Time survivor_done = -1;
+  bool child_finished = false;
+  const Machine::Pid parent =
+      start_tree(machine, gate, survivor_done, child_finished);
+  engine.call_at(sim::seconds(1), [&] { machine.kill(parent); });
+  engine.run();
+  EXPECT_FALSE(child_finished);
+  EXPECT_EQ(survivor_done, sim::milliseconds(2'008));
+}
+
+TEST(MachineKill, KilledTreeLeavesTheTableAndItsWaitsAtOnce) {
+  Engine engine;
+  Machine machine(engine, slow_gpfs());
+  auto gate = std::make_unique<sim::Gate>(engine);
+  Time survivor_done = -1;
+  bool child_finished = false;
+  const Machine::Pid parent =
+      start_tree(machine, *gate, survivor_done, child_finished);
+  // A second waiter outside the tree, still parked when the gate goes.
+  bool outsider_woke = false;
+  const Machine::Pid outsider = machine.exec(
+      1, "outsider", [](sim::Gate& gate, bool& woke) -> Task<void> {
+        co_await gate.wait();
+        woke = true;
+      }(*gate, outsider_woke));
+  std::size_t before = 0;
+  std::size_t after = 0;
+  std::size_t gate_waiters = 0;
+  engine.call_at(sim::seconds(1), [&] {
+    before = machine.process_count();
+    EXPECT_TRUE(machine.kill(parent));
+    after = machine.process_count();
+    gate_waiters = gate->waiting();
+  });
+  engine.run_until(sim::seconds(1) + 1);
+  EXPECT_EQ(before, 6u);  // parent, its three children, survivor, outsider
+  EXPECT_EQ(after, 2u);   // survivor and outsider
+  EXPECT_EQ(gate_waiters, 1u);  // the killed child's wait left the gate
+  EXPECT_FALSE(machine.alive(parent));
+  EXPECT_FALSE(machine.kill(parent));
+
+  // A gate destroyed under a waiter detaches it: killing the waiter later
+  // must not touch the freed gate (the sanitizer lanes check the memory).
+  gate.reset();
+  EXPECT_TRUE(machine.kill(outsider));
+  engine.run();
+  EXPECT_FALSE(outsider_woke);
+  EXPECT_FALSE(child_finished);
+  EXPECT_EQ(survivor_done, sim::milliseconds(2'008));
   EXPECT_EQ(machine.process_count(), 0u);
 }
 

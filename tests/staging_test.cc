@@ -95,7 +95,7 @@ TEST(StagePlan, NoHoldersMeansPush) {
 
 TEST(CasStore, LruEvictionRespectsBoundsTouchesAndPins) {
   sim::Engine engine;
-  os::LocalFs fs(engine, sim::microseconds(20), 1.5e9);
+  os::LocalFs fs(sim::microseconds(20), 1.5e9);
   os::CasStore cas(fs, /*capacity_bytes=*/3'000'000);
   constexpr std::uint64_t kMb = 1'000'000;
 

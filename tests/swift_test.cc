@@ -258,20 +258,5 @@ TEST(RemWorkflow, MpiSegmentsAndDependencyOrdering) {
   EXPECT_GT(sim::to_seconds(bed.engine.now()), 4.0);
 }
 
-TEST(SwiftEngine, DotExportReflectsDataflowEdges) {
-  SwiftBed bed(os::Machine::eureka(2));
-  CoasterService coasters(bed.machine, bed.apps, bed.coasters_config());
-  coasters.start_on(SwiftBed::nodes(2));
-  SwiftEngine swift(bed.machine, coasters);
-  auto a = swift.file("/gpfs/a");
-  auto b = swift.file("/gpfs/b");
-  swift.app({.argv = {"sleep", "1"}, .inputs = {a}, .outputs = {b}});
-  const std::string dot = swift.to_dot();
-  EXPECT_NE(dot.find("digraph workflow"), std::string::npos);
-  EXPECT_NE(dot.find("\"/gpfs/a\" -> app0"), std::string::npos);
-  EXPECT_NE(dot.find("app0 -> \"/gpfs/b\""), std::string::npos);
-  EXPECT_NE(dot.find("label=\"sleep\""), std::string::npos);
-}
-
 }  // namespace
 }  // namespace jets::swift

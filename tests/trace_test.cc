@@ -33,7 +33,7 @@ TEST(TraceLog, RecordsSpawnFinishKill) {
 
 TEST(TraceLog, ObserverSeesBalancedChurnThroughJets) {
   // Every process the JETS stack spawns for a batch must also end: runners,
-  // proxies, ranks, reapers — nothing may linger once the batch settles.
+  // proxies, ranks — nothing may linger once the batch settles.
   test::TestBed bed(os::Machine::breadboard(4));
   apps::install_synthetic_apps(bed.apps);
   bed.machine.shared_fs().put("mpi_sleep", 1'000'000);
@@ -56,8 +56,8 @@ TEST(TraceLog, ObserverSeesBalancedChurnThroughJets) {
   }(jets, std::move(jobs)));
   bed.engine.run();
 
-  // 10 MPI jobs x (2 proxies + 2 ranks + 2 PMI reapers...) — the exact
-  // count is an implementation detail; the invariants are not:
+  // 10 MPI jobs x (2 proxy tasks + 2 ranks + mpiexec's actors...) — the
+  // exact count is an implementation detail; the invariants are not:
   EXPECT_GT(log.count(TraceEvent::Kind::kSpawn), 40u);
   // Only the long-lived infrastructure survives: 4 workers + their
   // handler/accept/dispatch actors. Everything job-scoped ended.
