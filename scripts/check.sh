@@ -22,7 +22,8 @@
 # that counts and digests repeat, that traced and untraced passes agree
 # on the modelled outputs, and that the metric names match
 # BENCHMARK.json), the allocation census (scripts/alloc_census.sh) takes
-# one small seq_flood pass and must agree with the pass's own allocation
+# one small seq_flood pass and one small mpi_gang pass (the PMI and MPI
+# wire-up path) and each must agree with its pass's own allocation
 # count to 0.1 %, and the scale suite re-runs at 10^5 workers — release
 # build only, under a wall-clock budget. The default preset also runs a
 # crash-recovery smoke: the fig10 recover scenario (JETS_RECOVER=1) must
@@ -158,6 +159,8 @@ if [[ "$run_default" == 1 ]]; then
 
   echo "== allocation census: seq_flood --small, census total = pass allocs (0.1 %) =="
   ./scripts/alloc_census.sh seq_flood --small --top 10
+  echo "== allocation census: mpi_gang --small, census total = pass allocs (0.1 %) =="
+  ./scripts/alloc_census.sh mpi_gang --small --top 10
 
   echo "== scale suite at 10^5 workers (release build, 10 min budget) =="
   JETS_SCALE_N=100000 timeout 600 ./build/tests/scale_test

@@ -7,10 +7,11 @@
 // in-flight messages now live in this slab — the EventSlot idiom from
 // sim/engine.hh: deque-backed slots, intrusive LIFO free list — threaded
 // into per-pipe FIFO chains by slot index, and the delivery closure shrinks
-// to one aliasing shared_ptr (16 bytes). std::function would still put
-// that closure on the heap (it keeps only trivially copyable functors
-// inline), so the engine stores callbacks in sim::Callback, whose inline
-// buffer holds it: the delivery event allocates nothing.
+// to one counted reference to the connection block (16 bytes).
+// std::function would still put that closure on the heap (it keeps only
+// trivially copyable functors inline), so the engine stores callbacks in
+// sim::Callback, whose inline buffer holds it: the delivery event
+// allocates nothing.
 //
 // Delivery stays one engine event per send (so the event heap's (time,
 // seq) reservations are byte-identical to the unbatched scheme), but each

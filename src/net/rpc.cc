@@ -143,8 +143,11 @@ Channel::~Channel() {
   // Never invoke completions here: the channel dies during its owner's
   // teardown (actor kill, service destruction) when the frames those
   // callbacks capture may already be gone. Deadline timers must not
-  // outlive us, though.
-  for (PendingCall& p : calls_) p.deadline.cancel();
+  // outlive us, though, and a parked call() must not detach from us later.
+  for (PendingCall& p : calls_) {
+    p.deadline.cancel();
+    if (p.wait != nullptr) p.wait->chan = nullptr;
+  }
 }
 
 Channel::TagEntry* Channel::find_tag(std::string_view tag) {
@@ -156,8 +159,19 @@ Channel::TagEntry* Channel::find_tag(std::string_view tag) {
 
 Channel::TagEntry* Channel::route(std::string_view tag) {
   if (TagEntry* e = find_tag(tag)) return e;
-  tags_.push_back(TagEntry{tag, nullptr, nullptr});
+  if (tags_.capacity() == 0) tags_.reserve(kRouteCapacity);
+  tags_.push_back(TagEntry{tag, nullptr});
   return &tags_.back();
+}
+
+std::optional<sim::Task<void>> Channel::dispatch(Message&& m) {
+  if (on_message_) on_message_();
+  TagEntry* e = find_tag(m.tag);
+  if (!e) {
+    note_unknown_tag();
+    return std::nullopt;
+  }
+  return e->handle(*this, std::move(m));
 }
 
 std::vector<Channel::PendingCall>::const_iterator Channel::find_pending(
@@ -218,7 +232,18 @@ void Channel::finish_call(CallId id, void* resp, RpcError err) {
     if (!resp) config_.tracer->attr(p.span, "err", to_string(err));
     config_.tracer->end(p.span);
   }
-  p.complete(resp, err);
+  if (CallWaitBase* w = p.wait) {
+    w->store(*w, resp, err);
+    w->done = true;
+    if (!w->resume.expired()) engine_->schedule(engine_->now(), w->resume);
+  } else if (p.complete) {
+    p.complete(resp, err);
+  }
+}
+
+void Channel::detach(CallId id) {
+  const auto it = find_call(id);
+  if (it != calls_.end()) it->wait = nullptr;
 }
 
 void Channel::on_deadline(CallId id) { finish_call(id, nullptr, RpcError::kTimeout); }
@@ -274,59 +299,11 @@ sim::Task<void> Channel::serve() {
       break;
     }
     if (stopped_) break;
-    if (on_message_) on_message_();
-    TagEntry* e = find_tag(m->tag);
-    if (!e) {
-      note_unknown_tag();
-    } else if (e->sync) {
-      e->sync(*this, std::move(*m));
-    } else if (auto t = e->async(*this, std::move(*m))) {
-      co_await std::move(*t);
-    }
+    if (auto t = dispatch(std::move(*m))) co_await std::move(*t);
     if (stopped_) break;
   }
   serving_ = false;
   if (!config_.manual_drain) fail_all(RpcError::kPeerClosed);
-}
-
-sim::Task<void> Channel::pump_until(WaitCore* st, CallId id,
-                                    sim::Duration deadline) {
-  // Self-driven mode: no serve() loop owns the socket, so the caller's
-  // coroutine performs the recv/dispatch itself — the exact event shape of
-  // the hand-written send-then-recv-loop clients (PMI). One sequential
-  // caller per channel.
-  const sim::Time deadline_at = deadline > 0 ? engine_->now() + deadline : -1;
-  while (!st->done) {
-    std::optional<Message> m;
-    if (deadline_at >= 0) {
-      const sim::Duration left = deadline_at - engine_->now();
-      if (left <= 0) {
-        cancel(id, RpcError::kTimeout);
-        break;
-      }
-      m = co_await sock_->recv_for(left);
-    } else {
-      m = co_await sock_->recv();
-    }
-    if (st->done) break;  // the deadline timer settled it while we slept
-    if (!m) {
-      if (sock_->eof()) {
-        peer_closed_ = true;
-        fail_all(RpcError::kPeerClosed);
-      }
-      // recv_for timeout: loop; the deadline branch above resolves it.
-      continue;
-    }
-    if (on_message_) on_message_();
-    TagEntry* e = find_tag(m->tag);
-    if (!e) {
-      note_unknown_tag();
-    } else if (e->sync) {
-      e->sync(*this, std::move(*m));
-    } else if (auto t = e->async(*this, std::move(*m))) {
-      co_await std::move(*t);
-    }
-  }
 }
 
 }  // namespace jets::net::rpc

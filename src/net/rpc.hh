@@ -907,14 +907,25 @@ class Channel {
   template <typename M, typename F>
   Expected<CallId, RpcError> call_cb(M req, F&& cb,
                                      sim::Duration deadline = 0) {
-    return call_cb_impl<M>(std::move(req), std::forward<F>(cb), deadline,
-                           /*pre_credited=*/false);
+    using Resp = typename M::Resp;
+    return issue<M>(
+        std::move(req), deadline, /*pre_credited=*/false,
+        [cb = std::forward<F>(cb)](void* resp, RpcError err) mutable {
+          if (resp) {
+            cb(Expected<Resp, RpcError>(std::move(*static_cast<Resp*>(resp))));
+          } else {
+            cb(Expected<Resp, RpcError>(Unexpected{err}));
+          }
+        },
+        /*wait=*/nullptr);
   }
 
   /// Coroutine form: awaits a window credit, issues the call, and resumes
   /// with the typed result. If no serve() loop is running the call pumps
   /// the socket itself (one sequential caller per channel — the PMI
-  /// client's discipline); with serve() active it just parks.
+  /// client's discipline); with serve() active it just parks. Its wait
+  /// state lives in this frame, so a call costs the frame and nothing else
+  /// (see CallWait for what a killed caller leaves behind).
   ///
   /// `req` is taken by value, and every M is a non-aggregate by design —
   /// see the GCC 12 note on the typed-protocol section above.
@@ -923,27 +934,49 @@ class Channel {
       M req, sim::Duration deadline = 0) {
     using Resp = typename M::Resp;
     if (window_) co_await window_->acquire();
-    auto st = std::make_shared<Wait<Resp>>();
-    st->engine = engine_;
-    auto issued = call_cb_impl<M>(
-        std::move(req),
-        [st](Expected<Resp, RpcError> r) {
-          st->result.emplace(std::move(r));
-          st->done = true;
-          st->wake();
-        },
-        deadline, /*pre_credited=*/true);
+    CallWait<Resp> w;
+    auto issued = issue<M>(std::move(req), deadline, /*pre_credited=*/true,
+                           /*complete=*/nullptr, &w);
     if (!issued.ok()) {
       if (window_) window_->release();
       co_return Unexpected{issued.error()};
     }
+    w.chan = this;
+    w.id = issued.value();
     if (serving_) {
-      co_await WaitAwaiter{st.get()};
+      co_await WaitAwaiter{&w};
     } else {
-      co_await pump_until(st.get(), issued.value(), deadline);
+      // Self-driven mode: no serve() loop owns the socket, so this frame
+      // performs the recv/dispatch itself — the exact event shape of the
+      // hand-written send-then-recv-loop clients (PMI).
+      const sim::Time deadline_at =
+          deadline > 0 ? engine_->now() + deadline : -1;
+      while (!w.done) {
+        std::optional<Message> m;
+        if (deadline_at >= 0) {
+          const sim::Duration left = deadline_at - engine_->now();
+          if (left <= 0) {
+            cancel(w.id, RpcError::kTimeout);
+            break;
+          }
+          m = co_await sock_->recv_for(left);
+        } else {
+          m = co_await sock_->recv();
+        }
+        if (w.done) break;  // the deadline timer settled it while we slept
+        if (!m) {
+          if (sock_->eof()) {
+            peer_closed_ = true;
+            fail_all(RpcError::kPeerClosed);
+          }
+          // recv_for timeout: loop; the deadline branch above resolves it.
+          continue;
+        }
+        if (auto t = dispatch(std::move(*m))) co_await std::move(*t);
+      }
     }
-    if (!st->done) cancel(issued.value(), RpcError::kCancelled);
-    co_return std::move(*st->result);
+    if (!w.done) cancel(w.id, RpcError::kCancelled);
+    co_return std::move(*w.result);
   }
 
   /// One-way typed send. Refused with kPeerClosed after EOF/stop, and
@@ -967,16 +1000,26 @@ class Channel {
   /// (zero extra events); a coroutine handler returning sim::Task<void>
   /// is co_awaited by the dispatch loop (its awaits suspend the loop,
   /// exactly as the hand-written per-tag branches did).
+  ///
+  /// The handler is stored as the route itself (no second wrapper), so a
+  /// capture of up to two pointers costs no allocation.
   template <typename M, typename F>
   void on(F&& f) {
-    if constexpr (std::is_invocable_r_v<sim::Task<void>, F&, M&&>) {
-      // By value, not M&&: the handler coroutine's frame must own the
-      // message — a reference parameter would dangle once the dispatch
-      // scope's decoded temporary dies (the task starts lazily).
-      install_async<M>(std::function<sim::Task<void>(M)>(std::forward<F>(f)));
-    } else {
-      install_sync<M>(std::function<void(M&&)>(std::forward<F>(f)));
-    }
+    route(M::kTag)->handle = [f = std::forward<F>(f)](
+                                 Channel& ch, Message&& m) mutable
+        -> std::optional<sim::Task<void>> {
+      std::optional<M> v = ch.decode_and_route<M>(std::move(m));
+      if (!v) return std::nullopt;
+      if constexpr (std::is_invocable_r_v<sim::Task<void>, F&, M&&>) {
+        // A coroutine handler must take M by value, not M&&: its frame
+        // must own the message, which this scope's decoded temporary
+        // would otherwise outlive only until the task's first suspension.
+        return f(std::move(*v));
+      } else {
+        f(std::move(*v));
+        return std::nullopt;
+      }
+    };
   }
 
   /// Runs on every inbound frame before dispatch (liveness refresh).
@@ -1003,51 +1046,82 @@ class Channel {
   bool cancel(CallId id, RpcError err = RpcError::kCancelled);
 
  private:
+  /// Wait state of one call(), kept in the call's own coroutine frame; its
+  /// PendingCall points here. A frame destroyed before its reply (the
+  /// caller was killed) detaches itself, so the reply, deadline or drain
+  /// that later retires the call completes nothing; a channel destroyed
+  /// first detaches the wait instead.
+  struct CallWaitBase {
+    using Store = void (*)(CallWaitBase&, void* resp, RpcError err);
+    explicit CallWaitBase(Store s) : store(s) {}
+    CallWaitBase(const CallWaitBase&) = delete;
+    CallWaitBase& operator=(const CallWaitBase&) = delete;
+    ~CallWaitBase() {
+      if (chan != nullptr && !done) chan->detach(id);
+    }
+    Channel* chan = nullptr;  // set once issued
+    CallId id = 0;
+    bool done = false;
+    Store store;
+    /// The caller parked in serve mode; empty (expired) while it pumps.
+    sim::Resumption resume;
+  };
+  template <typename Resp>
+  struct CallWait : CallWaitBase {
+    CallWait() : CallWaitBase(&CallWait::store_result) {}
+    std::optional<Expected<Resp, RpcError>> result;
+    static void store_result(CallWaitBase& base, void* resp, RpcError err) {
+      auto& w = static_cast<CallWait&>(base);
+      if (resp) {
+        w.result.emplace(std::move(*static_cast<Resp*>(resp)));
+      } else {
+        w.result.emplace(Unexpected{err});
+      }
+    }
+  };
+  struct WaitAwaiter {
+    CallWaitBase* wait;
+    bool await_ready() const noexcept { return wait->done; }
+    template <typename Promise>
+    void await_suspend(std::coroutine_handle<Promise> h) {
+      wait->resume = sim::Resumption::of(h, h.promise().context());
+    }
+    void await_resume() const noexcept {}
+  };
+
   struct PendingCall {
     CallId id = 0;
     const char* resp_tag = "";
     std::string key;
+    /// call_cb()'s callback, or the parked call()'s wait state; a call
+    /// whose caller is gone has neither and settles silently.
     std::function<void(void*, RpcError)> complete;
+    CallWaitBase* wait = nullptr;
     sim::TimerHandle deadline;
     bool credited = false;
     obs::SpanId span = 0;
   };
 
+  /// A verb's route: decodes the frame, completes a matching call, or runs
+  /// the installed handler (a coroutine handler's task is returned for the
+  /// receive loop to await).
+  using Handler =
+      std::function<std::optional<sim::Task<void>>(Channel&, Message&&)>;
   struct TagEntry {
     std::string_view tag;
-    std::function<void(Channel&, Message&&)> sync;
-    std::function<std::optional<sim::Task<void>>(Channel&, Message&&)> async;
+    Handler handle;
   };
+  /// Routes reserved at a channel's first: every endpoint installs at most
+  /// five verbs (the service's side of a worker connection), so one block
+  /// holds the whole table.
+  static constexpr std::size_t kRouteCapacity = 8;
 
-  struct WaitCore {
-    bool done = false;
-    sim::Engine* engine = nullptr;
-    std::optional<sim::Resumption> resume;
-    void wake() {
-      if (resume && !resume->expired()) {
-        engine->schedule(engine->now(), std::move(*resume));
-      }
-      resume.reset();
-    }
-  };
-  template <typename Resp>
-  struct Wait : WaitCore {
-    std::optional<Expected<Resp, RpcError>> result;
-  };
-  struct WaitAwaiter {
-    WaitCore* core;
-    bool await_ready() const noexcept { return core->done; }
-    template <typename Promise>
-    void await_suspend(std::coroutine_handle<Promise> h) {
-      core->resume = sim::Resumption::of(h, h.promise().context());
-    }
-    void await_resume() const noexcept {}
-  };
-
-  template <typename M, typename F>
-  Expected<CallId, RpcError> call_cb_impl(M req, F&& cb,
-                                          sim::Duration deadline,
-                                          bool pre_credited) {
+  /// Sends `req` as a new pending call, completed by `complete` or, for
+  /// call(), settled into `wait`.
+  template <typename M>
+  Expected<CallId, RpcError> issue(
+      M req, sim::Duration deadline, bool pre_credited,
+      std::function<void(void*, RpcError)> complete, CallWaitBase* wait) {
     using Resp = typename M::Resp;
     if (peer_closed_ || stopped_ || !sock_) {
       if (config_.metrics && config_.metrics->peer_closed) {
@@ -1068,13 +1142,8 @@ class Channel {
     p.resp_tag = Resp::kTag;
     p.key = std::move(key);
     p.credited = window_ != nullptr;
-    p.complete = [cb = std::forward<F>(cb)](void* resp, RpcError err) mutable {
-      if (resp) {
-        cb(Expected<Resp, RpcError>(std::move(*static_cast<Resp*>(resp))));
-      } else {
-        cb(Expected<Resp, RpcError>(Unexpected{err}));
-      }
-    };
+    p.complete = std::move(complete);
+    p.wait = wait;
     if (deadline > 0) {
       p.deadline = engine_->call_in(deadline, [this, id] { on_deadline(id); });
     }
@@ -1090,33 +1159,6 @@ class Channel {
     }
     sock_->send(std::move(*f));
     return id;
-  }
-
-  template <typename M>
-  void install_sync(std::function<void(M&&)> h) {
-    TagEntry* e = route(M::kTag);
-    e->async = nullptr;
-    e->sync = [h = std::move(h)](Channel& ch, Message&& m) {
-      std::optional<M> v = ch.decode_and_route<M>(std::move(m));
-      if (!v) return;
-      if (h) {
-        h(std::move(*v));
-      } else {
-        ch.note_orphan();
-      }
-    };
-  }
-
-  template <typename M>
-  void install_async(std::function<sim::Task<void>(M)> h) {
-    TagEntry* e = route(M::kTag);
-    e->sync = nullptr;
-    e->async = [h = std::move(h)](Channel& ch,
-                                  Message&& m) -> std::optional<sim::Task<void>> {
-      std::optional<M> v = ch.decode_and_route<M>(std::move(m));
-      if (!v) return std::nullopt;
-      return h(std::move(*v));
-    };
   }
 
   /// Decodes, satisfies a matching pending call, or hands the value back
@@ -1140,19 +1182,29 @@ class Channel {
   /// counted as orphans rather than unknown tags).
   template <typename M>
   void ensure_route() {
-    if (!find_tag(M::kTag)) install_sync<M>(nullptr);
+    if (find_tag(M::kTag)) return;
+    route(M::kTag)->handle = [](Channel& ch,
+                                Message&& m) -> std::optional<sim::Task<void>> {
+      if (ch.decode_and_route<M>(std::move(m))) ch.note_orphan();
+      return std::nullopt;
+    };
   }
 
   TagEntry* route(std::string_view tag);       // find-or-insert
   TagEntry* find_tag(std::string_view tag);    // nullptr if absent
+  /// Runs the liveness hook and the frame's route; a coroutine handler's
+  /// task comes back for the receive loop to await.
+  std::optional<sim::Task<void>> dispatch(Message&& m);
   /// Oldest pending call awaiting (resp_tag, key), or calls_.end().
   std::vector<PendingCall>::const_iterator find_pending(
       std::string_view resp_tag, std::string_view key) const;
   std::vector<PendingCall>::iterator find_call(CallId id);
   bool try_complete(const char* resp_tag, const std::string& key, void* resp);
   void finish_call(CallId id, void* resp, RpcError err);
+  /// The call's frame is gone: it stays pending (its late reply must not
+  /// complete a later call with the same key) but will complete nothing.
+  void detach(CallId id);
   void on_deadline(CallId id);
-  sim::Task<void> pump_until(WaitCore* st, CallId id, sim::Duration deadline);
   void note_orphan();
   void note_decode_error();
   void note_unknown_tag();

@@ -5,10 +5,35 @@
 
 namespace jets::net {
 
-// --- Socket -----------------------------------------------------------------
+// --- Connection -------------------------------------------------------------
 
-Socket::Socket(Network& net, std::shared_ptr<detail::Connection> conn, bool is_a)
-    : net_(&net), conn_(std::move(conn)), is_a_(is_a) {}
+namespace detail {
+
+Connection::Connection(Network& network, NodeId a_node, NodeId b_node)
+    : arena_ref(network.arena_),
+      a_to_b(network.engine(), arena_ref.get()),
+      b_to_a(network.engine(), arena_ref.get()),
+      a(this, /*is_a=*/true),
+      b(this, /*is_a=*/false),
+      node_a(a_node),
+      node_b(b_node),
+      net(&network),
+      prev(network.last_) {
+  (prev != nullptr ? prev->next : network.first_) = this;
+  network.last_ = this;
+  ++network.connections_;
+}
+
+Connection::~Connection() {
+  if (net == nullptr) return;
+  (prev != nullptr ? prev->next : net->first_) = next;
+  (next != nullptr ? next->prev : net->last_) = prev;
+  --net->connections_;
+}
+
+}  // namespace detail
+
+// --- Socket -----------------------------------------------------------------
 
 detail::Pipe& Socket::out() { return is_a_ ? conn_->a_to_b : conn_->b_to_a; }
 detail::Pipe& Socket::in() { return is_a_ ? conn_->b_to_a : conn_->a_to_b; }
@@ -26,31 +51,34 @@ sim::Time Socket::queue_on_wire(const Message& m) {
   // sender serializes only after its stall window; a stalled receiver has
   // delivery deferred to its window's end (both keep FIFO order because
   // the deferral point is monotone in the send time).
-  sim::Engine& engine = net_->engine();
-  const Fabric& fabric = net_->fabric();
+  Network& net = *conn_->net;
+  const Fabric& fabric = net.fabric();
   detail::Pipe& pipe = out();
-  const sim::Time start = std::max({engine.now(), pipe.wire_free_at,
-                                    net_->stall_until(local_node())});
+  const sim::Time start = std::max({net.engine().now(), pipe.wire_free_at,
+                                    net.stall_until(local_node())});
   const sim::Time sent = start + fabric.serialization_time(m.wire_size());
   pipe.wire_free_at = sent;
   return std::max(sent + fabric.latency(local_node(), remote_node()),
-                  net_->stall_until(remote_node()));
+                  net.stall_until(remote_node()));
+}
+
+void Socket::schedule_flush(sim::Time at) {
+  // Still one engine event per send — the event heap's (time, seq) layout
+  // is byte-identical to the per-message scheme — but the payload lives in
+  // the arena, and the closure is one counted reference to the connection
+  // block (16 bytes, inline in the event slot's sim::Callback), so the
+  // delivery event allocates nothing. The earliest event of a same-instant
+  // burst drains the whole due batch (Pipe::flush); its siblings find the
+  // chain empty.
+  detail::Pipe& pipe = out();
+  pipe.engine->call_at(at, [p = detail::PipeRef(conn_, &pipe)] { p->flush(); });
 }
 
 void Socket::send(Message m) {
   if (!open_ || out().closed) return;  // writes on a closed socket are dropped
   const sim::Time deliver_at = queue_on_wire(m);
-  detail::Pipe& pipe = out();
-  pipe.park(std::move(m), deliver_at);
-  // Still one engine event per send — the event heap's (time, seq) layout
-  // is byte-identical to the per-message scheme — but the payload lives in
-  // the arena, and the closure is a single aliasing shared_ptr (16 bytes,
-  // inline in the event slot's sim::Callback), so the delivery event
-  // allocates nothing. The earliest event of a same-instant burst drains
-  // the whole due batch (Pipe::flush); its siblings find the chain empty.
-  net_->engine().call_at(
-      deliver_at,
-      [p = std::shared_ptr<detail::Pipe>(conn_, &pipe)] { p->flush(); });
+  out().park(std::move(m), deliver_at);
+  schedule_flush(deliver_at);
 }
 
 sim::Task<void> Socket::send_sync(Message m) {
@@ -60,12 +88,9 @@ sim::Task<void> Socket::send_sync(Message m) {
   // fully left this endpoint (stalls included); that is what the sender
   // holds resources until.
   const sim::Time sent_at = out().wire_free_at;
-  detail::Pipe& pipe = out();
-  pipe.park(std::move(m), deliver_at);
-  net_->engine().call_at(
-      deliver_at,
-      [p = std::shared_ptr<detail::Pipe>(conn_, &pipe)] { p->flush(); });
-  const sim::Duration wait = sent_at - net_->engine().now();
+  out().park(std::move(m), deliver_at);
+  schedule_flush(deliver_at);
+  const sim::Duration wait = sent_at - out().engine->now();
   if (wait > 0) co_await sim::delay(wait);
 }
 
@@ -76,16 +101,15 @@ void Socket::close() {
   open_ = false;
   detail::Pipe& outgoing = out();
   outgoing.closed = true;
+  Network* net = conn_->net;
+  if (net == nullptr) return;  // torn down with its network
   // Signal EOF to the peer after anything already on the wire arrives.
-  auto conn = conn_;
-  const bool to_b = is_a_;
   const sim::Time eof_at =
-      std::max(net_->engine().now(),
+      std::max(net->engine().now(),
                outgoing.wire_free_at +
-                   net_->fabric().latency(local_node(), remote_node()));
-  net_->engine().call_at(eof_at, [conn, to_b] {
-    detail::Pipe& p = to_b ? conn->a_to_b : conn->b_to_a;
-    p.inbox.close();
+                   net->fabric().latency(local_node(), remote_node()));
+  net->engine().call_at(eof_at, [p = detail::PipeRef(conn_, &outgoing)] {
+    p->inbox.close();
   });
 }
 
@@ -105,42 +129,47 @@ void Listener::close() {
 
 // --- Network ----------------------------------------------------------------
 
+Network::~Network() {
+  for (detail::Connection* c = first_; c != nullptr;) {
+    detail::Connection* next = c->next;
+    c->net = nullptr;
+    c->prev = c->next = nullptr;
+    c = next;
+  }
+}
+
+std::vector<Listener*>::iterator Network::find_listener(Address addr) {
+  return std::lower_bound(
+      listeners_.begin(), listeners_.end(), addr,
+      [](const Listener* l, const Address& a) { return l->addr_ < a; });
+}
+
 std::unique_ptr<Listener> Network::listen(Address addr) {
-  if (listeners_.contains(addr)) {
+  const auto it = find_listener(addr);
+  if (it != listeners_.end() && (*it)->addr_ == addr) {
     throw std::invalid_argument("port already bound: node " +
                                 std::to_string(addr.node) + ":" +
                                 std::to_string(addr.port));
   }
   auto l = std::make_unique<Listener>(*this, addr);
-  listeners_[addr] = l.get();
+  listeners_.insert(it, l.get());
   return l;
 }
 
-sim::Task<SocketPtr> Network::connect(NodeId from, Address to) {
-  // SYN + SYN/ACK: one round trip before the connection is established.
-  const sim::Duration rtt = fabric_->latency(from, to.node) * 2;
-  co_await sim::delay(rtt);
-  auto it = listeners_.find(to);
-  if (it == listeners_.end() || !it->second->open_) throw ConnectError(to);
-  auto conn =
-      std::make_shared<detail::Connection>(*engine_, arena_, from, to.node);
-  track(conn);
-  auto client = std::make_shared<Socket>(*this, conn, /*is_a=*/true);
-  auto server = std::make_shared<Socket>(*this, conn, /*is_a=*/false);
-  it->second->pending_.push(std::move(server));
-  co_return client;
+void Network::unbind(Address addr) {
+  const auto it = find_listener(addr);
+  if (it != listeners_.end() && (*it)->addr_ == addr) listeners_.erase(it);
 }
 
-void Network::track(const std::shared_ptr<detail::Connection>& conn) {
-  connections_.push_back(conn);
-  if (connections_.size() < prune_at_) return;
-  // Amortized O(1) per connect. Order is kept, so reset_node visits the
-  // live connections in the same order whether or not a sweep ran.
-  std::erase_if(connections_,
-                [](const std::weak_ptr<detail::Connection>& w) {
-                  return w.expired();
-                });
-  prune_at_ = std::max(kMinPrune, 2 * connections_.size());
+SocketPtr Network::establish(NodeId from, Address to) {
+  const auto it = find_listener(to);
+  if (it == listeners_.end() || (*it)->addr_ != to || !(*it)->open_) {
+    throw ConnectError(to);
+  }
+  auto* conn = new detail::Connection(*this, from, to.node);
+  SocketPtr client(&conn->a);
+  (*it)->pending_.push(SocketPtr(&conn->b));
+  return client;
 }
 
 // --- Fault hooks -------------------------------------------------------------
@@ -158,12 +187,7 @@ sim::Time Network::stall_until(NodeId node) const {
 
 std::size_t Network::reset_node(NodeId node) {
   std::size_t reset = 0;
-  std::vector<std::weak_ptr<detail::Connection>> live;
-  live.reserve(connections_.size());
-  for (auto& weak : connections_) {
-    auto conn = weak.lock();
-    if (!conn) continue;  // all endpoints gone: prune
-    live.push_back(weak);
+  for (detail::Connection* conn = first_; conn != nullptr; conn = conn->next) {
     if (conn->node_a != node && conn->node_b != node) continue;
     if (conn->a_to_b.closed && conn->b_to_a.closed) continue;  // already dead
     // RST semantics: both directions die *now* — in-flight bytes vanish
@@ -174,7 +198,6 @@ std::size_t Network::reset_node(NodeId node) {
     }
     ++reset;
   }
-  connections_ = std::move(live);
   return reset;
 }
 

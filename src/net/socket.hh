@@ -8,18 +8,23 @@
 //    reliability characteristics offered by TCP-based APIs") for fault
 //    tolerance — worker-kill tests exercise exactly this path.
 //
-// Sockets are shared_ptr-owned; a killed process's coroutine frames drop
-// their references during teardown and the destructor closes the
-// connection, so the remote side's recv() wakes with EOF just as a real
-// peer reset would.
+// A connection is one heap block holding both endpoints and both
+// directions. SocketPtr is a counted handle to one endpoint: when an
+// endpoint's last handle drops (a killed process's coroutine frames drop
+// theirs during teardown) it closes, so the remote side's recv() wakes
+// with EOF just as a real peer reset would. The block itself lives until
+// neither endpoint has a handle and no delivery is in flight.
 #pragma once
 
+#include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/arena.hh"
@@ -44,8 +49,8 @@ struct Address {
   auto operator<=>(const Address&) const = default;
 };
 
+class Network;
 class Socket;
-using SocketPtr = std::shared_ptr<Socket>;
 
 /// Thrown by connect() when no listener is bound to the target address.
 class ConnectError : public std::runtime_error {
@@ -118,30 +123,30 @@ struct Pipe {
   std::uint32_t pending_tail = MessageArena::kNil;
 };
 
-struct Connection {
-  Connection(sim::Engine& engine, std::shared_ptr<MessageArena> arena,
-             NodeId a, NodeId b)
-      : arena_ref(std::move(arena)), a_to_b(engine, arena_ref.get()),
-        b_to_a(engine, arena_ref.get()), node_a(a), node_b(b) {}
-  /// Declared before the pipes so their destructors (which release parked
-  /// messages back into the arena) run while the arena is still alive —
-  /// even if the owning Network is long gone.
-  std::shared_ptr<MessageArena> arena_ref;
-  Pipe a_to_b;
-  Pipe b_to_a;
-  NodeId node_a, node_b;
+struct Connection;
+
+/// A counted reference to a connection block, held by the engine events
+/// that deliver into one of its pipes (16 bytes: inline in sim::Callback).
+class PipeRef {
+ public:
+  PipeRef(Connection* conn, Pipe* pipe) noexcept;
+  PipeRef(PipeRef&& o) noexcept
+      : conn_(std::exchange(o.conn_, nullptr)), pipe_(o.pipe_) {}
+  PipeRef& operator=(PipeRef&&) = delete;
+  ~PipeRef();
+  Pipe* operator->() const noexcept { return pipe_; }
+
+ private:
+  Connection* conn_;
+  Pipe* pipe_;
 };
 
 }  // namespace detail
 
-class Network;
-
-/// One endpoint of an established connection.
+/// One endpoint of an established connection. Endpoints live inside their
+/// connection's block; SocketPtr is the handle that owns one.
 class Socket {
  public:
-  /// Use Network::connect / Listener::accept; this is internal.
-  Socket(Network& net, std::shared_ptr<detail::Connection> conn, bool is_a);
-  ~Socket() { close(); }
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
 
@@ -183,16 +188,114 @@ class Socket {
   void close();
 
  private:
+  friend class SocketPtr;
+  friend struct detail::Connection;
+  Socket(detail::Connection* conn, bool is_a) : conn_(conn), is_a_(is_a) {}
+
   detail::Pipe& out();
   detail::Pipe& in();
   const detail::Pipe& in() const;
   sim::Time queue_on_wire(const Message& m);
+  /// Delivers the outgoing pipe's due messages at `at` (one engine event
+  /// per send).
+  void schedule_flush(sim::Time at);
+  void retain() noexcept;
+  /// Drops one handle; the last one closes this endpoint.
+  void release() noexcept;
 
-  Network* net_;
-  std::shared_ptr<detail::Connection> conn_;
+  detail::Connection* conn_;
   bool is_a_;
   bool open_ = true;
+  std::uint32_t handles_ = 0;
 };
+
+/// Owning handle to one endpoint, used like a shared_ptr<Socket>: copies
+/// share the endpoint, and when the last one drops the endpoint closes (its
+/// peer sees EOF then). Made only by Network::connect and Listener::accept.
+class SocketPtr {
+ public:
+  SocketPtr() noexcept = default;
+  SocketPtr(std::nullptr_t) noexcept {}
+  SocketPtr(const SocketPtr& o) noexcept : s_(o.s_) {
+    if (s_ != nullptr) s_->retain();
+  }
+  SocketPtr(SocketPtr&& o) noexcept : s_(std::exchange(o.s_, nullptr)) {}
+  SocketPtr& operator=(SocketPtr o) noexcept {
+    std::swap(s_, o.s_);
+    return *this;
+  }
+  ~SocketPtr() { reset(); }
+
+  void reset() noexcept {
+    if (Socket* s = std::exchange(s_, nullptr)) s->release();
+  }
+  Socket* get() const noexcept { return s_; }
+  Socket& operator*() const noexcept { return *s_; }
+  Socket* operator->() const noexcept { return s_; }
+  explicit operator bool() const noexcept { return s_ != nullptr; }
+  friend bool operator==(const SocketPtr& p, std::nullptr_t) noexcept {
+    return p.s_ == nullptr;
+  }
+
+ private:
+  friend class Network;
+  explicit SocketPtr(Socket* s) noexcept : s_(s) { s_->retain(); }
+
+  Socket* s_ = nullptr;
+};
+
+namespace detail {
+
+/// One established connection: both endpoints and both directions, built
+/// by Network::connect in one allocation. `refs` counts the endpoints'
+/// handles plus the in-flight delivery and EOF events; the block frees
+/// itself when it reaches zero. Live blocks form the network's list in
+/// creation order (reset_node walks it).
+struct Connection {
+  Connection(Network& network, NodeId a, NodeId b);
+  ~Connection();
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  void retain() noexcept { ++refs; }
+  void release() noexcept {
+    if (--refs == 0) delete this;
+  }
+
+  /// Declared before the pipes so their destructors (which release parked
+  /// messages back into the arena) run while the arena is still alive —
+  /// even if the owning Network is long gone.
+  std::shared_ptr<MessageArena> arena_ref;
+  Pipe a_to_b;
+  Pipe b_to_a;
+  Socket a;  // the connecting side
+  Socket b;  // the accepting side
+  NodeId node_a, node_b;
+  Network* net;  // null once the network is destroyed
+  std::uint32_t refs = 0;
+  Connection* prev = nullptr;
+  Connection* next = nullptr;
+};
+
+inline PipeRef::PipeRef(Connection* conn, Pipe* pipe) noexcept
+    : conn_(conn), pipe_(pipe) {
+  conn_->retain();
+}
+inline PipeRef::~PipeRef() {
+  if (conn_ != nullptr) conn_->release();
+}
+
+}  // namespace detail
+
+inline void Socket::retain() noexcept {
+  ++handles_;
+  conn_->retain();
+}
+
+inline void Socket::release() noexcept {
+  if (--handles_ == 0) close();
+  conn_->release();
+}
 
 /// A bound, listening port. accept() yields established server-side sockets.
 class Listener {
@@ -242,6 +345,9 @@ class Network {
   Network(sim::Engine& engine, std::shared_ptr<const Fabric> fabric)
       : engine_(&engine), fabric_(std::move(fabric)),
         arena_(std::make_shared<MessageArena>()) {}
+  /// Detaches the connection blocks that outlive it (held by pending
+  /// engine events).
+  ~Network();
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -253,16 +359,40 @@ class Network {
   /// Binds a listener; throws std::invalid_argument if the port is taken.
   std::unique_ptr<Listener> listen(Address addr);
 
+  /// Awaiter of connect(): one fabric round trip (the caller's resumption
+  /// at now + RTT, the event sim::delay schedules), then the connection is
+  /// built — both endpoints in one block — or ConnectError is thrown. No
+  /// coroutine frame of its own.
+  class ConnectAwaiter {
+   public:
+    ConnectAwaiter(Network& net, NodeId from, Address to)
+        : net_(&net), from_(from), to_(to) {}
+    bool await_ready() const noexcept { return false; }
+    template <typename Promise>
+    void await_suspend(std::coroutine_handle<Promise> h) const {
+      // SYN + SYN/ACK: one round trip before the connection is established.
+      sim::delay(net_->fabric().latency(from_, to_.node) * 2).await_suspend(h);
+    }
+    SocketPtr await_resume() const { return net_->establish(from_, to_); }
+
+   private:
+    Network* net_;
+    NodeId from_;
+    Address to_;
+  };
+
   /// Establishes a connection from `from` to the listener at `to`.
   /// Takes one fabric round trip; throws ConnectError if nothing listens.
-  sim::Task<SocketPtr> connect(NodeId from, Address to);
+  ConnectAwaiter connect(NodeId from, Address to) {
+    return ConnectAwaiter(*this, from, to);
+  }
 
   /// Number of live bound listeners (diagnostics).
   std::size_t listener_count() const { return listeners_.size(); }
 
-  /// Connections tracked for reset_node: the live ones plus dead ones not
-  /// yet pruned, at most about twice the live count (diagnostics).
-  std::size_t connection_count() const { return connections_.size(); }
+  /// Connections whose block is alive: an endpoint still has a handle or
+  /// a delivery is in flight (diagnostics).
+  std::size_t connection_count() const { return connections_; }
 
   // --- Fault hooks ------------------------------------------------------
 
@@ -283,21 +413,22 @@ class Network {
  private:
   friend class Listener;
   friend class Socket;
-  void unbind(Address addr) { listeners_.erase(addr); }
-  void track(const std::shared_ptr<detail::Connection>& conn);
-
-  /// The registry is swept no earlier than this size.
-  static constexpr std::size_t kMinPrune = 64;
+  friend struct detail::Connection;
+  /// The connection to the listener at `to`, after the round trip.
+  SocketPtr establish(NodeId from, Address to);
+  std::vector<Listener*>::iterator find_listener(Address addr);
+  void unbind(Address addr);
 
   sim::Engine* engine_;
   std::shared_ptr<const Fabric> fabric_;
   std::shared_ptr<MessageArena> arena_;
-  std::map<Address, Listener*> listeners_;
-  /// Connections in creation order, for reset_node. Dead entries pin
-  /// their connection's make_shared block, so track() prunes them each
-  /// time the list doubles since the last sweep.
-  std::vector<std::weak_ptr<detail::Connection>> connections_;
-  std::size_t prune_at_ = kMinPrune;
+  /// Bound listeners, sorted by address.
+  std::vector<Listener*> listeners_;
+  /// Live connection blocks in creation order, for reset_node; each block
+  /// links itself in when built and out when freed.
+  detail::Connection* first_ = nullptr;
+  detail::Connection* last_ = nullptr;
+  std::size_t connections_ = 0;
   std::map<NodeId, sim::Time> stalled_;
 };
 

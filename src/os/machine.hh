@@ -116,7 +116,17 @@ class Node {
 };
 
 /// Options for launching a simulated process.
+///
+/// The constructors are user-provided ON PURPOSE, as every rpc verb's are
+/// (see the GCC 12 note in net/rpc.hh): exec() defaults this argument, and
+/// GCC 12 gives an *aggregate* prvalue that lives across a co_await in the
+/// same full-expression a bitwise duplicate, whose destruction frees the
+/// original's inline string buffer. `co_await m.wait(m.exec(...))` is safe
+/// only while ExecOptions is not an aggregate.
 struct ExecOptions {
+  ExecOptions() = default;
+  explicit ExecOptions(std::string program) : binary(std::move(program)) {}
+
   /// If non-empty, the named program binary is loaded before the body runs:
   /// from node-local storage when staged there, otherwise from the shared
   /// filesystem (the staging-ablation lever, §6.1.4).

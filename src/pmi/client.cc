@@ -1,9 +1,6 @@
 #include "pmi/client.hh"
 
-#include <stdexcept>
 #include <utility>
-
-#include "obs/tracer.hh"
 
 namespace jets::pmi {
 
@@ -18,36 +15,18 @@ sim::Task<std::unique_ptr<PmiClient>> PmiClient::connect(os::Machine& machine,
   net::SocketPtr sock = co_await machine.network().connect(node, control);
   net::rpc::post(*sock, net::rpc::PmiInit{rank});
   auto client = std::unique_ptr<PmiClient>(
-      new PmiClient(std::move(sock), rank, size));
-  client->chan_ =
-      std::make_unique<net::rpc::Channel>(machine.engine(), client->sock_);
+      new PmiClient(machine.engine(), std::move(sock), rank, size));
   client->tracer_ = tr;
   client->track_ = track;
   co_return client;
 }
 
 void PmiClient::put(const std::string& key, const std::string& value) {
-  net::rpc::post(*sock_, net::rpc::PmiPut{key, value});
-}
-
-sim::Task<std::string> PmiClient::get(const std::string& key) {
-  // Interleaved barrier_out or stale value replies route through the
-  // channel's correlation scan and drop as orphans — the defensive
-  // skips the hand-written receive loop used to make.
-  auto r = co_await chan_->call(net::rpc::PmiGet{key});
-  if (!r.ok()) throw std::runtime_error("PMI: lost connection to mpiexec");
-  co_return std::move(r.value().value);
-}
-
-sim::Task<void> PmiClient::barrier() {
-  obs::ScopedSpan span(tracer_, "pmi.barrier", track_);
-  span.attr("rank", static_cast<std::int64_t>(rank_));
-  auto r = co_await chan_->call(net::rpc::PmiBarrier{rank_});
-  if (!r.ok()) throw std::runtime_error("PMI: lost connection to mpiexec");
+  net::rpc::post(*socket(), net::rpc::PmiPut{key, value});
 }
 
 void PmiClient::finalize() {
-  net::rpc::post(*sock_, net::rpc::PmiFinalize{rank_});
+  net::rpc::post(*socket(), net::rpc::PmiFinalize{rank_});
 }
 
 }  // namespace jets::pmi

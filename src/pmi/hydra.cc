@@ -114,15 +114,13 @@ os::Program Mpiexec::proxy_program(const os::AppRegistry& apps) {
       std::string name = spec.argv.at(0) + ":" + std::to_string(rank);
       // Each rank gets its own argv and vars; the last one takes the spec's.
       const bool last = r + 1 == local;
-      os::ExecOptions opts;
-      opts.binary = spec.user_binary;
       pids.push_back(env.machine->exec(
           env.node, std::move(name),
           rank_body(env.machine, &apps, env.node,
                     last ? std::move(spec.argv) : spec.argv,
                     last ? std::move(spec.vars) : spec.vars, args->control,
                     rank, spec.nprocs, shared),
-          std::move(opts)));
+          os::ExecOptions(spec.user_binary)));
     }
     for (auto pid : pids) co_await env.machine->wait(pid);
     rpc::post(*sock, rpc::ProxyExit{args->proxy_id, shared->exit_code});
@@ -213,9 +211,8 @@ void Mpiexec::launch_via_ssh(const std::vector<os::NodeId>& hosts,
           // ssh connection setup + auth is paid per host, sequentially —
           // the bottleneck JETS's persistent workers eliminate.
           co_await sim::delay(cost);
-          os::ExecOptions opts;
-          opts.binary = kProxyBinary;
-          os::run_command(*m, *apps, hosts[k], cmds[k], {}, std::move(opts));
+          os::run_command(*m, *apps, hosts[k], cmds[k], {},
+                          os::ExecOptions(kProxyBinary));
         }
       }(machine_, apps_, hosts, ssh_cost, std::move(cmds)));
 }

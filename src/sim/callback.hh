@@ -1,15 +1,15 @@
 // Move-only `void()` callable for the engine's callback events.
 //
 // libstdc++'s std::function keeps a functor inline only if it is trivially
-// copyable and at most 16 bytes, so the closures on the message path (an
-// aliasing shared_ptr per socket send, a shared_ptr plus a flag per close)
-// each cost one heap allocation per event. Callback keeps any closure of up
-// to kInlineBytes inline, whatever its copy semantics, and spills larger
-// ones to the heap. kInlineBytes covers the hot call_at sites: socket
-// delivery (16 bytes), socket EOF (24), the timed channel receive (24), and
-// the rpc and service deadlines (16). At 24 bytes plus the ops pointer a
-// Callback is as large as the std::function it replaces, so the event slab
-// does not grow.
+// copyable and at most 16 bytes, so the closures on the message path (a
+// counted connection reference per socket send and per close) would each
+// cost one heap allocation per event. Callback keeps any closure of up to
+// kInlineBytes inline, whatever its copy semantics, and spills larger ones
+// to the heap. kInlineBytes covers the hot call_at sites: socket delivery
+// and EOF (16 bytes), the timed channel receive (24), and the rpc and
+// service deadlines (16). At 24 bytes plus the ops pointer a Callback is
+// as large as the std::function it replaces, so the event slab does not
+// grow.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -127,43 +128,94 @@ void Engine::cancel_event(std::uint32_t slot, std::uint32_t gen) {
 // --- Actors ------------------------------------------------------------
 
 std::uint32_t Engine::alloc_actor_slot() {
-  std::uint32_t slot;
   if (free_actors_ != kNoSlot) {
-    slot = free_actors_;
-    free_actors_ = actor_slots_[slot].next_free;
-  } else {
-    slot = static_cast<std::uint32_t>(actor_slots_.size());
-    actor_slots_.emplace_back();
+    const std::uint32_t slot = free_actors_;
+    free_actors_ = actor_at(slot).next_free;
+    return slot;
   }
+  const std::uint32_t slot = actor_count_++;
+  if ((slot & (kActorChunk - 1)) == 0) {
+    actor_chunks_.push_back(std::make_unique<ActorSlot[]>(kActorChunk));
+  }
+  ActorSlot& as = actor_at(slot);
+  as.ctx.engine = this;
+  as.ctx.slot = slot;
   return slot;
+}
+
+std::size_t Engine::index_home(ActorId id) const {
+  // Fibonacci hashing: dense ids spread over the whole table.
+  return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ull) >> index_shift_);
+}
+
+std::uint32_t Engine::find_actor(ActorId id) const {
+  if (live_actors_ == 0) return kNoSlot;
+  const std::size_t mask = actor_index_.size() - 1;
+  for (std::size_t i = index_home(id);; i = (i + 1) & mask) {
+    const std::uint32_t slot = actor_index_[i];
+    if (slot == kNoSlot || actor_at(slot).ctx.id == id) return slot;
+  }
+}
+
+void Engine::index_insert(std::uint32_t slot) {
+  if (2 * (live_actors_ + 1) > actor_index_.size()) {
+    // Grow (and rehash) to keep the table at most half full.
+    std::vector<std::uint32_t> old = std::move(actor_index_);
+    const std::size_t size = std::max<std::size_t>(16, 2 * old.size());
+    actor_index_.assign(size, kNoSlot);
+    index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
+    live_actors_ = 0;
+    for (const std::uint32_t s : old) {
+      if (s != kNoSlot) index_insert(s);
+    }
+  }
+  const std::size_t mask = actor_index_.size() - 1;
+  std::size_t i = index_home(actor_at(slot).ctx.id);
+  while (actor_index_[i] != kNoSlot) i = (i + 1) & mask;
+  actor_index_[i] = slot;
+  ++live_actors_;
+}
+
+void Engine::index_erase(ActorId id) {
+  const std::size_t mask = actor_index_.size() - 1;
+  std::size_t hole = index_home(id);
+  while (actor_at(actor_index_[hole]).ctx.id != id) hole = (hole + 1) & mask;
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home lies cyclically after the hole, so lookups
+  // never need tombstones.
+  for (std::size_t j = (hole + 1) & mask; actor_index_[j] != kNoSlot;
+       j = (j + 1) & mask) {
+    const std::size_t home = index_home(actor_at(actor_index_[j]).ctx.id);
+    const bool stays = hole <= j ? (hole < home && home <= j)
+                                 : (hole < home || home <= j);
+    if (stays) continue;
+    actor_index_[hole] = actor_index_[j];
+    hole = j;
+  }
+  actor_index_[hole] = kNoSlot;
+  --live_actors_;
 }
 
 ActorId Engine::spawn(std::string name, Task<void> body) {
   if (!body.valid()) throw std::invalid_argument("spawn: empty task");
   const ActorId id = next_actor_id_++;
   const std::uint32_t slot = alloc_actor_slot();
-  ActorSlot& as = actor_slots_[slot];
-  Actor& actor = as.actor.emplace();
-  actor.id = id;
-  actor.name = std::move(name);
-  actor.ctx = std::make_unique<ActorContext>();
-  actor.ctx->engine = this;
-  actor.ctx->id = id;
-  actor.ctx->slot = slot;
-  actor.ctx->gen = as.gen;
-  actor.root = body.release();
-  actor.root.promise().set_context(actor.ctx.get());
-  schedule(now_, Resumption::of(actor.root, actor.ctx.get()));
+  ActorSlot& as = actor_at(slot);
+  as.ctx.id = id;
+  as.name = std::move(name);
+  as.root = body.release();
+  as.root.promise().set_context(&as.ctx);
+  schedule(now_, Resumption::of(as.root, &as.ctx));
   for (std::size_t i = 0; i < observers_.size(); ++i) {
-    observers_[i]->on_spawn(now_, id, actor.name);
+    observers_[i]->on_spawn(now_, id, as.name);
   }
-  id_to_slot_.emplace(id, slot);
+  index_insert(slot);
   return id;
 }
 
 bool Engine::kill(ActorId id) {
-  auto it = id_to_slot_.find(id);
-  if (it == id_to_slot_.end()) return false;
+  const std::uint32_t slot = find_actor(id);
+  if (slot == kNoSlot) return false;
   if (running_actor_ == id) {
     // Cannot destroy the frame we are currently executing inside; reap
     // after the current dispatch unwinds. The generation bump happens at
@@ -172,18 +224,19 @@ bool Engine::kill(ActorId id) {
     deferred_kills_.push_back(id);
     return true;
   }
-  destroy_actor_slot(it->second, nullptr);
+  destroy_actor_slot(slot, nullptr);
   return true;
 }
 
 const std::string* Engine::actor_name(ActorId id) const {
-  auto it = id_to_slot_.find(id);
-  return it == id_to_slot_.end() ? nullptr
-                                 : &actor_slots_[it->second].actor->name;
+  const std::uint32_t slot = find_actor(id);
+  return slot == kNoSlot ? nullptr : &actor_at(slot).name;
 }
 
-void Engine::add_joiner(ActorId id, Resumption r) {
-  actor_slots_[id_to_slot_.at(id)].actor->joiners.push_back(std::move(r));
+void Engine::add_joiner(ActorId id, detail::WaitNode* joiner) {
+  const std::uint32_t slot = find_actor(id);
+  assert(slot != kNoSlot);
+  actor_at(slot).joiners.push_back(joiner);
 }
 
 void Engine::reap_finished_and_killed() {
@@ -191,44 +244,46 @@ void Engine::reap_finished_and_killed() {
     if (!finished_.empty()) {
       auto [id, error] = std::move(finished_.back());
       finished_.pop_back();
-      auto it = id_to_slot_.find(id);
-      if (it != id_to_slot_.end()) destroy_actor_slot(it->second, std::move(error));
+      const std::uint32_t slot = find_actor(id);
+      if (slot != kNoSlot) destroy_actor_slot(slot, std::move(error));
     } else {
       ActorId id = deferred_kills_.back();
       deferred_kills_.pop_back();
-      auto it = id_to_slot_.find(id);
-      if (it != id_to_slot_.end()) destroy_actor_slot(it->second, nullptr);
+      const std::uint32_t slot = find_actor(id);
+      if (slot != kNoSlot) destroy_actor_slot(slot, nullptr);
     }
   }
 }
 
 void Engine::destroy_actor_slot(std::uint32_t slot, std::exception_ptr error) {
-  ActorSlot& as = actor_slots_[slot];
-  Actor actor = std::move(*as.actor);
-  as.actor.reset();
-  ++as.gen;  // expire every pending resumption for this actor at once
+  ActorSlot& as = actor_at(slot);
+  const ActorId id = as.ctx.id;
+  const std::string name = std::move(as.name);
+  const Task<void>::Handle root = std::exchange(as.root, nullptr);
+  index_erase(id);
+  ++as.ctx.gen;  // expire every pending resumption for this actor at once
+  // Wake the joiners (in join order) before the cell can be reused; in
+  // shutdown they are only detached, their frames die next.
+  while (!as.joiners.empty()) {
+    detail::WaitNode* joiner = as.joiners.pop_front();
+    if (!in_shutdown_) schedule(now_, joiner->resume);
+  }
   as.next_free = free_actors_;
   free_actors_ = slot;
-  id_to_slot_.erase(actor.id);
   if (!in_shutdown_) {
     // Finished actors arrive via the finished_ list; everything else
     // reaching here directly is a kill.
-    const bool finished = actor.root && actor.root.done();
+    const bool finished = root.done();
     for (std::size_t i = 0; i < observers_.size(); ++i) {
       if (finished) {
-        observers_[i]->on_finish(now_, actor.id, actor.name);
+        observers_[i]->on_finish(now_, id, name);
       } else {
-        observers_[i]->on_kill(now_, actor.id, actor.name);
+        observers_[i]->on_kill(now_, id, name);
       }
     }
   }
   if (error) unhandled_errors_.push_back(error);
-  if (!in_shutdown_) {
-    for (Resumption& r : actor.joiners) {
-      schedule(now_, std::move(r));
-    }
-  }
-  if (actor.root) actor.root.destroy();
+  root.destroy();
 }
 
 // --- Run loop ----------------------------------------------------------
@@ -305,13 +360,14 @@ void Engine::shutdown() {
   // Destroy live actors in a defined order (ascending id) so coroutine-frame
   // destructors (which may close sockets etc.) run deterministically.
   std::vector<ActorId> ids;
-  ids.reserve(id_to_slot_.size());
-  for (const auto& [id, _] : id_to_slot_) ids.push_back(id);
+  ids.reserve(live_actors_);
+  for (std::uint32_t slot = 0; slot < actor_count_; ++slot) {
+    if (actor_at(slot).root) ids.push_back(actor_at(slot).ctx.id);
+  }
   std::sort(ids.begin(), ids.end());
   for (ActorId id : ids) {
-    auto it = id_to_slot_.find(id);
-    if (it == id_to_slot_.end()) continue;
-    destroy_actor_slot(it->second, nullptr);
+    const std::uint32_t slot = find_actor(id);
+    if (slot != kNoSlot) destroy_actor_slot(slot, nullptr);
   }
   // Drop all pending events. Slots are freed (closures destroyed) but the
   // slab itself is kept, so generations persist and a late TimerHandle

@@ -7,7 +7,10 @@
 //
 // Hot-path layout: event payloads live in a slab (free-list recycled), and
 // the priority queue holds only compact {time, seq, slot, gen} index
-// entries, so heap sifts move 24-byte PODs instead of fat closures.
+// entries, so heap sifts move 24-byte PODs instead of fat closures. Actors
+// live in a second slab whose cells never move, so each actor's context is
+// a cell of it and spawning allocates nothing once the slab has grown to
+// the live high-water mark.
 // Cancellation is generation-based on both axes:
 //
 //   * a TimerHandle remembers its event slot's generation; cancel() frees
@@ -33,7 +36,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/callback.hh"
@@ -79,9 +81,10 @@ class TimerHandle {
 };
 
 /// A suspended coroutine waiting to be resumed, together with the actor it
-/// belongs to. `ctx` is only dereferenced after the slot-generation check
-/// passes (expired() is false), so it can never dangle: the generation is
-/// bumped before the context is destroyed.
+/// belongs to. `ctx` points into the engine's actor slab, whose cells are
+/// reused: once the actor has finished or been killed it may name a later
+/// actor's context, so it is only dereferenced after the slot-generation
+/// check passes (expired() is false).
 struct Resumption {
   std::coroutine_handle<> handle;
   ActorContext* ctx = nullptr;
@@ -98,6 +101,88 @@ struct Resumption {
   /// resumptions are expired.
   inline bool expired() const;
 };
+
+namespace detail {
+
+class WaitList;
+
+/// Link of an intrusive FIFO of blocked coroutines. Awaiters derive from
+/// it, so a suspended coroutine's node lives in its own frame and blocking
+/// allocates nothing. A node still linked when its frame is destroyed (its
+/// actor was killed) unlinks itself; a list destroyed under linked nodes
+/// detaches them, so neither side can dangle.
+class WaitNode {
+ public:
+  WaitNode() = default;
+  WaitNode(const WaitNode&) = delete;
+  WaitNode& operator=(const WaitNode&) = delete;
+  ~WaitNode() { unlink(); }
+
+  inline void unlink();
+
+  /// The coroutine to wake; set by the awaiter when it suspends.
+  Resumption resume;
+
+ private:
+  friend class WaitList;
+  WaitList* list_ = nullptr;
+  WaitNode* prev_ = nullptr;
+  WaitNode* next_ = nullptr;
+};
+
+class WaitList {
+ public:
+  WaitList() = default;
+  WaitList(const WaitList&) = delete;
+  WaitList& operator=(const WaitList&) = delete;
+  ~WaitList() {
+    while (head_ != nullptr) pop_front();
+  }
+
+  bool empty() const noexcept { return head_ == nullptr; }
+  std::size_t size() const noexcept { return size_; }
+
+  void push_back(WaitNode* n) {
+    assert(n->list_ == nullptr);
+    n->list_ = this;
+    n->prev_ = tail_;
+    n->next_ = nullptr;
+    (tail_ != nullptr ? tail_->next_ : head_) = n;
+    tail_ = n;
+    ++size_;
+  }
+
+  /// Unlinks and returns the oldest node. Requires !empty().
+  WaitNode* pop_front() {
+    WaitNode* n = head_;
+    remove(n);
+    return n;
+  }
+
+ private:
+  friend class WaitNode;
+
+  void remove(WaitNode* n) {
+    assert(n->list_ == this);
+    (n->prev_ != nullptr ? n->prev_->next_ : head_) = n->next_;
+    (n->next_ != nullptr ? n->next_->prev_ : tail_) = n->prev_;
+    n->list_ = nullptr;
+    n->prev_ = n->next_ = nullptr;
+    --size_;
+  }
+
+  WaitNode* head_ = nullptr;
+  WaitNode* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+inline void WaitNode::unlink() {
+  if (list_ != nullptr) list_->remove(this);
+}
+
+}  // namespace detail
+
+class JoinAwaiter;
 
 class Engine {
  public:
@@ -121,17 +206,17 @@ class Engine {
   /// Returns false if the actor is unknown or already finished.
   bool kill(ActorId id);
 
-  bool is_live(ActorId id) const { return id_to_slot_.contains(id); }
+  bool is_live(ActorId id) const { return find_actor(id) != kNoSlot; }
   /// The slab slot a live actor occupies, or nullopt. A finished actor's
   /// slot goes to a later one, so a layer that keeps per-actor rows in a
   /// vector indexed by slot stores the id in the row and checks it (as
   /// os::Machine's process table does).
   std::optional<std::uint32_t> actor_slot(ActorId id) const {
-    const auto it = id_to_slot_.find(id);
-    if (it == id_to_slot_.end()) return std::nullopt;
-    return it->second;
+    const std::uint32_t slot = find_actor(id);
+    if (slot == kNoSlot) return std::nullopt;
+    return slot;
   }
-  std::size_t live_actor_count() const { return id_to_slot_.size(); }
+  std::size_t live_actor_count() const noexcept { return live_actors_; }
   const std::string* actor_name(ActorId id) const;
 
   /// The actor currently being resumed (0 outside a resume step). Lets
@@ -142,7 +227,7 @@ class Engine {
   /// Awaitable that completes when the given actor finishes or is killed.
   /// An uncaught exception in any actor is reported by check_failures()
   /// (called from run()), not through join.
-  auto join(ActorId id);
+  inline JoinAwaiter join(ActorId id);
 
   // --- Event scheduling (used by awaitables and timers) ----------------
 
@@ -150,9 +235,10 @@ class Engine {
   /// resumption is dropped if its actor has been killed by then.
   void schedule(Time t, Resumption r);
 
-  /// Registers a resumption to fire when actor `id` terminates. Exposed for
-  /// the join awaitable; requires the actor to be live.
-  void add_joiner(ActorId id, Resumption r);
+  /// Parks `joiner` (its resume set) until actor `id` terminates; joiners
+  /// wake in the order they joined. Exposed for the join awaitable;
+  /// requires the actor to be live.
+  void add_joiner(ActorId id, detail::WaitNode* joiner);
 
   /// Queues a plain callback at absolute time `t`. Closures up to
   /// Callback::kInlineBytes are stored in the event slot without allocating.
@@ -226,7 +312,7 @@ class Engine {
   }
   /// Epoch check: does (slot, gen) still name a live actor?
   bool actor_slot_live(std::uint32_t slot, std::uint32_t gen) const {
-    return slot < actor_slots_.size() && actor_slots_[slot].gen == gen;
+    return slot < actor_count_ && actor_at(slot).ctx.gen == gen;
   }
 
  private:
@@ -237,21 +323,20 @@ class Engine {
   /// *and* they are at least half the heap.
   static constexpr std::size_t kCompactMin = 64;
 
-  struct Actor {
-    ActorId id = 0;
+  /// Slab cell for actors. The cell is the actor's context: `ctx.gen` is
+  /// bumped when the occupant is destroyed, which atomically expires every
+  /// Resumption created for it. A free cell has no root.
+  struct ActorSlot {
+    ActorContext ctx;
+    std::uint32_t next_free = kNoSlot;
     std::string name;
     Task<void>::Handle root;
-    std::unique_ptr<ActorContext> ctx;
-    std::vector<Resumption> joiners;
+    detail::WaitList joiners;
   };
-
-  /// Slab cell for actors. `gen` is bumped when the occupant is destroyed,
-  /// which atomically expires every Resumption created for it.
-  struct ActorSlot {
-    std::uint32_t gen = 0;
-    std::uint32_t next_free = kNoSlot;
-    std::optional<Actor> actor;
-  };
+  /// Cells per slab chunk. Chunks are never moved or freed before the
+  /// engine, so a context's address is fixed for the engine's life.
+  static constexpr std::uint32_t kActorChunkBits = 8;
+  static constexpr std::uint32_t kActorChunk = 1u << kActorChunkBits;
 
   /// Slab cell for events. Exactly one payload is meaningful per kind.
   /// `gen` is bumped when the slot is freed (fire, cancel, or sweep), which
@@ -304,7 +389,21 @@ class Engine {
     }
   }
 
+  ActorSlot& actor_at(std::uint32_t slot) {
+    return actor_chunks_[slot >> kActorChunkBits][slot & (kActorChunk - 1)];
+  }
+  const ActorSlot& actor_at(std::uint32_t slot) const {
+    return actor_chunks_[slot >> kActorChunkBits][slot & (kActorChunk - 1)];
+  }
   std::uint32_t alloc_actor_slot();
+  /// The live actor index: open addressing with linear probing over
+  /// actor_index_, whose cells hold slab slots (kNoSlot = empty) and are
+  /// keyed by the slot's ctx.id. At most half full, so it is sized by the
+  /// live actors, not by every id ever issued.
+  std::size_t index_home(ActorId id) const;
+  std::uint32_t find_actor(ActorId id) const;  // kNoSlot if not live
+  void index_insert(std::uint32_t slot);
+  void index_erase(ActorId id);
   void dispatch(std::uint32_t slot);
   void reap_finished_and_killed();
   void destroy_actor_slot(std::uint32_t slot, std::exception_ptr error);
@@ -327,9 +426,12 @@ class Engine {
   std::uint64_t compactions_ = 0;
 
   // Actor slab + public-id index (ids are never reused).
-  std::vector<ActorSlot> actor_slots_;
+  std::vector<std::unique_ptr<ActorSlot[]>> actor_chunks_;
+  std::uint32_t actor_count_ = 0;  // cells handed out so far (high water)
   std::uint32_t free_actors_ = kNoSlot;
-  std::unordered_map<ActorId, std::uint32_t> id_to_slot_;
+  std::vector<std::uint32_t> actor_index_;
+  unsigned index_shift_ = 0;  // 64 - log2(index size); set when it grows
+  std::size_t live_actors_ = 0;
 
   // Actors whose root completed during the current dispatch, plus the error
   // (if any) their body ended with; reaped after the dispatch unwinds.
@@ -374,22 +476,26 @@ inline bool Resumption::expired() const {
   return engine == nullptr || !engine->actor_slot_live(actor_slot, actor_gen);
 }
 
-struct JoinAwaiter {
-  Engine* engine;
-  ActorId id;
-  bool await_ready() const noexcept;
+/// Awaiter of join(), and the joiner's node in the joined actor's FIFO: it
+/// lives in the suspended frame, so a join allocates nothing, and a joiner
+/// killed while parked unlinks itself and is never resumed.
+class JoinAwaiter : public detail::WaitNode {
+ public:
+  JoinAwaiter(Engine* engine, ActorId id) : engine_(engine), id_(id) {}
+  bool await_ready() const { return !engine_->is_live(id_); }
   template <typename Promise>
   void await_suspend(std::coroutine_handle<Promise> h) {
-    engine->add_joiner(id, Resumption::of(h, h.promise().context()));
+    resume = Resumption::of(h, h.promise().context());
+    engine_->add_joiner(id_, this);
   }
   void await_resume() const noexcept {}
+
+ private:
+  Engine* engine_;
+  ActorId id_;
 };
 
-inline auto Engine::join(ActorId id) { return JoinAwaiter{this, id}; }
-
-inline bool JoinAwaiter::await_ready() const noexcept {
-  return !engine->is_live(id);
-}
+inline JoinAwaiter Engine::join(ActorId id) { return JoinAwaiter(this, id); }
 
 // --- Basic awaitables ---------------------------------------------------
 

@@ -22,82 +22,6 @@ namespace jets::sim {
 
 namespace detail {
 
-class WaitList;
-
-/// Link of an intrusive FIFO of blocked coroutines. Awaiters derive from
-/// it, so a suspended coroutine's node lives in its own frame and blocking
-/// allocates nothing. A node still linked when its frame is destroyed (its
-/// actor was killed) unlinks itself; a list destroyed under linked nodes
-/// detaches them, so neither side can dangle.
-class WaitNode {
- public:
-  WaitNode() = default;
-  WaitNode(const WaitNode&) = delete;
-  WaitNode& operator=(const WaitNode&) = delete;
-  ~WaitNode() { unlink(); }
-
-  inline void unlink();
-
-  /// The coroutine to wake; set by the awaiter when it suspends.
-  Resumption resume;
-
- private:
-  friend class WaitList;
-  WaitList* list_ = nullptr;
-  WaitNode* prev_ = nullptr;
-  WaitNode* next_ = nullptr;
-};
-
-class WaitList {
- public:
-  WaitList() = default;
-  WaitList(const WaitList&) = delete;
-  WaitList& operator=(const WaitList&) = delete;
-  ~WaitList() {
-    while (head_ != nullptr) pop_front();
-  }
-
-  bool empty() const noexcept { return head_ == nullptr; }
-  std::size_t size() const noexcept { return size_; }
-
-  void push_back(WaitNode* n) {
-    assert(n->list_ == nullptr);
-    n->list_ = this;
-    n->prev_ = tail_;
-    n->next_ = nullptr;
-    (tail_ != nullptr ? tail_->next_ : head_) = n;
-    tail_ = n;
-    ++size_;
-  }
-
-  /// Unlinks and returns the oldest node. Requires !empty().
-  WaitNode* pop_front() {
-    WaitNode* n = head_;
-    remove(n);
-    return n;
-  }
-
- private:
-  friend class WaitNode;
-
-  void remove(WaitNode* n) {
-    assert(n->list_ == this);
-    (n->prev_ != nullptr ? n->prev_->next_ : head_) = n->next_;
-    (n->next_ != nullptr ? n->next_->prev_ : tail_) = n->prev_;
-    n->list_ = nullptr;
-    n->prev_ = n->next_ = nullptr;
-    --size_;
-  }
-
-  WaitNode* head_ = nullptr;
-  WaitNode* tail_ = nullptr;
-  std::size_t size_ = 0;
-};
-
-inline void WaitNode::unlink() {
-  if (list_ != nullptr) list_->remove(this);
-}
-
 /// FIFO ring over a power-of-two vector. It owns no heap memory until the
 /// first push, so an idle channel costs nothing, and once it has grown to
 /// a channel's working depth push/pop never allocate.

@@ -1,15 +1,17 @@
-// Allocation budget of the simulated message path, of a process's and a
-// sequential job's life, and of a service checkpoint.
+// Allocation budget of the simulated message path, of an actor's, a
+// process's, a connection's and a sequential job's life, of a PMI call and
+// an MPI gang's launch and wire-up, and of a service checkpoint.
 //
 // This binary replaces the global operator new with a counting one, so a
 // test can assert how many heap allocations a steady-state operation
 // costs. Putting an allocation back on the send -> deliver -> recv path (a
 // heap closure per delivery event, a wait state per blocked receive, a
 // coroutine frame per socket receive, a decimal-string frame per protocol
-// verb, a coroutine frame per MPI send or receive on a wired pair), on a
-// gate wait or a shared-filesystem transfer, into process bookkeeping or a
-// job's dispatch, or a per-job copy back into checkpoint(), fails here, in
-// ctest, and not only in the host-cost benchmark.
+// verb, a coroutine frame per MPI send or receive on a wired pair), into a
+// spawn, a join, a connect or an rpc call, into a channel's route table,
+// on a gate wait or a shared-filesystem transfer, into process bookkeeping
+// or a job's dispatch, or a per-job copy back into checkpoint(), fails
+// here, in ctest, and not only in the host-cost benchmark.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,11 +22,13 @@
 #include <new>
 #include <variant>
 
+#include "apps/synthetic.hh"
 #include "core/snapshot.hh"
 #include "mpi/comm.hh"
 #include "net/fabric.hh"
 #include "net/rpc.hh"
 #include "net/socket.hh"
+#include "pmi/client.hh"
 #include "sim/sim.hh"
 #include "testbed.hh"
 #include "testutil.hh"
@@ -146,9 +150,10 @@ TEST(AllocBudgetCallback, HotClosuresStayInline) {
     e.run();
   };
   warm();
-  // Non-trivially-copyable captures up to Callback::kInlineBytes: the
-  // shapes of a socket delivery (a shared_ptr) and an EOF (shared_ptr and
-  // a flag). std::function would put each on the heap.
+  // Non-trivially-copyable captures up to Callback::kInlineBytes, like a
+  // socket delivery's or EOF's counted connection reference (16 bytes)
+  // and a timed receive's closure (24). std::function would put each on
+  // the heap.
   EXPECT_EQ(allocations_in([&] {
               e.call_in(1, [hits] { ++*hits; });
               e.call_in(2, [hits, twice = true] { *hits += twice ? 2 : 1; });
@@ -218,15 +223,15 @@ TEST_F(AllocBudget, TypedStageFramesAllocateNothing) {
   EXPECT_EQ(taken, 4);
 }
 
-constexpr std::size_t kAllocsPerCall = 4;
+constexpr std::size_t kAllocsPerCall = 1;
 
 TEST_F(AllocBudget, RpcCallReplyCostIsPinned) {
   // A pump-mode PMI get against a raw-socket responder. The round trip's
-  // allocations, both sides: the call() and pump_until() coroutine frames,
-  // the shared wait state, and the completion callback (stored once, not
-  // wrapped in a second std::function). The frames are typed, so neither
-  // carries an argument vector; correlation (the scan of the pending
-  // calls) allocates nothing.
+  // one allocation, both sides: the call() coroutine frame, which holds
+  // the wait state and runs the pump loop itself; the pending call points
+  // into it instead of holding a callback. The frames are typed, so
+  // neither carries an argument vector; correlation (the scan of the
+  // pending calls) allocates nothing.
   engine.spawn("kvs", [](SocketPtr s) -> Task<void> {
     while (auto m = co_await s->recv()) {
       auto get = rpc::take<rpc::PmiGet>(std::move(*m));
@@ -251,6 +256,60 @@ TEST_F(AllocBudget, RpcCallReplyCostIsPinned) {
   EXPECT_EQ(ok, 14);
   EXPECT_EQ(chan.in_flight(), 0u);
   EXPECT_EQ(ten_calls, 10 * kAllocsPerCall);
+}
+
+TEST_F(AllocBudget, ChannelInstallsItsRoutesWithOneAllocation) {
+  // A channel's route table is sized once: the service's side of a worker
+  // connection installs its five verbs, and the worker's side its three,
+  // in one allocation each, not one per doubling. Handlers whose captures
+  // fit two pointers are stored as the routes themselves, with no second
+  // wrapper of their own.
+  rpc::Channel service(engine, server);
+  rpc::Channel worker(engine, client);
+  int seen = 0;
+  const auto count = [&seen](auto&&) { ++seen; };
+  EXPECT_EQ(allocations_in([&] {
+              service.on<rpc::RegisterReq>(count);
+              service.on<rpc::PingNote>(count);
+              service.on<rpc::ReadyNote>(count);
+              service.on<rpc::StageAck>(count);
+              service.on<rpc::TaskDone>(count);
+            }),
+            1u);
+  EXPECT_EQ(allocations_in([&] {
+              worker.on<rpc::TaskRun>(count);
+              worker.on<rpc::KillReq>(count);
+              worker.on<rpc::StageReq>(count);
+            }),
+            1u);
+}
+
+TEST_F(AllocBudget, ConnectAcceptCloseCostsOneBlock) {
+  // Connect is an awaiter (the round trip is the caller's own resumption,
+  // no coroutine frame), and both endpoints and both directions share one
+  // block. The acceptor drops each socket at once and the client drops its
+  // end after the round trip, so every cycle also runs both closes.
+  auto listener6 = net.listen({1, 6000});
+  engine.spawn("acceptor", [](Listener& l) -> Task<void> {
+    while (co_await l.accept()) {
+    }
+  }(*listener6));
+  auto cycles = [&](int n) {
+    return allocations_in([&] {
+      engine.spawn("dialer", [](Network& net, int n) -> Task<void> {
+        for (int i = 0; i < n; ++i) {
+          SocketPtr s = co_await net.connect(0, {1, 6000});
+        }
+      }(net, n));
+      engine.run();
+    });
+  };
+  cycles(4);  // warm-up: the accept queue, event slab and heap
+  const std::size_t dialer = cycles(0);
+  EXPECT_EQ(cycles(10) - dialer, 10u);
+  EXPECT_EQ(net.connection_count(), 1u);  // the fixture's own
+  listener6->close();
+  engine.run();
 }
 
 }  // namespace
@@ -307,6 +366,111 @@ TEST(AllocBudgetComm, WiredSendRecvAllocatesNothing) {
 }  // namespace
 }  // namespace jets::mpi
 
+namespace jets::sim {
+namespace {
+
+TEST(AllocBudgetEngine, SpawnAndJoinCostOnlyFrames) {
+  // An actor's context is a cell of the engine's slab and its id a slot in
+  // a flat index, and a joiner parks in its own frame: once the slab, the
+  // index and the event heap have grown to a wave's size, spawning,
+  // joining and finishing N actors costs their N coroutine frames.
+  Engine engine;
+  auto wave = [&](int n) {
+    return allocations_in([&] {
+      for (int i = 0; i < n; ++i) {
+        const ActorId child = engine.spawn(
+            "child", [](int i) -> Task<void> { co_await delay(i); }(i));
+        engine.spawn("joiner", [](Engine& e, ActorId child) -> Task<void> {
+          co_await e.join(child);
+        }(engine, child));
+      }
+      engine.run();
+    });
+  };
+  wave(1'000);  // warm-up
+  EXPECT_EQ(wave(10), 2 * 10u);
+  EXPECT_EQ(wave(1'000), 2 * 1'000u);
+  EXPECT_EQ(engine.live_actor_count(), 0u);
+}
+
+}  // namespace
+}  // namespace jets::sim
+
+namespace jets::pmi {
+namespace {
+
+TEST(AllocBudgetPmi, GetCostsOnlyTheCallFrame) {
+  // PmiClient::get adds no frame of its own to the channel call's, and
+  // mpiexec answers a published key without allocating, so a warm get
+  // costs one allocation across both sides.
+  test::TestBed bed(os::Machine::breadboard(2));
+  std::size_t allocs = 0;
+  bed.install_app("getter", [&allocs](os::Env& env) -> sim::Task<void> {
+    if (env.pmi->rank() == 0) env.pmi->put("card.0", "0 5000");
+    co_await env.pmi->barrier();
+    if (env.pmi->rank() == 1) {
+      for (int i = 0; i < 4; ++i) (void)co_await env.pmi->get("card.0");
+      const std::size_t before = g_allocs;
+      for (int i = 0; i < 10; ++i) {
+        if (co_await env.pmi->get("card.0") != "0 5000") co_return;
+      }
+      allocs = g_allocs - before;
+    }
+    co_await env.pmi->barrier();
+  });
+  MpiexecSpec spec;
+  spec.user_argv = {"getter"};
+  spec.nprocs = 2;
+  auto mpx = bed.launch_manual(spec, {0, 1});
+  EXPECT_EQ(bed.run_to_completion(*mpx), 0);
+  EXPECT_EQ(allocs, 10 * net::kAllocsPerCall);
+}
+
+/// Ranks per gang in the gang pin: one per node and per proxy, as most of
+/// mpi_gang's gangs are placed.
+constexpr int kGangRanks = 8;
+
+/// An mpi_sleep gang of kGangRanks ranks, launched through launch_manual
+/// and run to completion: mpiexec and its spec, the proxy command lines,
+/// each proxy's and rank's exec, binary load and frames, the PMI clients
+/// and their calls, the connections (one block each), listeners and KVS
+/// entries, and the MPI wire-up of the barriers. Measured; a change that
+/// moves it must say which allocation it added or removed.
+constexpr std::size_t kAllocsPerGang = 425;
+
+std::size_t gang_allocations(test::TestBed& bed, int gangs) {
+  std::vector<os::NodeId> hosts;
+  for (int r = 0; r < kGangRanks; ++r) {
+    hosts.push_back(static_cast<os::NodeId>(r));
+  }
+  return allocations_in([&] {
+    for (int g = 0; g < gangs; ++g) {
+      MpiexecSpec spec;
+      spec.user_argv = {"mpi_sleep", "0.01"};
+      spec.nprocs = kGangRanks;
+      auto mpx = bed.launch_manual(spec, hosts);
+      EXPECT_EQ(bed.run_to_completion(*mpx), 0);
+    }
+  });
+}
+
+TEST(AllocBudgetGang, GangsCostTheSameEach) {
+  // Launch (mpiexec, proxies, ranks), the PMI fence and the per-pair
+  // wire-up leave nothing behind that grows: once warm, k gangs cost k
+  // times one.
+  test::TestBed bed(os::Machine::breadboard(kGangRanks));
+  apps::install_synthetic_apps(bed.apps);
+  bed.machine.shared_fs().put("mpi_sleep", 5'000'000);
+  (void)gang_allocations(bed, 3);  // warm-up: slabs, tables, cached binaries
+  const std::size_t one = gang_allocations(bed, 1);
+  EXPECT_EQ(gang_allocations(bed, 10), 10 * one);
+  EXPECT_EQ(gang_allocations(bed, 100), 100 * one);
+  EXPECT_EQ(one, kAllocsPerGang);
+}
+
+}  // namespace
+}  // namespace jets::pmi
+
 namespace jets::os {
 namespace {
 
@@ -325,12 +489,8 @@ TEST(AllocBudgetProcess, SequentialChildrenCostTheSameEach) {
                                 -> Task<void> {
     while (const auto n = co_await batches.recv()) {
       for (int i = 0; i < *n; ++i) {
-        // Not one full-expression with the co_await: exec()'s default
-        // ExecOptions is an aggregate prvalue (see the GCC 12 note in
-        // net/rpc.hh).
-        const Machine::Pid child =
-            m.exec(0, "child", []() -> Task<void> { co_return; }());
-        co_await m.wait(child);
+        co_await m.wait(
+            m.exec(0, "child", []() -> Task<void> { co_return; }()));
       }
     }
   }(machine, batches));
@@ -428,13 +588,13 @@ long allocations_per_job(test::ServiceBed& bed, StandaloneJets& jets,
 
 /// One sequential job's whole life through StandaloneJets: submit, claim,
 /// the run call, the worker's exec and binary load, the app, its done and
-/// ready, and the report row. The 16: the records it leaves behind (its
+/// ready, and the report row. The 14: the records it leaves behind (its
 /// attempt's history entry and node list, and the report's copy of its
 /// argv, history and nodes), the claimed-worker vector, the TaskRun's argv
-/// copy and frame body, the task actor (its context and id-map node), and
-/// the place_job, run_process, load_binary, shared-FS read, task wrapper
-/// and app frames.
-constexpr long kAllocsPerSeqJob = 16;
+/// copy and frame body, and the place_job, run_process, load_binary,
+/// shared-FS read, task wrapper and app frames. Spawning the task's actor
+/// costs nothing: its context is a cell of the engine's actor slab.
+constexpr long kAllocsPerSeqJob = 14;
 
 TEST(AllocBudgetJob, SequentialJobCostIsPinnedWhateverTheBatch) {
   test::ServiceBed bed(os::Machine::breadboard(4), {{"sleep", 16'384}});

@@ -246,10 +246,10 @@ TEST_F(SocketTest, RecvOnLocallyClosedSocketReturnsNulloptAtOnce) {
 }
 
 TEST_F(SocketTest, ConnectionRegistryStaysBoundedByLiveConnections) {
-  // Every connect is tracked for reset_node. Dead entries pin their
-  // connection's memory, so the registry prunes them each time it doubles:
-  // after many short-lived connections it holds O(live) entries, and the
-  // live ones are still all reachable by reset_node.
+  // Every connection is on the network's list for reset_node while its
+  // block lives, and a block unlinks itself when it is freed: after many
+  // short-lived connections the list holds exactly the live ones, all
+  // still reachable by reset_node.
   auto listener = net.listen({1, 5000});
   engine.spawn("server", [](Listener& l) -> Task<void> {
     for (;;) {
@@ -267,8 +267,7 @@ TEST_F(SocketTest, ConnectionRegistryStaysBoundedByLiveConnections) {
   }(net, held));
   engine.run();
   ASSERT_EQ(held.size(), 200u);
-  EXPECT_GE(net.connection_count(), held.size());
-  EXPECT_LE(net.connection_count(), 2 * held.size() + 64);
+  EXPECT_EQ(net.connection_count(), held.size());
   EXPECT_EQ(net.reset_node(1), held.size());
 }
 

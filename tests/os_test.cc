@@ -206,6 +206,26 @@ TEST_F(MachineTest, WaitBlocksUntilProcessExit) {
   EXPECT_FALSE(machine.alive(pid));
 }
 
+TEST_F(MachineTest, WaitOnExecInOneFullExpression) {
+  // exec()'s defaulted ExecOptions is a prvalue that lives across the
+  // co_await of the same full-expression. GCC 12 gave an aggregate there
+  // a bitwise duplicate in the frame, and destroying it freed the
+  // original's inline string buffer (free(): invalid pointer); the
+  // options' user-provided constructors keep it a non-aggregate.
+  int children = 0;
+  machine.exec(0, "parent", [](Machine& m, int& n) -> Task<void> {
+    for (int i = 0; i < 3; ++i) {
+      co_await m.wait(m.exec(0, "child", [](int& n) -> Task<void> {
+        ++n;
+        co_return;
+      }(n)));
+    }
+  }(machine, children));
+  engine.run();
+  EXPECT_EQ(children, 3);
+  EXPECT_EQ(machine.process_count(), 0u);
+}
+
 TEST_F(MachineTest, KillTerminatesProcess) {
   bool completed = false;
   auto pid = machine.exec(1, "victim", [](bool& completed) -> Task<void> {

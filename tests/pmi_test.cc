@@ -356,6 +356,49 @@ TEST(Mpiexec, DeadProxyIsReportedAsFailure) {
   EXPECT_NE(rc, 0);
 }
 
+TEST(Mpiexec, KilledRanksLeaveNothingToWake) {
+  // Rank 0 is killed while blocked in a PMI get of a key nobody has
+  // published, rank 1 while its connect's round trip is in flight. Rank 2
+  // publishes the key after both. The gang fails as a disconnect, and
+  // neither dead rank resumes: no get returns, no connection is made.
+  TestBed bed(os::Machine::breadboard(4));
+  auto side = bed.machine.network().listen({3, 4000});
+  int accepted = 0;
+  bed.engine.spawn("side", [](net::Listener& l, int& n) -> Task<void> {
+    while (co_await l.accept()) ++n;
+  }(*side, accepted));
+  int woke = 0;
+  bed.install_app("victim", [&woke](Env& env) -> Task<void> {
+    const int rank = std::stoi(env.var("PMI_RANK"));
+    os::Machine* m = env.machine;
+    const os::Machine::Pid self = m->engine().running_actor();
+    if (rank == 0) {
+      m->engine().call_in(sim::milliseconds(10), [m, self] { m->kill(self); });
+      (void)co_await env.pmi->get("never");
+      ++woke;
+    } else if (rank == 1) {
+      m->engine().call_in(1, [m, self] { m->kill(self); });
+      (void)co_await m->network().connect(env.node, {3, 4000});
+      ++woke;
+    } else {
+      co_await sim::delay(sim::seconds(1));
+      env.pmi->put("never", "late");
+      co_await sim::delay(sim::seconds(1));
+    }
+  });
+  MpiexecSpec spec;
+  spec.user_argv = {"victim"};
+  spec.nprocs = 3;
+  auto mpx = bed.launch_manual(spec, {0, 1, 2});
+  EXPECT_NE(bed.run_to_completion(*mpx), 0);
+  EXPECT_EQ(mpx->fail_kind(), MpiexecFailKind::kDisconnect);
+  EXPECT_GE(bed.engine.now(), sim::seconds(2));  // rank 2 ran to its end
+  EXPECT_EQ(woke, 0);
+  EXPECT_EQ(accepted, 0);
+  side->close();
+  bed.engine.run();
+}
+
 TEST(Mpiexec, FailedRankProducesNonzeroExit) {
   TestBed bed(os::Machine::breadboard(4));
   bed.install_app("crasher", [](Env& env) -> Task<void> {

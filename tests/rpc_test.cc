@@ -1216,6 +1216,41 @@ TEST_F(RpcChannelTest, PumpModePeerCloseFailsCall) {
   EXPECT_TRUE(done);
 }
 
+// A pump-mode caller killed while its call() is parked, on a channel that
+// outlives it (a rank killed mid-get). The reply that arrives later must
+// settle nothing in the destroyed frame — the sanitizer lane catches a
+// write into it — and once another caller's pump has handled that reply,
+// nothing is left in flight.
+TEST_F(RpcChannelTest, PumpModeKilledCallerLeavesNoCompletion) {
+  establish();
+  // The peer holds its answers until the second request has arrived.
+  engine.spawn("peer", [](SocketPtr s) -> Task<void> {
+    (void)co_await s->recv();
+    (void)co_await s->recv();
+    post(*s, PmiValue("late", "v-late"));
+    post(*s, PmiValue("next", "v-next"));
+  }(server));
+  Channel chan(engine, client);
+  bool resumed = false;
+  const sim::ActorId victim = engine.spawn(
+      "victim", [](Channel& ch, bool& resumed) -> Task<void> {
+        (void)co_await ch.call(PmiGet{"late"});
+        resumed = true;
+      }(chan, resumed));
+  engine.run();
+  ASSERT_EQ(chan.in_flight(), 1u);
+  EXPECT_TRUE(engine.kill(victim));
+  std::string got;
+  engine.spawn("next", [](Channel& ch, std::string& got) -> Task<void> {
+    auto r = co_await ch.call(PmiGet{"next"});
+    if (r.ok()) got = r.value().value;
+  }(chan, got));
+  engine.run();
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(got, "v-next");
+  EXPECT_EQ(chan.in_flight(), 0u);
+}
+
 TEST_F(RpcChannelTest, PumpModeDeadlineTimesOut) {
   establish();
   engine.spawn("peer", [](SocketPtr s) -> Task<void> {

@@ -101,6 +101,29 @@ TEST(Engine, JoinWaitsForCompletion) {
   EXPECT_FALSE(e.is_live(worker));
 }
 
+TEST(Engine, KilledJoinerIsNeverResumedAndLiveJoinersWakeInJoinOrder) {
+  Engine e;
+  ActorId worker = e.spawn("worker", []() -> Task<void> {
+    co_await delay(seconds(7));
+  }());
+  std::vector<int> woke;
+  std::vector<ActorId> joiners;
+  for (int i = 0; i < 4; ++i) {
+    joiners.push_back(e.spawn(
+        "joiner", [](Engine& e, ActorId worker, int i,
+                     std::vector<int>& woke) -> Task<void> {
+          co_await e.join(worker);
+          woke.push_back(i);
+        }(e, worker, i, woke)));
+  }
+  e.run_until(seconds(1));  // every joiner is parked on the join
+  EXPECT_TRUE(e.kill(joiners[1]));
+  e.run();
+  EXPECT_EQ(woke, (std::vector<int>{0, 2, 3}));
+  EXPECT_EQ(e.now(), seconds(7));
+  EXPECT_EQ(e.live_actor_count(), 0u);
+}
+
 TEST(Engine, JoinOnFinishedActorIsImmediate) {
   Engine e;
   ActorId a = e.spawn("quick", []() -> Task<void> { co_return; }());

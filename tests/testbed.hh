@@ -33,9 +33,8 @@ struct TestBed {
 
   /// Runs one proxy command line on `node` as a worker would.
   void run_proxy(os::NodeId node, const std::vector<std::string>& cmd) {
-    os::ExecOptions opts;
-    opts.binary = pmi::kProxyBinary;
-    os::run_command(machine, apps, node, cmd, {}, std::move(opts));
+    os::run_command(machine, apps, node, cmd, {},
+                    os::ExecOptions(pmi::kProxyBinary));
   }
 
   /// Starts an mpiexec (manual launcher) and plays scheduler: proxy k runs
