@@ -22,9 +22,10 @@
 # that counts and digests repeat, that traced and untraced passes agree
 # on the modelled outputs, and that the metric names match
 # BENCHMARK.json), the allocation census (scripts/alloc_census.sh) takes
-# one small seq_flood pass and one small mpi_gang pass (the PMI and MPI
-# wire-up path) and each must agree with its pass's own allocation
-# count to 0.1 %, and the scale suite re-runs at 10^5 workers — release
+# one small pass each of seq_flood, mpi_gang (the PMI and MPI wire-up
+# path) and swift_rem (the Swift dataflow path) and each must agree with
+# its pass's own allocation count to 0.1 %, and the scale suite re-runs
+# at 10^5 workers — release
 # build only, under a wall-clock budget. The default preset also runs a
 # crash-recovery smoke: the fig10 recover scenario (JETS_RECOVER=1) must
 # report replay digest/snapshot byte-equality and verbatim preservation of
@@ -161,6 +162,8 @@ if [[ "$run_default" == 1 ]]; then
   ./scripts/alloc_census.sh seq_flood --small --top 10
   echo "== allocation census: mpi_gang --small, census total = pass allocs (0.1 %) =="
   ./scripts/alloc_census.sh mpi_gang --small --top 10
+  echo "== allocation census: swift_rem --small, census total = pass allocs (0.1 %) =="
+  ./scripts/alloc_census.sh swift_rem --small --top 10
 
   echo "== scale suite at 10^5 workers (release build, 10 min budget) =="
   JETS_SCALE_N=100000 timeout 600 ./build/tests/scale_test

@@ -56,7 +56,7 @@ sim::Task<std::unique_ptr<Comm>> Comm::init(os::Env& env) {
       new Comm(env, env.pmi->rank(), env.pmi->size()));
   comm->self_addr_ =
       net::Address{env.node, env.machine->allocate_port()};
-  comm->listener_ = env.machine->network().listen(comm->self_addr_);
+  comm->listener_.emplace(env.machine->network(), comm->self_addr_);
   comm->acceptor_ =
       env.machine->engine().spawn("mpi-acceptor", comm->accept_loop());
   // Publish this rank's business card and fence.

@@ -187,7 +187,7 @@ class Comm {
   int rank_;
   int size_;
   net::Address self_addr_{};
-  std::unique_ptr<net::Listener> listener_;
+  std::optional<net::Listener> listener_;
   sim::ActorId acceptor_ = 0;
 
   /// Every pair this rank has wired, in wiring order. It grows only as

@@ -116,7 +116,15 @@ void Socket::close() {
 // --- Listener ---------------------------------------------------------------
 
 Listener::Listener(Network& net, Address addr)
-    : net_(&net), addr_(addr), pending_(net.engine()) {}
+    : net_(&net), addr_(addr), pending_(net.engine()) {
+  const auto it = net.find_listener(addr);
+  if (it != net.listeners_.end() && (*it)->addr_ == addr) {
+    throw std::invalid_argument("port already bound: node " +
+                                std::to_string(addr.node) + ":" +
+                                std::to_string(addr.port));
+  }
+  net.listeners_.insert(it, this);
+}
 
 Listener::~Listener() { close(); }
 
@@ -145,15 +153,7 @@ std::vector<Listener*>::iterator Network::find_listener(Address addr) {
 }
 
 std::unique_ptr<Listener> Network::listen(Address addr) {
-  const auto it = find_listener(addr);
-  if (it != listeners_.end() && (*it)->addr_ == addr) {
-    throw std::invalid_argument("port already bound: node " +
-                                std::to_string(addr.node) + ":" +
-                                std::to_string(addr.port));
-  }
-  auto l = std::make_unique<Listener>(*this, addr);
-  listeners_.insert(it, l.get());
-  return l;
+  return std::make_unique<Listener>(*this, addr);
 }
 
 void Network::unbind(Address addr) {

@@ -298,8 +298,11 @@ inline void Socket::release() noexcept {
 }
 
 /// A bound, listening port. accept() yields established server-side sockets.
+/// Its network keeps its address, so it never moves; an owner that keeps
+/// one by value holds it in a std::optional.
 class Listener {
  public:
+  /// Binds `addr`; throws std::invalid_argument if the port is taken.
   Listener(Network& net, Address addr);
   ~Listener();
   Listener(const Listener&) = delete;
@@ -356,7 +359,7 @@ class Network {
   /// In-flight message arena (shared with every connection's pipes).
   const MessageArena& arena() const { return *arena_; }
 
-  /// Binds a listener; throws std::invalid_argument if the port is taken.
+  /// A heap listener (see Listener's constructor).
   std::unique_ptr<Listener> listen(Address addr);
 
   /// Awaiter of connect(): one fabric round trip (the caller's resumption

@@ -161,7 +161,7 @@ void Mpiexec::start() {
   if (started_) return;
   started_ = true;
   control_addr_ = net::Address{host_, machine_->allocate_port()};
-  listener_ = machine_->network().listen(control_addr_);
+  listener_.emplace(machine_->network(), control_addr_);
   control_actor_ = machine_->engine().spawn("mpiexec", control_service());
   if (obs::Tracer* tr = machine_->tracer()) {
     span_mpx_ = tr->begin("mpiexec", spec_.trace_track, spec_.trace_parent);

@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -153,7 +154,7 @@ class Mpiexec {
   os::NodeId host_;
   MpiexecSpec spec_;
   net::Address control_addr_{};
-  std::unique_ptr<net::Listener> listener_;
+  std::optional<net::Listener> listener_;
   sim::ActorId control_actor_ = 0;
   std::vector<sim::ActorId> handler_actors_;
   bool started_ = false;

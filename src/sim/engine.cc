@@ -196,7 +196,7 @@ void Engine::index_erase(ActorId id) {
   --live_actors_;
 }
 
-ActorId Engine::spawn(std::string name, Task<void> body) {
+ActorId Engine::spawn_at(Time start, std::string name, Task<void> body) {
   if (!body.valid()) throw std::invalid_argument("spawn: empty task");
   const ActorId id = next_actor_id_++;
   const std::uint32_t slot = alloc_actor_slot();
@@ -205,7 +205,7 @@ ActorId Engine::spawn(std::string name, Task<void> body) {
   as.name = std::move(name);
   as.root = body.release();
   as.root.promise().set_context(&as.ctx);
-  schedule(now_, Resumption::of(as.root, &as.ctx));
+  schedule(start, Resumption::of(as.root, &as.ctx));
   for (std::size_t i = 0; i < observers_.size(); ++i) {
     observers_[i]->on_spawn(now_, id, as.name);
   }

@@ -36,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hh"
@@ -196,9 +197,14 @@ class Engine {
 
   // --- Actor management -----------------------------------------------
 
-  /// Starts `body` as a new independent actor. The first resumption is
-  /// queued at the current time; the returned id can be joined or killed.
-  ActorId spawn(std::string name, Task<void> body);
+  /// Starts `body` as a new independent actor whose first resumption is
+  /// queued at absolute time `start` (>= now). The actor is live from this
+  /// call on; the returned id can be joined or killed.
+  ActorId spawn_at(Time start, std::string name, Task<void> body);
+  /// spawn_at() now.
+  ActorId spawn(std::string name, Task<void> body) {
+    return spawn_at(now_, std::move(name), std::move(body));
+  }
 
   /// Destroys a live actor's coroutine chain and cancels its pending
   /// events. Safe to call from within any actor (including itself; the

@@ -265,6 +265,9 @@ class Semaphore {
 
     void await_resume() noexcept { consumed_ = true; }
 
+   protected:
+    Semaphore* semaphore() const noexcept { return sem_; }
+
    private:
     friend class Semaphore;
     Semaphore* sem_;
@@ -318,10 +321,19 @@ class Permit {
   Permit& operator=(const Permit&) = delete;
   ~Permit() { reset(); }
 
-  static Task<Permit> acquire(Semaphore& sem) {
-    co_await sem.acquire();
-    co_return Permit(sem);
-  }
+  /// Awaiter of acquire(): the semaphore's own, resuming with the permit,
+  /// so acquiring allocates no coroutine frame. A permit granted to a
+  /// waiter killed before it resumed still goes back to the semaphore.
+  class AcquireAwaiter : public Semaphore::AcquireAwaiter {
+   public:
+    using Semaphore::AcquireAwaiter::AcquireAwaiter;
+    Permit await_resume() noexcept {
+      Semaphore::AcquireAwaiter::await_resume();
+      return Permit(*semaphore());
+    }
+  };
+
+  static AcquireAwaiter acquire(Semaphore& sem) { return AcquireAwaiter(&sem); }
 
   void reset() {
     if (sem_) {

@@ -13,49 +13,52 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
-
-#include "sim/engine.hh"
-#include "sim/sync.hh"
-#include "sim/task.hh"
+#include <utility>
 
 namespace jets::swift {
 
-/// Single-assignment, file-mapped dataflow variable.
+class SwiftEngine;
+
+namespace detail {
+struct Statement;
+}  // namespace detail
+
+/// Single-assignment, file-mapped dataflow variable. A statement waiting
+/// for it is not a coroutine but its engine's record, parked in this
+/// variable's intrusive FIFO (DESIGN.md §16); set() queues one activation
+/// per parked statement, oldest first.
 class DataVar {
  public:
-  DataVar(sim::Engine& engine, std::string path, std::uint64_t bytes = 0)
-      : gate_(engine), path_(std::move(path)), bytes_(bytes) {}
+  explicit DataVar(std::string path, std::uint64_t bytes = 0)
+      : path_(std::move(path)), bytes_(bytes) {}
   DataVar(const DataVar&) = delete;
   DataVar& operator=(const DataVar&) = delete;
 
   const std::string& path() const { return path_; }
   std::uint64_t bytes() const { return bytes_; }
-  bool is_set() const { return gate_.is_open(); }
+  bool is_set() const { return set_; }
 
-  /// Closes the variable (the mapped file now exists); idempotence is an
-  /// error in Swift — enforce single assignment.
-  void set() {
-    if (gate_.is_open()) {
-      throw std::logic_error("double assignment of dataflow variable " + path_);
-    }
-    gate_.open();
-  }
-
-  /// Awaits availability.
-  auto wait() { return gate_.wait(); }
+  /// Closes the variable (the mapped file now exists) and wakes the
+  /// statements parked on it. A second set() is an error in Swift: single
+  /// assignment is enforced (std::logic_error). Defined in swift/engine.cc.
+  void set();
 
  private:
-  sim::Gate gate_;
+  friend class SwiftEngine;
+  void park(detail::Statement& st);
+  void unpark(detail::Statement& st);
+
+  bool set_ = false;
+  detail::Statement* head_ = nullptr;  // parked statements, oldest first
+  detail::Statement* tail_ = nullptr;
   std::string path_;
   std::uint64_t bytes_;
 };
 
 using DataPtr = std::shared_ptr<DataVar>;
 
-inline DataPtr make_data(sim::Engine& engine, std::string path,
-                         std::uint64_t bytes = 0) {
-  return std::make_shared<DataVar>(engine, std::move(path), bytes);
+inline DataPtr make_data(std::string path, std::uint64_t bytes = 0) {
+  return std::make_shared<DataVar>(std::move(path), bytes);
 }
 
 }  // namespace jets::swift

@@ -2,17 +2,20 @@
 //
 // Swift programs are sets of app() statements that "are all executed
 // concurrently, limited by data dependencies" (§6.2.2). We reproduce that
-// semantics as an embedded C++ DSL: each app() call registers a statement;
-// a per-statement actor waits for the statement's input DataVars, submits
-// the command through the CoasterService (which handles MPI aggregation
-// via the JETS machinery), and closes the output DataVars on completion —
-// releasing whatever statements consume them.
+// semantics as an embedded C++ DSL: each app() call registers a statement
+// as a passive record that parks on its unset input DataVars. Once every
+// input is set, the statement gets an actor, which submits the command
+// through the CoasterService (which handles MPI aggregation via the JETS
+// machinery) and closes the output DataVars on completion — releasing
+// whatever statements consume them. DESIGN.md §16 has the lifecycle.
 //
 // Fig 17's REM core loop maps 1:1 onto this API (see apps/rem.cc); Fig 14's
 // synthetic loop is the Fig 15 bench.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/job.hh"
@@ -41,6 +44,36 @@ struct AppCall {
   sim::Duration login_cost = 0;
 };
 
+namespace detail {
+
+/// A registered statement that has not started: its AppCall, the inputs
+/// walked so far, and either its queued activation or its place in the
+/// FIFO of the input it waits for. It holds no coroutine frame and no
+/// actor. Records live in their engine's statement table, whose chunks
+/// never move, so a DataVar can link them.
+struct Statement {
+  Statement() = default;
+  Statement(const Statement&) = delete;  // variables and events point here
+  Statement& operator=(const Statement&) = delete;
+
+  enum class State : std::uint8_t {
+    kQueued,  // its activation is pending
+    kParked,  // linked into the FIFO of call.inputs[next_input]
+    kFree,    // started (the actor took the call), or never used
+  };
+  AppCall call;
+  SwiftEngine* owner = nullptr;
+  /// Inputs before this index are set.
+  std::uint32_t next_input = 0;
+  State state = State::kFree;
+  Statement* prev = nullptr;
+  /// The FIFO's next record; a free record's next free one.
+  Statement* next = nullptr;
+  sim::TimerHandle activation;
+};
+
+}  // namespace detail
+
 class SwiftEngine {
  public:
   struct Config {
@@ -50,13 +83,20 @@ class SwiftEngine {
 
   SwiftEngine(os::Machine& machine, CoasterService& coasters, Config config);
   SwiftEngine(os::Machine& machine, CoasterService& coasters);
+  /// Unparks the statements that never started and cancels their queued
+  /// activations, so variables that outlive the engine hold nothing of it.
+  ~SwiftEngine();
+  SwiftEngine(const SwiftEngine&) = delete;
+  SwiftEngine& operator=(const SwiftEngine&) = delete;
 
-  /// Registers a statement; it fires when all inputs are set.
+  /// Registers a statement and queues its first activation now, in the
+  /// event slot where a spawn would queue an actor's first resumption. It
+  /// starts `submit_overhead` after its last input is set.
   void app(AppCall call);
 
   /// Convenience for building file futures.
   DataPtr file(std::string path, std::uint64_t bytes = 0) {
-    return make_data(machine_->engine(), std::move(path), bytes);
+    return make_data(std::move(path), bytes);
   }
 
   /// Completes when every registered statement has finished, or as soon as
@@ -69,13 +109,28 @@ class SwiftEngine {
   const std::vector<core::JobRecord>& job_records() const { return records_; }
 
  private:
+  friend class DataVar;
+
+  /// Queues `st`'s activation at the current instant.
+  void queue_activation(detail::Statement& st);
+  /// Walks `st`'s inputs from where it stopped: parks it on the first
+  /// unset one, or starts its actor once all are set.
+  void activate(detail::Statement& st);
   sim::Task<void> statement_actor(AppCall call);
   void note_settled();
+
+  /// Records per statement-table chunk.
+  static constexpr std::size_t kChunk = 256;
 
   os::Machine* machine_;
   CoasterService* coasters_;
   Config config_;
   std::unique_ptr<sim::Gate> all_done_;
+  /// The statement table: chunks never move; a started statement's record
+  /// goes on the free list for the next app().
+  std::vector<std::unique_ptr<detail::Statement[]>> chunks_;
+  std::size_t used_ = 0;  // records handed out of chunks_ so far
+  detail::Statement* free_ = nullptr;
   std::size_t registered_ = 0;
   std::size_t completed_ = 0;
   std::size_t failed_ = 0;

@@ -613,9 +613,14 @@ class ScriptInterp {
       case Stmt::Kind::kForeach: {
         const std::int64_t lo = eval(*s.range_lo);
         const std::int64_t hi = eval(*s.range_hi);
-        for (std::int64_t i = lo; i <= hi; ++i) {
-          env_[s.loop_var] = i;
-          for (const auto& inner : s.body) exec(*inner);
+        // Stop on the last value instead of stepping past it: `++i` beyond
+        // hi overflows when hi is INT64_MAX.
+        if (lo <= hi) {
+          for (std::int64_t i = lo;; ++i) {
+            env_[s.loop_var] = i;
+            for (const auto& inner : s.body) exec(*inner);
+            if (i == hi) break;
+          }
         }
         env_.erase(s.loop_var);
         return;

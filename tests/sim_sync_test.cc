@@ -343,6 +343,34 @@ TEST(Semaphore, GrantToKilledWaiterPassesToNext) {
   EXPECT_EQ(sem.waiting(), 0u);
 }
 
+TEST(Semaphore, PermitGrantedToAKilledWaiterPassesToNext) {
+  // As GrantToKilledWaiterPassesToNext, through Permit guards: the killed
+  // waiter's awaiter was handed the permit but never resumed with it.
+  Engine e;
+  Semaphore sem(e, 1);
+  ActorId first = 0;
+  bool second_ran = false;
+  e.spawn("holder", [](Engine& e, Semaphore& sem, ActorId& first) -> Task<void> {
+    {
+      Permit p = co_await Permit::acquire(sem);
+      co_await delay(seconds(1));
+    }  // granted to `first`, whose resumption is queued
+    e.kill(first);
+  }(e, sem, first));
+  first = e.spawn("first", [](Semaphore& sem) -> Task<void> {
+    Permit p = co_await Permit::acquire(sem);
+    ADD_FAILURE() << "killed waiter resumed";
+  }(sem));
+  e.spawn("second", [](Semaphore& sem, bool& ran) -> Task<void> {
+    Permit p = co_await Permit::acquire(sem);
+    ran = true;
+  }(sem, second_ran));
+  e.run();
+  EXPECT_TRUE(second_ran);
+  EXPECT_EQ(sem.available(), 1u);
+  EXPECT_EQ(sem.waiting(), 0u);
+}
+
 TEST(Semaphore, PermitGuardReleasesOnKill) {
   Engine e;
   Semaphore sem(e, 1);

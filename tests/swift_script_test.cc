@@ -211,6 +211,20 @@ TEST(Script, HostileInputsRaiseScriptErrorWithTheirLine) {
   }
 }
 
+TEST(Script, ForeachRangeEndingAtInt64MaxStops) {
+  // Stepping the loop counter past the last value overflowed (undefined
+  // behaviour), and the wrapped counter then looped without end.
+  ScriptBed bed(2);
+  bed.runner.run(R"(file out[];
+foreach i in 9223372036854775806..9223372036854775807 {
+  app (out[i]) = noop();
+})");
+  EXPECT_EQ(bed.runner.statements_registered(), 2u);
+  bed.execute();
+  EXPECT_EQ(bed.swift.completed(), 2u);
+  EXPECT_TRUE(bed.runner.variable("out", 9223372036854775807)->is_set());
+}
+
 TEST(Script, UnterminatedStringRejected) {
   ScriptBed bed(2);
   EXPECT_THROW(bed.runner.run("file a;\napp (a) = noop(\"oops);"), ScriptError);

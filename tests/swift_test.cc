@@ -47,25 +47,11 @@ struct SwiftBed : TestBed {
 };
 
 TEST(DataVar, SingleAssignmentEnforced) {
-  sim::Engine e;
-  DataVar var(e, "/gpfs/x");
+  DataVar var("/gpfs/x");
   EXPECT_FALSE(var.is_set());
   var.set();
   EXPECT_TRUE(var.is_set());
   EXPECT_THROW(var.set(), std::logic_error);
-}
-
-TEST(DataVar, WaitReleasesOnSet) {
-  sim::Engine e;
-  auto var = make_data(e, "/gpfs/x");
-  sim::Time woke = -1;
-  e.spawn("w", [](sim::Engine& e, DataPtr var, sim::Time& woke) -> sim::Task<void> {
-    co_await var->wait();
-    woke = e.now();
-  }(e, var, woke));
-  e.call_at(sim::seconds(4), [&] { var->set(); });
-  e.run();
-  EXPECT_EQ(woke, sim::seconds(4));
 }
 
 TEST(Coasters, RunsSequentialJob) {
@@ -212,6 +198,120 @@ TEST(SwiftEngine, FailedAppAbortsRun) {
   bed.engine.run();
   EXPECT_EQ(swift.failed(), 1u);
   EXPECT_FALSE(out->is_set());
+}
+
+/// The job that ran `argv[1] == tag` among `swift`'s records.
+const core::JobRecord* job_tagged(const SwiftEngine& swift, const char* tag) {
+  for (const core::JobRecord& rec : swift.job_records()) {
+    if (rec.spec.argv.size() > 1 && rec.spec.argv[1] == tag) return &rec;
+  }
+  return nullptr;
+}
+
+void run_script(test::TestBed& bed, SwiftEngine& swift) {
+  bed.engine.spawn("t", [](SwiftEngine& s) -> sim::Task<void> {
+    co_await s.run_to_completion();
+  }(swift));
+  bed.engine.run();
+}
+
+TEST(SwiftEngine, StatementStartsSubmitOverheadAfterItsInputIsSet) {
+  SwiftBed bed(os::Machine::eureka(2));
+  CoasterService coasters(bed.machine, bed.apps, bed.coasters_config());
+  coasters.start_on(SwiftBed::nodes(2));
+  SwiftEngine::Config config;
+  config.submit_overhead = sim::milliseconds(30);
+  SwiftEngine swift(bed.machine, coasters, config);
+  auto in = swift.file("/gpfs/in");
+  swift.app({.argv = {"noop", "S"}, .inputs = {in}, .outputs = {}});
+  bed.engine.call_at(sim::seconds(4), [&] { in->set(); });
+  run_script(bed, swift);
+  ASSERT_EQ(swift.completed(), 1u);
+  EXPECT_EQ(swift.job_records().at(0).submitted_at,
+            sim::seconds(4) + sim::milliseconds(30));
+}
+
+TEST(SwiftEngine, ParkedStatementsWakeInParkOrder) {
+  // S1 parks on `a`, S2 on `d`; at 1 s S1 moves on to `d`, behind S2. So
+  // `d` wakes S2 first, although S1 registered first and counts on `d`
+  // too.
+  SwiftBed bed(os::Machine::eureka(2));
+  CoasterService coasters(bed.machine, bed.apps, bed.coasters_config());
+  coasters.start_on(SwiftBed::nodes(2));
+  SwiftEngine swift(bed.machine, coasters);
+  auto a = swift.file("/gpfs/a");
+  auto d = swift.file("/gpfs/d");
+  swift.app({.argv = {"noop", "S1"}, .inputs = {a, d}, .outputs = {}});
+  swift.app({.argv = {"noop", "S2"}, .inputs = {d}, .outputs = {}});
+  bed.engine.call_at(sim::seconds(1), [&] { a->set(); });
+  bed.engine.call_at(sim::seconds(2), [&] { d->set(); });
+  run_script(bed, swift);
+  ASSERT_EQ(swift.completed(), 2u);
+  EXPECT_EQ(job_tagged(swift, "S2")->id, 1u);
+  EXPECT_EQ(job_tagged(swift, "S1")->id, 2u);
+}
+
+TEST(SwiftEngine, InputSetInTheRegistrationInstantKeepsRegistrationOrder) {
+  // `a` is set after both app() calls but before S1's first activation,
+  // which therefore finds it set: S1 starts first, as it registered first.
+  SwiftBed bed(os::Machine::eureka(2));
+  CoasterService coasters(bed.machine, bed.apps, bed.coasters_config());
+  coasters.start_on(SwiftBed::nodes(2));
+  SwiftEngine swift(bed.machine, coasters);
+  auto a = swift.file("/gpfs/a");
+  swift.app({.argv = {"noop", "S1"}, .inputs = {a}, .outputs = {}});
+  swift.app({.argv = {"noop", "S2"}, .inputs = {}, .outputs = {}});
+  a->set();
+  run_script(bed, swift);
+  ASSERT_EQ(swift.completed(), 2u);
+  EXPECT_EQ(job_tagged(swift, "S1")->id, 1u);
+  EXPECT_EQ(job_tagged(swift, "S2")->id, 2u);
+}
+
+TEST(SwiftEngine, WaitingStatementsHoldNoActor) {
+  SwiftBed bed(os::Machine::eureka(4));
+  CoasterService coasters(bed.machine, bed.apps, bed.coasters_config());
+  coasters.start_on(SwiftBed::nodes(4));
+  bed.engine.run_until(sim::seconds(1));  // workers registered and idle
+  SwiftEngine swift(bed.machine, coasters);
+  auto gate = swift.file("/gpfs/gate");
+  constexpr std::size_t kWaiting = 50;
+  const std::size_t before = bed.engine.live_actor_count();
+  for (std::size_t i = 0; i < kWaiting; ++i) {
+    swift.app({.argv = {"noop"}, .inputs = {gate}, .outputs = {}});
+  }
+  bed.engine.run_until(sim::seconds(10));
+  EXPECT_EQ(bed.engine.live_actor_count(), before);
+  gate->set();
+  bed.engine.run_until(bed.engine.now());  // the activations
+  EXPECT_EQ(bed.engine.live_actor_count(), before + kWaiting);
+  run_script(bed, swift);
+  EXPECT_EQ(swift.completed(), kWaiting);
+}
+
+TEST(SwiftEngine, DestroyedEngineLeavesNothingOnItsVariables) {
+  // Variables outlive the engine that parked statements on them: a set()
+  // afterwards must find no record, and a queued activation must not run.
+  SwiftBed bed(os::Machine::eureka(2));
+  CoasterService coasters(bed.machine, bed.apps, bed.coasters_config());
+  coasters.start_on(SwiftBed::nodes(2));
+  bed.engine.run_until(sim::seconds(1));
+  auto a = make_data("/gpfs/a");
+  auto b = make_data("/gpfs/b");
+  {
+    SwiftEngine swift(bed.machine, coasters);
+    swift.app({.argv = {"noop"}, .inputs = {a}, .outputs = {}});
+    swift.app({.argv = {"noop"}, .inputs = {b, a}, .outputs = {}});
+    swift.app({.argv = {"noop"}, .inputs = {a}, .outputs = {}});
+    bed.engine.run_until(sim::seconds(2));  // all three parked
+    swift.app({.argv = {"noop"}, .inputs = {}, .outputs = {}});  // queued
+  }
+  const std::size_t actors = bed.engine.live_actor_count();
+  a->set();
+  b->set();
+  bed.engine.run_until(sim::seconds(3));
+  EXPECT_EQ(bed.engine.live_actor_count(), actors);
+  EXPECT_EQ(coasters.service().job_table_size(), 0u);
 }
 
 TEST(RemWorkflow, SingleProcessDataflowCompletes) {
