@@ -54,18 +54,19 @@ inline NamdBatchResult run_namd_batch(std::size_t alloc_nodes, int nproc = 4,
   }
 
   NamdBatchResult out;
-  sim::TimeWeightedGauge busy;
+  double busy = 0;  // running MPI processes, one core each
   jets.service().hooks().on_job_start = [&](const core::JobRecord& r) {
-    busy.add(bed.engine.now(), r.spec.nprocs);
+    busy += r.spec.nprocs;
+    out.load.add(bed.engine.now(), busy);
   };
   jets.service().hooks().on_job_finish = [&](const core::JobRecord& r) {
-    busy.add(bed.engine.now(), -r.spec.nprocs);
+    busy -= r.spec.nprocs;
+    out.load.add(bed.engine.now(), busy);
   };
   bed.run([&]() -> sim::Task<void> {
     co_await jets.wait_workers();
     out.report = co_await jets.run_batch(jobs);
   });
-  out.load = busy.series();
   out.stage_requests = jets.service().stage_requests();
   out.stage_warm_hits = jets.service().stage_warm_hits();
   out.stage_bytes_pushed = jets.service().stage_bytes_pushed();

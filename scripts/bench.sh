@@ -4,12 +4,11 @@
 #   scripts/bench.sh              # append one entry to BENCH_sim.json
 #   scripts/bench.sh --check      # run benches, print entry, do not append
 #
-# Runs the google-benchmark micro suite (engine schedule/cancel/dispatch,
-# scheduler choose_job/claim_workers, CAS put/get, stage fan-out dedup)
-# plus wall-clock timings of the two headline figure benches (fig06,
-# fig09), the abl_staging cold-vs-warm sweep, and the fig07 elastic
-# scenario, and appends one JSON entry to
-# BENCH_sim.json keyed by commit. The file is an append-only trajectory:
+# Times the two headline figure benches (fig06, fig09) and records the
+# large-N launch-rate series, the fig10 recover scenario, the abl_staging
+# cold-vs-warm sweep and the fig07 elastic scenario, and appends one JSON
+# entry to BENCH_sim.json keyed by commit. Host cost per layer is
+# perfbench's job (perfbench/run.py). The file is an append-only trajectory:
 # one entry per measurement, never rewritten, so regressions are visible
 # as a time series across PRs. Numbers are host-dependent — compare
 # entries only within one machine (the `host` field).
@@ -22,18 +21,10 @@ append=1
 BUILD="${BUILD:-build}"
 OUT="BENCH_sim.json"
 
-if [[ ! -x "$BUILD/bench/micro_benchmarks" ]]; then
-  echo "bench.sh: $BUILD/bench/micro_benchmarks not built (run scripts/check.sh first)" >&2
+if [[ ! -x "$BUILD/bench/fig06_seq_rate" ]]; then
+  echo "bench.sh: $BUILD/bench/fig06_seq_rate not built (run scripts/check.sh first)" >&2
   exit 1
 fi
-
-micro_json="$(mktemp)"
-trap 'rm -rf "$micro_json"' EXIT
-
-echo "== micro suite (google-benchmark) =="
-"$BUILD/bench/micro_benchmarks" \
-  --benchmark_format=json \
-  --benchmark_min_time=0.2 > "$micro_json"
 
 wall_ns() {  # wall-clock of one figure bench at default scale, output discarded
   local t0 t1
@@ -45,7 +36,7 @@ wall_ns() {  # wall-clock of one figure bench at default scale, output discarded
 
 echo "== tracing byte-identity: fig06 with and without JETS_TRACE =="
 trace_dir="$(mktemp -d)"
-trap 'rm -rf "$micro_json" "$trace_dir"' EXIT
+trap 'rm -rf "$trace_dir"' EXIT
 "$BUILD/bench/fig06_seq_rate" > "$trace_dir/plain.txt"
 JETS_TRACE=1 "$BUILD/bench/fig06_seq_rate" > "$trace_dir/traced.txt"
 if ! cmp -s "$trace_dir/plain.txt" \
@@ -103,14 +94,12 @@ cat "$elastic_txt"
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 date_iso=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
-entry=$(python3 - "$micro_json" "$commit" "$date_iso" "$fig06_ns" "$fig09_ns" \
+entry=$(python3 - "$commit" "$date_iso" "$fig06_ns" "$fig09_ns" \
         "$large_n_txt" "$recover_txt" "$staging_txt" "$elastic_txt" <<'PY'
 import json, platform, sys
 
-(micro_path, commit, date_iso, fig06_ns, fig09_ns, large_n_path,
- recover_path, staging_path, elastic_path) = sys.argv[1:10]
-with open(micro_path) as f:
-    micro = json.load(f)
+(commit, date_iso, fig06_ns, fig09_ns, large_n_path, recover_path,
+ staging_path, elastic_path) = sys.argv[1:9]
 
 # Rows: "pass=<name> k=v ..." from the fig10 recover trailer; numbers are
 # kept numeric, yes/NO flags become booleans.
@@ -175,18 +164,6 @@ with open(large_n_path) as f:
             point[k] = int(v) if k in ("workers", "jobs") else float(v)
         large_n.append(point)
 
-benches = {}
-for b in micro.get("benchmarks", []):
-    if b.get("run_type") == "aggregate":
-        continue
-    # google-benchmark reports in the unit it chose; normalise to ns.
-    scale = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}[b.get("time_unit", "ns")]
-    benches[b["name"]] = {
-        "real_time_ns": round(b["real_time"] * scale),
-        "cpu_time_ns": round(b["cpu_time"] * scale),
-        "iterations": b["iterations"],
-    }
-
 entry = {
     "commit": commit,
     "date": date_iso,
@@ -199,7 +176,6 @@ entry = {
     "recovery": recovery,
     "staging": staging,
     "elastic": elastic,
-    "micro": benches,
 }
 print(json.dumps(entry, indent=2))
 PY

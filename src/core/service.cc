@@ -74,7 +74,6 @@ void Service::init_metrics() {
   rpc_metrics_.calls = reg("jets.rpc.calls");
   rpc_metrics_.notifies = reg("jets.rpc.notifies");
   rpc_metrics_.completed = reg("jets.rpc.completed");
-  rpc_metrics_.timeouts = reg("jets.rpc.timeouts");
   rpc_metrics_.peer_closed = reg("jets.rpc.peer_closed");
   rpc_metrics_.cancelled = reg("jets.rpc.cancelled");
   rpc_metrics_.orphans = reg("jets.rpc.orphans");
@@ -387,41 +386,23 @@ sim::Task<void> Service::stage_inputs(const std::vector<std::string>& paths,
   }
 }
 
-void Service::handle_staged_ack(WorkerId wid, const net::rpc::StageAck& ack) {
-  if (const Worker* w = workers_.find(wid)) {
-    // The blob is on the node now — even a late ack from an evicted
-    // worker makes that true, so commit unconditionally.
-    residency_.commit(w->node, ack.digest);
-    // Evictions the worker's CAS performed to make room travel on the
-    // ack; apply them so the planner never trusts a stale peer.
-    for (const os::CasDigest evicted : ack.evictions) {
-      residency_.remove(w->node, evicted);
-      m_stage_evictions_->inc();
-    }
-    // A tracked worker's decrement belongs to its StageReq call (which
-    // completed, or was written off at eviction/EOF — then this late ack
-    // must not double-decrement).
-    return;
+void Service::commit_staged(os::NodeId node, const net::rpc::StageAck& ack) {
+  residency_.commit(node, ack.digest);
+  // Evictions the worker's CAS performed to make room travel on the ack;
+  // apply them so the planner never trusts a stale peer.
+  for (const os::CasDigest evicted : ack.evictions) {
+    residency_.remove(node, evicted);
+    m_stage_evictions_->inc();
   }
-  // Untracked sockets keep the historical unconditional decrement.
-  const StageTable::Slot slot = staging_.find(ack.digest);
-  if (slot == StageTable::kNone) return;
-  std::uint32_t& rem = staging_.remaining(slot);
-  if (rem > 0 && --rem == 0) staging_.gate(slot).open();
 }
 
 void Service::stage_call_settled(
     os::NodeId node, StageDigest digest,
     net::rpc::Expected<net::rpc::StageAck, net::rpc::RpcError> r) {
   if (r.ok()) {
-    const net::rpc::StageAck& ack = r.value();
     // The blob is on the node now; commit before opening the gate so the
     // planner can offer this node as a peer immediately.
-    residency_.commit(node, ack.digest);
-    for (const os::CasDigest evicted : ack.evictions) {
-      residency_.remove(node, evicted);
-      m_stage_evictions_->inc();
-    }
+    commit_staged(node, r.value());
   } else {
     // The ack will never come (EOF drain, eviction write-off): forget the
     // in-flight transfer so a later job re-stages (satellite S1).
@@ -486,13 +467,10 @@ sim::Task<void> Service::accept_loop() {
 
 sim::Task<void> Service::worker_handler(net::SocketPtr sock) {
   WorkerId wid = 0;
-  net::rpc::Channel::Config cfg;
-  cfg.metrics = &rpc_metrics_;
-  // The channel must not drain pending calls at EOF on its own: the
-  // disconnect bookkeeping below writes them off at the exact point the
-  // pre-RPC code did, keeping the event schedule byte-identical.
-  cfg.manual_drain = true;
-  net::rpc::Channel ch(machine_->engine(), sock, cfg);
+  // serve() leaves pending calls at EOF: the disconnect bookkeeping below
+  // writes them off at the exact point the pre-RPC code did, keeping the
+  // event schedule byte-identical.
+  net::rpc::Channel ch(machine_->engine(), sock, &rpc_metrics_);
   ch.set_on_message([this, &wid] {
     if (wid != 0) workers_.at(wid).last_heard = machine_->engine().now();
   });
@@ -577,10 +555,12 @@ sim::Task<void> Service::worker_handler(net::SocketPtr sock) {
     ready_.push_back(wid, w.node);
     kick();
   });
-  // Acks whose StageReq call already settled (written off at eviction or
-  // sent on an untracked socket) fall through to this unmatched handler.
+  // Acks whose StageReq call was already written off (eviction) fall
+  // through to here. The blob is on the node even so; the gate's decrement
+  // was the call's. A connection that never registered staged nothing, so
+  // its acks are dropped.
   ch.on<net::rpc::StageAck>([this, &wid](net::rpc::StageAck&& ack) {
-    handle_staged_ack(wid, ack);
+    if (wid != 0) commit_staged(workers_.at(wid).node, ack);
   });
   ch.on<net::rpc::TaskDone>([this, &wid](net::rpc::TaskDone&& done) {
     // Unmatched dones: MPI proxy exits (mpiexec owns their outcome — their

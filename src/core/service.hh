@@ -518,11 +518,9 @@ class Service {
   sim::Task<void> stage_inputs(const std::vector<std::string>& paths,
                                const std::vector<WorkerId>& targets, JobId id,
                                int attempt);
-  /// Unmatched "staged" ack bookkeeping (acks whose StageReq call was
-  /// already written off, or acks from never-registered sockets): commits
-  /// residency for tracked workers; decrements the slot count only for
-  /// untracked ones (a tracked worker's decrement is owned by its call).
-  void handle_staged_ack(WorkerId wid, const net::rpc::StageAck& ack);
+  /// Records a "staged" ack's blob as resident on `node` and applies the
+  /// evictions it reports.
+  void commit_staged(os::NodeId node, const net::rpc::StageAck& ack);
   /// Completion of one StageReq call: on success commits residency and
   /// applies the ack's eviction reports; on error (peer closed, evicted)
   /// writes the in-flight transfer off so a later job re-stages. Either

@@ -159,7 +159,7 @@ Comm::RecvOp Comm::recv(int src) {
 Comm::RecvOp::RecvOp(Comm& comm, int src) : comm_(&comm), src_(src) {
   Peer* p = comm.find(src);
   if (p != nullptr && p->in) {
-    wire_.emplace(*p->in, -1);
+    wire_.emplace(*p->in);
   } else {
     wiring_ = comm.recv_wiring(src);
   }

@@ -4,17 +4,6 @@ namespace jets::net::rpc {
 
 using Kind = DecodeError::Kind;
 
-const char* to_string(RpcError e) {
-  switch (e) {
-    case RpcError::kTimeout: return "timeout";
-    case RpcError::kPeerClosed: return "peer_closed";
-    case RpcError::kCancelled: return "cancelled";
-    case RpcError::kWindowFull: return "window_full";
-    case RpcError::kDecode: return "decode";
-  }
-  return "unknown";
-}
-
 std::string to_string(const DecodeError& e) {
   const char* kind = "unknown";
   switch (e.kind) {
@@ -120,7 +109,6 @@ ChannelMetrics ChannelMetrics::bind(obs::MetricsRegistry& m) {
   out.calls = &m.counter("jets.rpc.calls");
   out.notifies = &m.counter("jets.rpc.notifies");
   out.completed = &m.counter("jets.rpc.completed");
-  out.timeouts = &m.counter("jets.rpc.timeouts");
   out.peer_closed = &m.counter("jets.rpc.peer_closed");
   out.cancelled = &m.counter("jets.rpc.cancelled");
   out.orphans = &m.counter("jets.rpc.orphans");
@@ -132,20 +120,12 @@ ChannelMetrics ChannelMetrics::bind(obs::MetricsRegistry& m) {
 
 // --- Channel --------------------------------------------------------------
 
-Channel::Channel(sim::Engine& engine, SocketPtr sock, Config config)
-    : engine_(&engine), sock_(std::move(sock)), config_(config) {
-  if (config_.window > 0) {
-    window_ = std::make_unique<sim::Semaphore>(engine, config_.window);
-  }
-}
-
 Channel::~Channel() {
   // Never invoke completions here: the channel dies during its owner's
   // teardown (actor kill, service destruction) when the frames those
-  // callbacks capture may already be gone. Deadline timers must not
-  // outlive us, though, and a parked call() must not detach from us later.
+  // callbacks capture may already be gone. A parked call() must not detach
+  // from us later, though.
   for (PendingCall& p : calls_) {
-    p.deadline.cancel();
     if (p.wait != nullptr) p.wait->chan = nullptr;
   }
 }
@@ -205,32 +185,16 @@ void Channel::finish_call(CallId id, void* resp, RpcError err) {
   if (it == calls_.end()) return;
   PendingCall p = std::move(*it);
   calls_.erase(it);
-  p.deadline.cancel();
-  if (p.credited && window_) window_->release();
-  if (ChannelMetrics* mm = config_.metrics) {
+  if (ChannelMetrics* mm = metrics_) {
     --mm->inflight_now;
     if (mm->inflight) mm->inflight->set(mm->inflight_now);
     if (resp) {
       if (mm->completed) mm->completed->inc();
-    } else {
-      switch (err) {
-        case RpcError::kTimeout:
-          if (mm->timeouts) mm->timeouts->inc();
-          break;
-        case RpcError::kPeerClosed:
-          if (mm->peer_closed) mm->peer_closed->inc();
-          break;
-        case RpcError::kCancelled:
-          if (mm->cancelled) mm->cancelled->inc();
-          break;
-        default:
-          break;
-      }
+    } else if (err == RpcError::kPeerClosed) {
+      if (mm->peer_closed) mm->peer_closed->inc();
+    } else if (err == RpcError::kCancelled) {
+      if (mm->cancelled) mm->cancelled->inc();
     }
-  }
-  if (config_.tracer && p.span != 0) {
-    if (!resp) config_.tracer->attr(p.span, "err", to_string(err));
-    config_.tracer->end(p.span);
   }
   if (CallWaitBase* w = p.wait) {
     w->store(*w, resp, err);
@@ -246,8 +210,6 @@ void Channel::detach(CallId id) {
   if (it != calls_.end()) it->wait = nullptr;
 }
 
-void Channel::on_deadline(CallId id) { finish_call(id, nullptr, RpcError::kTimeout); }
-
 void Channel::fail_all(RpcError err) {
   while (!calls_.empty()) finish_call(calls_.front().id, nullptr, err);
 }
@@ -260,28 +222,16 @@ void Channel::fail_responses(std::string_view resp_tag, RpcError err) {
   for (const CallId id : ids) finish_call(id, nullptr, err);
 }
 
-bool Channel::cancel(CallId id, RpcError err) {
-  if (find_call(id) == calls_.end()) return false;
-  finish_call(id, nullptr, err);
-  return true;
-}
-
 void Channel::note_orphan() {
-  if (config_.metrics && config_.metrics->orphans) {
-    config_.metrics->orphans->inc();
-  }
+  if (metrics_ && metrics_->orphans) metrics_->orphans->inc();
 }
 
 void Channel::note_decode_error() {
-  if (config_.metrics && config_.metrics->decode_errors) {
-    config_.metrics->decode_errors->inc();
-  }
+  if (metrics_ && metrics_->decode_errors) metrics_->decode_errors->inc();
 }
 
 void Channel::note_unknown_tag() {
-  if (config_.metrics && config_.metrics->unknown_tags) {
-    config_.metrics->unknown_tags->inc();
-  }
+  if (metrics_ && metrics_->unknown_tags) metrics_->unknown_tags->inc();
 }
 
 sim::Task<void> Channel::serve() {
@@ -303,7 +253,6 @@ sim::Task<void> Channel::serve() {
     if (stopped_) break;
   }
   serving_ = false;
-  if (!config_.manual_drain) fail_all(RpcError::kPeerClosed);
 }
 
 }  // namespace jets::net::rpc

@@ -19,11 +19,9 @@
 //    and all 15 figure benches stay identical to the golden manifest;
 //  * concurrent calls with the same (response tag, key) resolve FIFO, in
 //    issue order, which is exactly the socket's FIFO delivery order;
-//  * an optional bounded in-flight window provides backpressure: call()
-//    co_awaits a credit, call_cb() fails fast with kWindowFull;
-//  * per-call deadlines surface RpcError::kTimeout through the engine's
-//    timer wheel; peer close drains every pending call with kPeerClosed
-//    (in issue order) instead of silently dropping them.
+//  * a lost peer fails calls with kPeerClosed (in issue order) instead of
+//    silently dropping them; a hung one is for the owner's own liveness
+//    deadline to find (Service::liveness_check).
 //
 // Determinism: constructing a Channel, issuing a call, and completing one
 // schedule *zero* engine events beyond what the raw socket send/recv
@@ -41,7 +39,6 @@
 #include <cstdio>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -56,7 +53,6 @@
 #include "net/socket.hh"
 #include "net/staging.hh"
 #include "obs/metrics.hh"
-#include "obs/tracer.hh"
 #include "sim/engine.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
@@ -110,13 +106,10 @@ class Expected<void, E> {
 // --- Error taxonomy -------------------------------------------------------
 
 enum class RpcError : std::uint8_t {
-  kTimeout,     // per-call deadline elapsed before the reply arrived
   kPeerClosed,  // connection gone (EOF) or already closed at issue time
   kCancelled,   // explicitly cancelled (eviction write-off, shutdown)
-  kWindowFull,  // call_cb with no free pipeline credit
   kDecode,      // the value has no text form: refused at send
 };
-const char* to_string(RpcError e);
 
 /// Why a frame failed to decode. `field` names the offending arg.
 struct DecodeError {
@@ -844,7 +837,6 @@ struct ChannelMetrics {
   obs::Counter* calls = nullptr;          // requests issued
   obs::Counter* notifies = nullptr;       // one-way sends
   obs::Counter* completed = nullptr;      // calls resolved by a reply
-  obs::Counter* timeouts = nullptr;       // calls resolved by deadline
   obs::Counter* peer_closed = nullptr;    // calls drained or refused, EOF
   obs::Counter* cancelled = nullptr;      // calls explicitly written off
   obs::Counter* orphans = nullptr;        // replies with no matching call
@@ -863,53 +855,32 @@ class Channel {
  public:
   using CallId = std::uint64_t;
 
-  struct Config {
-    /// Max calls in flight; 0 = unbounded. call() co_awaits a free
-    /// credit (FIFO), call_cb() fails fast with kWindowFull.
-    std::size_t window = 0;
-    /// Shared instrument block; nullptr = uncounted.
-    ChannelMetrics* metrics = nullptr;
-    /// When true, serve() does NOT drain pending calls at EOF — the owner
-    /// calls fail_all() itself, at the point in its disconnect sequence
-    /// where the pre-RPC code wrote the replies off. The service needs
-    /// this to keep its EOF bookkeeping order (and thus the event
-    /// schedule) exactly as before.
-    bool manual_drain = false;
-    /// Span per call ("rpc.call", attrs: method, err); nullptr = none.
-    obs::Tracer* tracer = nullptr;
-    std::uint64_t track = 0;
-  };
-
-  Channel(sim::Engine& engine, SocketPtr sock) : Channel(engine, std::move(sock), Config{}) {}
-  Channel(sim::Engine& engine, SocketPtr sock, Config config);
-  ~Channel();  // cancels deadline timers; never invokes completions
+  /// `metrics` is the shared instrument block; nullptr = uncounted.
+  Channel(sim::Engine& engine, SocketPtr sock,
+          ChannelMetrics* metrics = nullptr)
+      : engine_(&engine), sock_(std::move(sock)), metrics_(metrics) {}
+  ~Channel();  // never invokes completions
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
   const SocketPtr& socket() const { return sock_; }
-  /// True once this channel has observed EOF from the peer. Deliberately
-  /// NOT sock->eof(): the socket can hit EOF before the channel's recv
-  /// resumption runs, and surfacing that early would fail calls at a
-  /// different simulated instant than the historical code.
+  /// True once this channel's own receive has seen its connection end. A
+  /// socket can reach EOF before that resumption runs; failing calls
+  /// then would fail them at a different simulated instant than the
+  /// historical code.
   bool peer_closed() const { return peer_closed_; }
   std::size_t in_flight() const { return calls_.size(); }
-  /// Free pipeline credits (meaningful only with a bounded window).
-  std::size_t window_available() const {
-    return window_ ? window_->available() : 0;
-  }
   /// True if some pending call awaits (resp_tag, key).
   bool has_pending(std::string_view resp_tag, std::string_view key) const;
 
   /// Issues `req` and invokes `cb(Expected<Resp, RpcError>)` exactly once:
-  /// inline at reply dispatch, at deadline expiry, or when the channel
-  /// drains. Returns the call id, or kPeerClosed / kWindowFull without
-  /// sending. deadline == 0 means no deadline.
+  /// inline at reply dispatch, or when the channel's owner drains it.
+  /// Returns the call id, or kPeerClosed / kDecode without sending.
   template <typename M, typename F>
-  Expected<CallId, RpcError> call_cb(M req, F&& cb,
-                                     sim::Duration deadline = 0) {
+  Expected<CallId, RpcError> call_cb(M req, F&& cb) {
     using Resp = typename M::Resp;
     return issue<M>(
-        std::move(req), deadline, /*pre_credited=*/false,
+        std::move(req),
         [cb = std::forward<F>(cb)](void* resp, RpcError err) mutable {
           if (resp) {
             cb(Expected<Resp, RpcError>(std::move(*static_cast<Resp*>(resp))));
@@ -920,27 +891,22 @@ class Channel {
         /*wait=*/nullptr);
   }
 
-  /// Coroutine form: awaits a window credit, issues the call, and resumes
-  /// with the typed result. If no serve() loop is running the call pumps
-  /// the socket itself (one sequential caller per channel — the PMI
-  /// client's discipline); with serve() active it just parks. Its wait
-  /// state lives in this frame, so a call costs the frame and nothing else
-  /// (see CallWait for what a killed caller leaves behind).
+  /// Coroutine form: issues the call and resumes with the typed result. If
+  /// no serve() loop is running the call pumps the socket itself (one
+  /// sequential caller per channel — the PMI client's discipline), and the
+  /// end of the connection fails it with kPeerClosed; with serve() active
+  /// it just parks. Its wait state lives in this frame, so a call costs
+  /// the frame and nothing else (see CallWait for what a killed caller
+  /// leaves behind).
   ///
   /// `req` is taken by value, and every M is a non-aggregate by design —
   /// see the GCC 12 note on the typed-protocol section above.
   template <typename M>
-  sim::Task<Expected<typename M::Resp, RpcError>> call(
-      M req, sim::Duration deadline = 0) {
+  sim::Task<Expected<typename M::Resp, RpcError>> call(M req) {
     using Resp = typename M::Resp;
-    if (window_) co_await window_->acquire();
     CallWait<Resp> w;
-    auto issued = issue<M>(std::move(req), deadline, /*pre_credited=*/true,
-                           /*complete=*/nullptr, &w);
-    if (!issued.ok()) {
-      if (window_) window_->release();
-      co_return Unexpected{issued.error()};
-    }
+    auto issued = issue<M>(std::move(req), /*complete=*/nullptr, &w);
+    if (!issued.ok()) co_return Unexpected{issued.error()};
     w.chan = this;
     w.id = issued.value();
     if (serving_) {
@@ -949,33 +915,17 @@ class Channel {
       // Self-driven mode: no serve() loop owns the socket, so this frame
       // performs the recv/dispatch itself — the exact event shape of the
       // hand-written send-then-recv-loop clients (PMI).
-      const sim::Time deadline_at =
-          deadline > 0 ? engine_->now() + deadline : -1;
       while (!w.done) {
-        std::optional<Message> m;
-        if (deadline_at >= 0) {
-          const sim::Duration left = deadline_at - engine_->now();
-          if (left <= 0) {
-            cancel(w.id, RpcError::kTimeout);
-            break;
-          }
-          m = co_await sock_->recv_for(left);
-        } else {
-          m = co_await sock_->recv();
-        }
-        if (w.done) break;  // the deadline timer settled it while we slept
+        std::optional<Message> m = co_await sock_->recv();
         if (!m) {
-          if (sock_->eof()) {
-            peer_closed_ = true;
-            fail_all(RpcError::kPeerClosed);
-          }
-          // recv_for timeout: loop; the deadline branch above resolves it.
-          continue;
+          // EOF, or this end closed under the call: no reply can come.
+          peer_closed_ = true;
+          fail_all(RpcError::kPeerClosed);
+          break;
         }
         if (auto t = dispatch(std::move(*m))) co_await std::move(*t);
       }
     }
-    if (!w.done) cancel(w.id, RpcError::kCancelled);
     co_return std::move(*w.result);
   }
 
@@ -988,9 +938,7 @@ class Channel {
     }
     std::optional<Message> f = frame(std::move(m));
     if (!f) return Unexpected{RpcError::kDecode};
-    if (config_.metrics && config_.metrics->notifies) {
-      config_.metrics->notifies->inc();
-    }
+    if (metrics_ && metrics_->notifies) metrics_->notifies->inc();
     sock_->send(std::move(*f));
     return {};
   }
@@ -1031,8 +979,8 @@ class Channel {
   }
 
   /// Receive/dispatch loop: recv -> hang gate -> route until EOF or
-  /// stop(). At EOF fails all pending calls with kPeerClosed unless
-  /// Config::manual_drain.
+  /// stop(). It leaves pending calls to its owner, which fails them with
+  /// fail_all() where its disconnect bookkeeping writes the replies off.
   sim::Task<void> serve();
 
   /// Makes serve() (or a pumping call()) return after the current frame.
@@ -1042,14 +990,12 @@ class Channel {
   void fail_all(RpcError err);
   /// Fails every pending call awaiting `resp_tag`, oldest first.
   void fail_responses(std::string_view resp_tag, RpcError err);
-  /// Fails one call; returns false if it already settled.
-  bool cancel(CallId id, RpcError err = RpcError::kCancelled);
 
  private:
   /// Wait state of one call(), kept in the call's own coroutine frame; its
   /// PendingCall points here. A frame destroyed before its reply (the
-  /// caller was killed) detaches itself, so the reply, deadline or drain
-  /// that later retires the call completes nothing; a channel destroyed
+  /// caller was killed) detaches itself, so the reply or drain that later
+  /// retires the call completes nothing; a channel destroyed
   /// first detaches the wait instead.
   struct CallWaitBase {
     using Store = void (*)(CallWaitBase&, void* resp, RpcError err);
@@ -1097,9 +1043,6 @@ class Channel {
     /// whose caller is gone has neither and settles silently.
     std::function<void(void*, RpcError)> complete;
     CallWaitBase* wait = nullptr;
-    sim::TimerHandle deadline;
-    bool credited = false;
-    obs::SpanId span = 0;
   };
 
   /// A verb's route: decodes the frame, completes a matching call, or runs
@@ -1120,39 +1063,26 @@ class Channel {
   /// call(), settled into `wait`.
   template <typename M>
   Expected<CallId, RpcError> issue(
-      M req, sim::Duration deadline, bool pre_credited,
-      std::function<void(void*, RpcError)> complete, CallWaitBase* wait) {
+      M req, std::function<void(void*, RpcError)> complete,
+      CallWaitBase* wait) {
     using Resp = typename M::Resp;
     if (peer_closed_ || stopped_ || !sock_) {
-      if (config_.metrics && config_.metrics->peer_closed) {
-        config_.metrics->peer_closed->inc();
-      }
+      if (metrics_ && metrics_->peer_closed) metrics_->peer_closed->inc();
       return Unexpected{RpcError::kPeerClosed};
     }
     std::string key = req.correlation_key();
     std::optional<Message> f = frame(std::move(req));
     if (!f) return Unexpected{RpcError::kDecode};
-    if (window_ && !pre_credited && !window_->try_acquire()) {
-      return Unexpected{RpcError::kWindowFull};
-    }
     ensure_route<Resp>();
     const CallId id = next_id_++;
     PendingCall p;
     p.id = id;
     p.resp_tag = Resp::kTag;
     p.key = std::move(key);
-    p.credited = window_ != nullptr;
     p.complete = std::move(complete);
     p.wait = wait;
-    if (deadline > 0) {
-      p.deadline = engine_->call_in(deadline, [this, id] { on_deadline(id); });
-    }
-    if (config_.tracer) {
-      p.span = config_.tracer->begin("rpc.call", config_.track);
-      config_.tracer->attr(p.span, "method", M::kTag);
-    }
     calls_.push_back(std::move(p));
-    if (ChannelMetrics* mm = config_.metrics) {
+    if (ChannelMetrics* mm = metrics_) {
       if (mm->calls) mm->calls->inc();
       ++mm->inflight_now;
       if (mm->inflight) mm->inflight->set(mm->inflight_now);
@@ -1204,15 +1134,13 @@ class Channel {
   /// The call's frame is gone: it stays pending (its late reply must not
   /// complete a later call with the same key) but will complete nothing.
   void detach(CallId id);
-  void on_deadline(CallId id);
   void note_orphan();
   void note_decode_error();
   void note_unknown_tag();
 
   sim::Engine* engine_;
   SocketPtr sock_;
-  Config config_;
-  std::unique_ptr<sim::Semaphore> window_;
+  ChannelMetrics* metrics_;
   /// Pending calls in issue order (ascending id), so fail_all drains FIFO
   /// and a reply completes the first entry with its (resp_tag, key). A
   /// channel rarely has more than one call in flight, so the scan is short

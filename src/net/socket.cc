@@ -94,8 +94,6 @@ sim::Task<void> Socket::send_sync(Message m) {
   if (wait > 0) co_await sim::delay(wait);
 }
 
-bool Socket::eof() const { return in().inbox.closed() && in().inbox.empty(); }
-
 void Socket::close() {
   if (!open_) return;
   open_ = false;

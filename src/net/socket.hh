@@ -167,22 +167,14 @@ class Socket {
   /// list node), so a wrapping awaiter constructs it in place.
   class RecvAwaiter : public sim::Channel<Message>::RecvAwaiter {
    public:
-    RecvAwaiter(Socket& s, sim::Duration timeout)
-        : sim::Channel<Message>::RecvAwaiter(s.open_ ? &s.in().inbox : nullptr,
-                                             timeout) {}
+    explicit RecvAwaiter(Socket& s)
+        : sim::Channel<Message>::RecvAwaiter(s.open_ ? &s.in().inbox
+                                                     : nullptr) {}
   };
 
-  /// Receives the next message; std::nullopt = EOF (peer closed or died).
-  RecvAwaiter recv() { return recv_for(-1); }
-
-  /// recv with a timeout; std::nullopt = timeout *or* EOF. Callers that
-  /// must distinguish check eof() afterwards.
-  RecvAwaiter recv_for(sim::Duration timeout) {
-    return RecvAwaiter(*this, timeout);
-  }
-
-  /// True once the peer has closed and the inbox has drained.
-  bool eof() const;
+  /// Receives the next message; std::nullopt = EOF (peer closed or died,
+  /// or this end closed).
+  RecvAwaiter recv() { return RecvAwaiter(*this); }
 
   /// Half-closes our sending direction and refuses further receives.
   void close();
@@ -322,7 +314,7 @@ class Listener {
   };
 
   /// Waits for the next inbound connection; null if the listener closed.
-  AcceptAwaiter accept() { return AcceptAwaiter(&pending_, -1); }
+  AcceptAwaiter accept() { return AcceptAwaiter(&pending_); }
 
   void close();
 

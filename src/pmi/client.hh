@@ -85,9 +85,6 @@ class PmiClient {
   /// Reports clean completion of this rank to the process manager.
   void finalize();
 
-  /// True if the control connection has failed (mpiexec died).
-  bool disconnected() const { return socket() == nullptr || socket()->eof(); }
-
   /// The control connection itself; ranks also route their stdout over it
   /// (app -> proxy -> mpiexec, §6.1.6).
   const net::SocketPtr& socket() const { return chan_.socket(); }

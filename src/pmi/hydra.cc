@@ -26,30 +26,27 @@ struct ProxyArgs {
   int proxy_id = -1;
 };
 
-/// Parses the proxy command line: every number must be a whole decimal in
-/// range of its field, and every flag must be one of the two above.
+/// A decimal field spelled exactly as std::to_string spells its value: no
+/// sign, no leading zero, in range of T.
+template <typename T>
+std::optional<T> canonical_number(const std::string& s) {
+  const auto v = rpc::parse_number<T>(s);
+  if (!v || std::to_string(*v) != s) return std::nullopt;
+  return v;
+}
+
+/// Parses the proxy command line, which must be exactly the form above, as
+/// Mpiexec::proxy_commands writes it.
 std::optional<ProxyArgs> parse_proxy_argv(const std::vector<std::string>& argv) {
-  ProxyArgs a;
-  bool have_control = false;
-  for (std::size_t i = 1; i < argv.size(); ++i) {
-    if (argv[i] == "--control-addr" && i + 2 < argv.size()) {
-      const auto node = rpc::parse_number<os::NodeId>(argv[i + 1]);
-      const auto port = rpc::parse_number<net::Port>(argv[i + 2]);
-      if (!node || !port) return std::nullopt;
-      a.control = net::Address{*node, *port};
-      have_control = true;
-      i += 2;
-    } else if (argv[i] == "--proxy-id" && i + 1 < argv.size()) {
-      const auto id = rpc::parse_number<int>(argv[i + 1]);
-      if (!id || *id < 0) return std::nullopt;
-      a.proxy_id = *id;
-      i += 1;
-    } else {
-      return std::nullopt;
-    }
+  if (argv.size() != 6 || argv[1] != "--control-addr" ||
+      argv[4] != "--proxy-id") {
+    return std::nullopt;
   }
-  if (!have_control || a.proxy_id < 0) return std::nullopt;
-  return a;
+  const auto node = canonical_number<os::NodeId>(argv[2]);
+  const auto port = canonical_number<net::Port>(argv[3]);
+  const auto id = canonical_number<int>(argv[5]);
+  if (!node || !port || !id || *id < 0) return std::nullopt;
+  return ProxyArgs{net::Address{*node, *port}, *id};
 }
 
 /// Visitor from a set of lambdas.

@@ -6,10 +6,10 @@
 // cost one heap allocation per event. Callback keeps any closure of up to
 // kInlineBytes inline, whatever its copy semantics, and spills larger ones
 // to the heap. kInlineBytes covers the hot call_at sites: socket delivery
-// and EOF (16 bytes), the timed channel receive (24), and the rpc and
-// service deadlines (16). At 24 bytes plus the ops pointer a Callback is
-// as large as the std::function it replaces, so the event slab does not
-// grow.
+// and EOF (16 bytes), the service's liveness and retry timers (16) and the
+// Swift engine's statement activations (16), with room for one more
+// pointer. At 24 bytes plus the ops pointer a Callback is as large as the
+// std::function it replaces, so the event slab does not grow.
 #pragma once
 
 #include <cstddef>

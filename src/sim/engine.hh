@@ -48,7 +48,7 @@ namespace jets::sim {
 /// Identifier of a spawned actor (a root coroutine plus its context).
 using ActorId = std::uint64_t;
 
-/// Observer for actor lifecycle events (see sim/trace.hh for a recorder).
+/// Observer for actor lifecycle events (tests/trace_log.hh has a recorder).
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;

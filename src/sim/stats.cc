@@ -112,59 +112,4 @@ std::string TimeSeries::to_table() const {
   return os.str();
 }
 
-// --- TimeWeightedGauge --------------------------------------------------------
-
-void TimeWeightedGauge::set(Time now, double v) {
-  integral_ += value_ * to_seconds(now - last_change_);
-  last_change_ = now;
-  value_ = v;
-  series_.add(now, v);
-  checkpoints_[now] = integral_;
-}
-
-void TimeWeightedGauge::add(Time now, double dv) { set(now, value_ + dv); }
-
-double TimeWeightedGauge::integral(Time now) const {
-  return integral_ + value_ * to_seconds(now - last_change_);
-}
-
-double TimeWeightedGauge::average(Time from, Time to) const {
-  if (to <= from) return value_;
-  // Integral at `from`: last checkpoint <= from, extended at that value.
-  auto integral_at = [this](Time t) {
-    auto it = checkpoints_.upper_bound(t);
-    if (it == checkpoints_.begin()) return 0.0;
-    --it;
-    // Value in effect after the checkpointed change:
-    // find it from the series: checkpoints_ and series_ are parallel, but we
-    // only need integral_ + value*(t - change); reconstruct via neighbors.
-    double base = it->second;
-    Time change = it->first;
-    // Value at that change time: search series (same index ordering).
-    // The series is append-only with matching timestamps; linear search from
-    // the back is fine for harness-scale queries.
-    double v = value_;
-    const auto& pts = series_.points();
-    for (auto rit = pts.rbegin(); rit != pts.rend(); ++rit) {
-      if (rit->first <= change) {
-        v = rit->second;
-        break;
-      }
-    }
-    if (t > last_change_) {
-      return integral_ + value_ * to_seconds(t - last_change_);
-    }
-    return base + v * to_seconds(t - change);
-  };
-  const double num = integral_at(to) - integral_at(from);
-  return num / to_seconds(to - from);
-}
-
-// --- UtilizationMeter ---------------------------------------------------------
-
-double UtilizationMeter::utilization(Time from, Time to) const {
-  if (to <= from || capacity_ == 0) return 0.0;
-  return busy_.average(from, to) / static_cast<double>(capacity_);
-}
-
 }  // namespace jets::sim

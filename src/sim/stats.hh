@@ -1,11 +1,10 @@
 // Measurement utilities used by the benchmark harnesses: sample summaries,
-// histograms (Fig 11), time series (Figs 10/13), and time-weighted gauges
-// for the utilization metric of Eq. (1) in the paper.
+// histograms (Fig 11) and time series (Figs 10/13). The utilization metric
+// of Eq. (1) is core::BatchReport::utilization().
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -66,65 +65,6 @@ class TimeSeries {
 
  private:
   std::vector<std::pair<Time, double>> points_;
-};
-
-/// A gauge whose time-weighted integral can be queried: drives utilization
-/// (busy core-seconds / capacity core-seconds), queue lengths over time, etc.
-class TimeWeightedGauge {
- public:
-  explicit TimeWeightedGauge(double initial = 0.0) : value_(initial) {}
-
-  void set(Time now, double v);
-  void add(Time now, double dv);
-  double value() const noexcept { return value_; }
-
-  /// Integral of the gauge over [0, now].
-  double integral(Time now) const;
-
-  /// Time-average of the gauge over [from, to] given the integral bookkeeping
-  /// started at 0. Requires from <= to.
-  double average(Time from, Time to) const;
-
-  /// The recorded step points (for plotting load level, Fig 13).
-  const TimeSeries& series() const noexcept { return series_; }
-
- private:
-  double value_ = 0.0;
-  Time last_change_ = 0;
-  double integral_ = 0.0;          // over [0, last_change_]
-  double integral_at_from_ = 0.0;  // helper for average(); see .cc
-  TimeSeries series_;
-  // Past integral checkpoints for average(from, to) queries.
-  std::map<Time, double> checkpoints_;
-};
-
-/// The paper's utilization metric, Eq. (1):
-///   utilization = (duration * jobs * n) / (allocation_size * time)
-/// expressed here as busy core-time over capacity core-time.
-class UtilizationMeter {
- public:
-  explicit UtilizationMeter(std::size_t capacity_cores)
-      : capacity_(capacity_cores), busy_(0.0) {}
-
-  void task_started(Time now, std::size_t cores) {
-    busy_.add(now, static_cast<double>(cores));
-  }
-  void task_finished(Time now, std::size_t cores) {
-    busy_.add(now, -static_cast<double>(cores));
-  }
-
-  std::size_t capacity() const noexcept { return capacity_; }
-  double busy_now() const noexcept { return busy_.value(); }
-
-  /// Utilization over [from, to].
-  double utilization(Time from, Time to) const;
-
-  /// Load level (busy cores) as a time series, for Fig 13.
-  const TimeSeries& load_series() const noexcept { return busy_.series(); }
-
- private:
-  std::size_t capacity_;
-  TimeWeightedGauge busy_;
 };
 
 }  // namespace jets::sim

@@ -1,7 +1,7 @@
 // Synchronization primitives for simulated processes: Gate (one-shot /
 // re-armable broadcast event), Channel<T> (unbounded MPSC-style message
-// queue with optional receive timeout), and Semaphore (counted permits with
-// FIFO handoff and leak-proof cancellation).
+// queue), and Semaphore (counted permits with FIFO handoff and leak-proof
+// cancellation).
 //
 // All primitives wake waiters *through the engine's event queue* at the
 // current simulated time rather than resuming inline. This keeps the event
@@ -110,8 +110,8 @@ class Gate {
 };
 
 /// Unbounded FIFO message channel. Senders never block; receivers block
-/// until a value arrives, the channel is closed, or (recv_for) a timeout
-/// elapses. Receivers whose actor has been killed are skipped.
+/// until a value arrives or the channel is closed. Receivers whose actor
+/// has been killed are skipped.
 ///
 /// Channels are typically held via std::shared_ptr when endpoints have
 /// different lifetimes (e.g., the two ends of a socket).
@@ -128,7 +128,6 @@ class Channel {
     while (!waiters_.empty()) {
       auto* w = static_cast<RecvAwaiter*>(waiters_.pop_front());
       if (w->resume.expired()) continue;
-      w->settled_ = true;
       w->value_ = std::move(value);
       engine_->schedule(engine_->now(), w->resume);
       return;
@@ -142,9 +141,8 @@ class Channel {
     if (closed_) return;
     closed_ = true;
     while (!waiters_.empty()) {
-      auto* w = static_cast<RecvAwaiter*>(waiters_.pop_front());
-      w->settled_ = true;  // value stays nullopt -> "closed"
-      engine_->schedule(engine_->now(), w->resume);
+      // The value stays nullopt: "closed".
+      engine_->schedule(engine_->now(), waiters_.pop_front()->resume);
     }
   }
 
@@ -152,20 +150,14 @@ class Channel {
   bool empty() const noexcept { return buffer_.empty(); }
   std::size_t size() const noexcept { return buffer_.size(); }
 
-  /// Awaiter of recv()/recv_for(), and the receiver's wait node: it lives
-  /// in the suspended frame, so a blocking receive allocates nothing. A
-  /// null channel stands for a closed endpoint (completes with nullopt).
+  /// Awaiter of recv(), and the receiver's wait node: it lives in the
+  /// suspended frame, so a blocking receive allocates nothing. A null
+  /// channel stands for a closed endpoint (completes with nullopt). A frame
+  /// destroyed mid-wait unlinks its node (~WaitNode), so a killed receiver
+  /// leaves nothing behind.
   class RecvAwaiter : public detail::WaitNode {
    public:
-    RecvAwaiter(Channel* ch, Duration timeout) : ch_(ch), timeout_(timeout) {}
-
-    ~RecvAwaiter() {
-      // A frame destroyed mid-wait belongs to a dead actor, whose pending
-      // timer must still fire (as a no-op) to keep the event schedule; it
-      // checks the actor before touching this awaiter. Otherwise the timer
-      // was cancelled in await_resume already.
-      if (!resume.expired()) timer_.cancel();
-    }
+    explicit RecvAwaiter(Channel* ch) : ch_(ch) {}
 
     bool await_ready() {
       if (ch_ == nullptr) return true;
@@ -173,48 +165,25 @@ class Channel {
         value_ = ch_->buffer_.pop();
         return true;
       }
-      return ch_->closed_ || timeout_ == 0;  // nullopt
+      return ch_->closed_;  // nullopt
     }
 
     template <typename Promise>
     void await_suspend(std::coroutine_handle<Promise> h) {
       resume = Resumption::of(h, h.promise().context());
-      if (timeout_ >= 0) {
-        Engine* engine = resume.engine;
-        timer_ = engine->call_at(
-            engine->now() + timeout_,
-            [self = this, engine, slot = resume.actor_slot,
-             gen = resume.actor_gen] {
-              if (!engine->actor_slot_live(slot, gen)) return;
-              if (self->settled_) return;
-              self->settled_ = true;  // value stays nullopt -> "timeout"
-              self->unlink();
-              engine->schedule(engine->now(), self->resume);
-            });
-      }
       ch_->waiters_.push_back(this);
     }
 
-    std::optional<T> await_resume() {
-      timer_.cancel();
-      return std::move(value_);
-    }
+    std::optional<T> await_resume() { return std::move(value_); }
 
    private:
     friend class Channel;
     Channel* ch_;
-    Duration timeout_;
-    bool settled_ = false;
     std::optional<T> value_;
-    TimerHandle timer_;
   };
 
   /// `co_await ch.recv()` -> std::optional<T>; nullopt means closed.
-  RecvAwaiter recv() { return RecvAwaiter(this, -1); }
-
-  /// `co_await ch.recv_for(d)` -> std::optional<T>; nullopt means timeout
-  /// or closed. `d < 0` means wait forever.
-  RecvAwaiter recv_for(Duration timeout) { return RecvAwaiter(this, timeout); }
+  RecvAwaiter recv() { return RecvAwaiter(this); }
 
  private:
   Engine* engine_;
@@ -277,13 +246,6 @@ class Semaphore {
 
   /// `co_await sem.acquire()`: obtains one permit (FIFO order).
   AcquireAwaiter acquire() { return AcquireAwaiter(this); }
-
-  /// Claims a permit iff one is free right now; never suspends.
-  bool try_acquire() {
-    if (available_ == 0) return false;
-    --available_;
-    return true;
-  }
 
   /// Returns one permit, handing it to the oldest live waiter if any.
   void release() {

@@ -46,6 +46,7 @@ SwiftEngine::~SwiftEngine() {
     detail::Statement& st = chunks_[i / kChunk][i % kChunk];
     if (st.state == State::kQueued) st.activation.cancel();
     if (st.state == State::kParked) st.call.inputs[st.next_input]->unpark(st);
+    if (st.state == State::kStarted) machine_->engine().kill(st.actor);
   }
 }
 
@@ -86,11 +87,9 @@ void SwiftEngine::activate(detail::Statement& st) {
   // Every input is set: the statement becomes an actor, which starts after
   // Swift's per-app dataflow and wrapper cost.
   sim::Engine& engine = machine_->engine();
-  engine.spawn_at(engine.now() + config_.submit_overhead, "swift-stmt",
-                  statement_actor(std::move(st.call)));
-  st.state = State::kFree;
-  st.next = free_;
-  free_ = &st;
+  st.state = State::kStarted;
+  st.actor = engine.spawn_at(engine.now() + config_.submit_overhead,
+                             "swift-stmt", statement_actor(st));
 }
 
 void SwiftEngine::note_settled() {
@@ -99,7 +98,8 @@ void SwiftEngine::note_settled() {
   }
 }
 
-sim::Task<void> SwiftEngine::statement_actor(AppCall call) {
+sim::Task<void> SwiftEngine::statement_actor(detail::Statement& st) {
+  AppCall& call = st.call;
   bool ok = true;
   if (call.run_on_login) {
     // Filesystem-bound helper executed directly on the login node; it
@@ -127,6 +127,10 @@ sim::Task<void> SwiftEngine::statement_actor(AppCall call) {
   } else {
     ++failed_;
   }
+  st.call = AppCall{};
+  st.state = State::kFree;
+  st.next = free_;
+  free_ = &st;
   note_settled();
 }
 

@@ -46,20 +46,22 @@ struct AppCall {
 
 namespace detail {
 
-/// A registered statement that has not started: its AppCall, the inputs
-/// walked so far, and either its queued activation or its place in the
-/// FIFO of the input it waits for. It holds no coroutine frame and no
-/// actor. Records live in their engine's statement table, whose chunks
-/// never move, so a DataVar can link them.
+/// A registered statement: its AppCall, the inputs walked so far, and
+/// either its queued activation, its place in the FIFO of the input it
+/// waits for, or the actor that runs it once every input is set. Until it
+/// starts it holds no coroutine frame and no actor. Records live in their
+/// engine's statement table, whose chunks never move, so a DataVar can link
+/// them and a started statement's actor can use its call.
 struct Statement {
   Statement() = default;
   Statement(const Statement&) = delete;  // variables and events point here
   Statement& operator=(const Statement&) = delete;
 
   enum class State : std::uint8_t {
-    kQueued,  // its activation is pending
-    kParked,  // linked into the FIFO of call.inputs[next_input]
-    kFree,    // started (the actor took the call), or never used
+    kQueued,   // its activation is pending
+    kParked,   // linked into the FIFO of call.inputs[next_input]
+    kStarted,  // `actor` runs the call
+    kFree,     // finished, or never used
   };
   AppCall call;
   SwiftEngine* owner = nullptr;
@@ -69,7 +71,12 @@ struct Statement {
   Statement* prev = nullptr;
   /// The FIFO's next record; a free record's next free one.
   Statement* next = nullptr;
-  sim::TimerHandle activation;
+  /// A started statement's activation is spent, so its actor's id takes
+  /// the handle's place and the record does not grow.
+  union {
+    sim::TimerHandle activation{};  // kQueued
+    sim::ActorId actor;             // kStarted
+  };
 };
 
 }  // namespace detail
@@ -83,8 +90,9 @@ class SwiftEngine {
 
   SwiftEngine(os::Machine& machine, CoasterService& coasters, Config config);
   SwiftEngine(os::Machine& machine, CoasterService& coasters);
-  /// Unparks the statements that never started and cancels their queued
-  /// activations, so variables that outlive the engine hold nothing of it.
+  /// Unparks the statements that never started, cancels their queued
+  /// activations and kills the actors of those that started, so neither
+  /// variables nor actors that outlive the engine hold anything of it.
   ~SwiftEngine();
   SwiftEngine(const SwiftEngine&) = delete;
   SwiftEngine& operator=(const SwiftEngine&) = delete;
@@ -116,7 +124,8 @@ class SwiftEngine {
   /// Walks `st`'s inputs from where it stopped: parks it on the first
   /// unset one, or starts its actor once all are set.
   void activate(detail::Statement& st);
-  sim::Task<void> statement_actor(AppCall call);
+  /// Runs `st`'s call, then returns its record to the free list.
+  sim::Task<void> statement_actor(detail::Statement& st);
   void note_settled();
 
   /// Records per statement-table chunk.
@@ -126,7 +135,7 @@ class SwiftEngine {
   CoasterService* coasters_;
   Config config_;
   std::unique_ptr<sim::Gate> all_done_;
-  /// The statement table: chunks never move; a started statement's record
+  /// The statement table: chunks never move; a finished statement's record
   /// goes on the free list for the next app().
   std::vector<std::unique_ptr<detail::Statement[]>> chunks_;
   std::size_t used_ = 0;  // records handed out of chunks_ so far

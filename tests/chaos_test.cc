@@ -15,8 +15,8 @@
 #include "apps/synthetic.hh"
 #include "core/chaos.hh"
 #include "core/standalone.hh"
-#include "sim/trace.hh"
 #include "testutil.hh"
+#include "trace_log.hh"
 
 namespace jets::core {
 namespace {

@@ -1,7 +1,15 @@
 // Unit tests for JETS job specs and the stand-alone input-file parser.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "core/job.hh"
+#include "net/number.hh"
 
 namespace jets::core {
 namespace {
@@ -87,6 +95,113 @@ TEST(JobRecord, WallSecondsGuardsUnset) {
   r.started_at = sim::seconds(10);
   r.finished_at = sim::seconds(25);
   EXPECT_DOUBLE_EQ(r.wall_seconds(), 15.0);
+}
+
+// --- Fuzz: a job file parses or is refused by line ---------------------------
+
+/// Parses `text`: every spec must pass shape_valid() and carry a command,
+/// or the parse must throw std::invalid_argument naming a line ("line <n>:
+/// ...") — `bad_line` when the caller knows which one is bad, otherwise
+/// one of the file's `lines`. Any other exception fails.
+void expect_parsed_or_refused(const std::string& text, int default_ppn,
+                              std::size_t lines, std::size_t bad_line = 0) {
+  try {
+    for (const JobSpec& spec : parse_job_list(text, default_ppn)) {
+      EXPECT_TRUE(spec.shape_valid()) << text;
+      EXPECT_FALSE(spec.argv.empty()) << text;
+    }
+  } catch (const std::invalid_argument& e) {
+    const std::string_view what = e.what();
+    const std::size_t colon = what.find(':');
+    const auto n = what.starts_with("line ") && colon != std::string_view::npos
+                       ? net::rpc::parse_number<std::size_t>(
+                             what.substr(5, colon - 5))
+                       : std::nullopt;
+    ASSERT_TRUE(n.has_value()) << "names no line: " << what << "\n" << text;
+    if (bad_line != 0) {
+      EXPECT_EQ(*n, bad_line) << what << "\n" << text;
+    } else {
+      EXPECT_GE(*n, 1u) << what;
+      EXPECT_LE(*n, lines) << what << "\n" << text;
+    }
+  } catch (...) {
+    ADD_FAILURE() << "not std::invalid_argument on:\n" << text;
+  }
+}
+
+const std::vector<std::string>& job_tokens() {
+  static const std::vector<std::string> tokens = {
+      "MPI:", "MPI[ppn=4]:", "MPI[ppn=1]:", "MPI[ppn=0]:", "MPI[ppn=-2]:",
+      "MPI[ppn=]:", "MPI[ppn=4]", "MPI[]:", "MPI[:", "MPI[ppn=4:",
+      "MPI[nodes=2]:", "MPI[ppn=2147483648]:", "MPI[ppn=+4]:", "MPI", "mpi:",
+      ":", "0", "1", "4", "16", "-1", "+4", "04", "-0", "4x", "x4",
+      "2147483647", "2147483648", "-2147483648", "99999999999999999999",
+      "0x10", "namd2.sh", "in.pdb", "--flag", "#", "a#b", std::string(200, 'A'),
+      std::string("\0nul", 4), "\xff\xfe", "\r", "\v", "\f", ""};
+  return tokens;
+}
+
+TEST(ParseJobListFuzz, RandomFilesParseOrNameTheirLine) {
+  std::mt19937 rng(0x4a4f4253u);  // fixed seed: failures must reproduce
+  const std::vector<std::string>& tokens = job_tokens();
+  const std::vector<std::string> seps = {" ", "\t", "  "};
+  std::uniform_int_distribution<std::size_t> token(0, tokens.size() - 1);
+  std::uniform_int_distribution<std::size_t> sep(0, seps.size() - 1);
+  std::uniform_int_distribution<int> line_count(1, 8), width(0, 6), ppn(1, 4);
+  for (int i = 0; i < 3000; ++i) {
+    std::string text;
+    const int lines = line_count(rng);
+    for (int l = 0; l < lines; ++l) {
+      if (l > 0) text += '\n';
+      const int n = width(rng);
+      for (int t = 0; t < n; ++t) {
+        if (t > 0) text += seps[sep(rng)];
+        text += tokens[token(rng)];
+      }
+    }
+    if (rng() % 2 == 0) text += '\n';
+    expect_parsed_or_refused(text, ppn(rng), static_cast<std::size_t>(lines));
+  }
+}
+
+TEST(ParseJobListFuzz, OneMutatedTokenIsRefusedOnItsOwnLine) {
+  // A valid file with one token replaced, dropped or inserted: the other
+  // lines still parse, so a refusal must name the mutated line.
+  const std::vector<std::vector<std::string>> valid = {
+      {"MPI:", "4", "namd2.sh", "input-1.pdb", "output-1.log"},
+      {"MPI[ppn=2]:", "8", "app", "x"},
+      {"seq_tool", "--flag", "in.dat"},
+      {"#", "a", "comment"},
+      {},
+      {"noop"},
+  };
+  std::mt19937 rng(0x4d555441u);
+  const std::vector<std::string>& tokens = job_tokens();
+  std::uniform_int_distribution<std::size_t> token(0, tokens.size() - 1);
+  for (std::size_t line = 0; line < valid.size(); ++line) {
+    for (std::size_t at = 0; at <= valid[line].size(); ++at) {
+      for (int trial = 0; trial < 24; ++trial) {
+        std::vector<std::vector<std::string>> file = valid;
+        std::vector<std::string>& toks = file[line];
+        const auto pos = toks.begin() + static_cast<std::ptrdiff_t>(at);
+        if (trial % 3 == 0 || at == toks.size()) {
+          toks.insert(pos, tokens[token(rng)]);
+        } else if (trial % 3 == 1) {
+          toks.erase(pos);
+        } else {
+          *pos = tokens[token(rng)];
+        }
+        std::string text;
+        for (const auto& l : file) {
+          for (std::size_t t = 0; t < l.size(); ++t) {
+            text += (t > 0 ? " " : "") + l[t];
+          }
+          text += '\n';
+        }
+        expect_parsed_or_refused(text, 1, file.size(), line + 1);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -103,13 +103,6 @@ TEST(StatsEdge, HistogramRejectsDegenerateRanges) {
   EXPECT_THROW(sim::Histogram(0.0, 10.0, 0), std::invalid_argument);
 }
 
-TEST(StatsEdge, UtilizationZeroCapacityOrWindow) {
-  sim::UtilizationMeter m(0);
-  EXPECT_DOUBLE_EQ(m.utilization(0, sim::seconds(10)), 0.0);
-  sim::UtilizationMeter m2(4);
-  EXPECT_DOUBLE_EQ(m2.utilization(sim::seconds(5), sim::seconds(5)), 0.0);
-}
-
 TEST(StatsEdge, DownsampleDegenerateCases) {
   sim::TimeSeries ts;
   EXPECT_EQ(ts.downsample(10).size(), 0u);

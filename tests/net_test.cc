@@ -174,23 +174,6 @@ TEST_F(SocketTest, KilledPeerProducesEof) {
   EXPECT_LT(eof_at, sim::seconds(4));
 }
 
-TEST_F(SocketTest, RecvForTimesOutOnSilentPeer) {
-  auto listener = net.listen({1, 5000});
-  bool timed_out = false;
-  engine.spawn("server", [](Listener& l, bool& timed_out) -> Task<void> {
-    SocketPtr s = co_await l.accept();
-    auto m = co_await s->recv_for(sim::seconds(2));
-    timed_out = !m.has_value() && !s->eof();
-  }(*listener, timed_out));
-  engine.spawn("client", [](Network& net) -> Task<void> {
-    SocketPtr s = co_await net.connect(0, {1, 5000});
-    co_await sim::delay(sim::seconds(50));  // keep alive, stay silent
-    s->close();
-  }(net));
-  engine.run();
-  EXPECT_TRUE(timed_out);
-}
-
 TEST_F(SocketTest, ListenerCloseUnbindsPort) {
   {
     auto listener = net.listen({1, 5000});
@@ -227,22 +210,19 @@ TEST_F(SocketTest, RecvOnLocallyClosedSocketReturnsNulloptAtOnce) {
     co_await sim::delay(sim::seconds(10));
   }(*listener));
   bool got_nullopt = false;
-  bool timed_nullopt = false;
   Time done_at = -1;
-  engine.spawn("client", [](Engine& e, Network& net, bool& plain, bool& timed,
+  engine.spawn("client", [](Engine& e, Network& net, bool& plain,
                             Time& at) -> Task<void> {
     SocketPtr s = co_await net.connect(0, {1, 5000});
     co_await sim::delay(sim::seconds(1));  // "late" is buffered by now
     s->close();
     const Time closed_at = e.now();
     plain = !(co_await s->recv()).has_value();
-    timed = !(co_await s->recv_for(sim::seconds(5))).has_value();
     at = e.now() - closed_at;
-  }(engine, net, got_nullopt, timed_nullopt, done_at));
+  }(engine, net, got_nullopt, done_at));
   engine.run();
   EXPECT_TRUE(got_nullopt);
-  EXPECT_TRUE(timed_nullopt);
-  EXPECT_EQ(done_at, 0);  // neither receive suspended
+  EXPECT_EQ(done_at, 0);  // the receive did not suspend
 }
 
 TEST_F(SocketTest, ConnectionRegistryStaysBoundedByLiveConnections) {

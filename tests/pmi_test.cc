@@ -2,8 +2,10 @@
 // including the JETS-contributed launcher=manual bootstrap.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -250,7 +252,8 @@ TEST(Mpiexec, HostileControlFramesAreIgnored) {
 }
 
 /// Runs the proxy program with `argv` as the JETS worker's task wrapper
-/// does, and returns the task status it would report: 1 if it threw.
+/// does, and returns the task status it would report: 0 if it returned, 1
+/// if it threw, -1 if it has not finished when the engine runs dry.
 int proxy_status(TestBed& bed, std::vector<std::string> argv) {
   int status = -1;
   bed.engine.spawn("task", [](TestBed& bed, std::vector<std::string> argv,
@@ -259,9 +262,9 @@ int proxy_status(TestBed& bed, std::vector<std::string> argv) {
     env.machine = &bed.machine;
     env.node = 1;
     env.argv = std::move(argv);
-    status = 0;
     try {
       co_await bed.apps.lookup(kProxyBinary)(env);
+      status = 0;
     } catch (...) {
       status = 1;
     }
@@ -295,6 +298,16 @@ TEST(HydraProxy, BadArgvGivesTaskStatusOne) {
       {kProxyBinary, "--control-addr", node, "--proxy-id", "0"},
       {kProxyBinary, "--proxy-id", "0"},
       {kProxyBinary, "--control-addr", node, port, "--proxy-id", "0", "-v"},
+      // Non-canonical spellings HydraProxyFuzz found accepted.
+      {kProxyBinary, "--control-addr", node, port, "--proxy-id", "00"},
+      {kProxyBinary, "--control-addr", node, port, "--proxy-id", "-0"},
+      {kProxyBinary, "--control-addr", "0" + node, port, "--proxy-id", "0"},
+      {kProxyBinary, "--control-addr", node, "0" + port, "--proxy-id", "0"},
+      {kProxyBinary, "--proxy-id", "0", "--control-addr", node, port},
+      {kProxyBinary, "--control-addr", node, port, "--control-addr", node,
+       port, "--proxy-id", "0"},
+      {kProxyBinary, "--control-addr", node, port, "--proxy-id", "0",
+       "--proxy-id", "0"},
   };
   for (const auto& argv : bad) {
     EXPECT_EQ(proxy_status(bed, argv), 1) << argv.back();
@@ -306,6 +319,84 @@ TEST(HydraProxy, BadArgvGivesTaskStatusOne) {
   }
   EXPECT_TRUE(mpx.done());
   EXPECT_EQ(mpx.fail_kind(), MpiexecFailKind::kNone);
+}
+
+/// The one argv shape Mpiexec::proxy_commands writes after the binary:
+/// "--control-addr <node> <port> --proxy-id <k>", each number in range of
+/// its field and spelled exactly as std::to_string spells it.
+bool canonical_proxy_argv(const std::vector<std::string>& argv) {
+  const auto spelled = [](const std::string& s, auto value) {
+    return value.has_value() && std::to_string(*value) == s;
+  };
+  return argv.size() == 6 && argv[1] == "--control-addr" &&
+         argv[4] == "--proxy-id" &&
+         spelled(argv[2], net::rpc::parse_number<os::NodeId>(argv[2])) &&
+         spelled(argv[3], net::rpc::parse_number<net::Port>(argv[3])) &&
+         spelled(argv[5], net::rpc::parse_number<int>(argv[5])) &&
+         argv[5][0] != '-';
+}
+
+TEST(HydraProxyFuzz, OnlyTheCanonicalArgvRuns) {
+  // As in BadArgvGivesTaskStatusOne, a live mpiexec listens at the control
+  // address, so a proxy that misread its argv would dial it and run.
+  // Random argvs, and the canonical one with a token replaced, inserted or
+  // dropped or its flag groups reordered or repeated: Engine::run() never
+  // throws, and every argv but the canonical one is refused (status 1).
+  TestBed bed(os::Machine::breadboard(4));
+  bed.install_app("quiet", [](Env&) -> Task<void> { co_return; });
+  MpiexecSpec spec;
+  spec.user_argv = {"quiet"};
+  spec.nprocs = 2;
+  Mpiexec mpx(bed.machine, bed.apps, bed.machine.login_node(), spec);
+  mpx.start();
+  const std::string node = std::to_string(mpx.control_address().node);
+  const std::string port = std::to_string(mpx.control_address().port);
+  const std::vector<std::string> tokens = {
+      "--control-addr", "--proxy-id", "-v", "--", "", node, port, "0", "1",
+      "7", "00", "-0", "+0", " 0", "0 ", "01", "1x", "-1", node + "x",
+      "0" + node, "0" + port, "+" + port,
+      std::to_string((std::uint64_t{1} << 32) + mpx.control_address().port),
+      "4294967295", "2147483647", "2147483648", "-2147483648",
+      "99999999999999999999", "0x10", "--control-addr=" + node,
+      std::string("\0", 1), std::string(100, '9')};
+  std::mt19937 rng(0x48594452u);  // fixed seed: failures must reproduce
+  std::uniform_int_distribution<std::size_t> token(0, tokens.size() - 1);
+  const auto check = [&bed](const std::vector<std::string>& argv) {
+    std::string text;
+    for (const std::string& a : argv) text += " '" + a + "'";
+    int status = -1;
+    EXPECT_NO_THROW(status = proxy_status(bed, argv)) << text;
+    if (!canonical_proxy_argv(argv)) {
+      EXPECT_EQ(status, 1) << text;
+    }
+  };
+  for (int i = 0; i < 400; ++i) {
+    std::vector<std::string> argv = {kProxyBinary};
+    const std::size_t n = rng() % 9;
+    for (std::size_t a = 0; a < n; ++a) argv.push_back(tokens[token(rng)]);
+    check(argv);
+  }
+  const std::vector<std::string> canon = {
+      kProxyBinary, "--control-addr", node, port, "--proxy-id", "0"};
+  for (std::size_t at = 1; at <= canon.size(); ++at) {
+    for (int trial = 0; trial < 30; ++trial) {
+      std::vector<std::string> argv = canon;
+      const auto pos = argv.begin() + static_cast<std::ptrdiff_t>(at);
+      if (trial % 3 == 0 || at == argv.size()) {
+        argv.insert(pos, tokens[token(rng)]);
+      } else if (trial % 3 == 1) {
+        argv.erase(pos);
+      } else {
+        *pos = tokens[token(rng)];
+      }
+      check(argv);
+    }
+  }
+  check({kProxyBinary, "--proxy-id", "0", "--control-addr", node, port});
+  check({kProxyBinary, "--control-addr", node, port, "--control-addr", node,
+         port, "--proxy-id", "0"});
+  check({kProxyBinary, "--control-addr", node, port, "--proxy-id", "0",
+         "--proxy-id", "0"});
 }
 
 TEST(HydraProxy, MalformedExecSpecGivesTaskStatusOne) {

@@ -3,7 +3,6 @@
 // workloads and kills.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <numeric>
 #include <vector>
 
@@ -188,50 +187,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, FairSharePropertyTest,
     ::testing::Combine(::testing::Values(1, 2, 7, 25),
                        ::testing::Values<std::uint64_t>(5, 77)));
-
-// --- Gauge integral vs brute force ----------------------------------------------------
-
-class GaugePropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(GaugePropertyTest, AverageMatchesBruteForceIntegral) {
-  Rng rng(GetParam());
-  TimeWeightedGauge g;
-  std::map<Time, double> steps;  // time -> value after change
-  double value = 0;
-  Time t = 0;
-  steps[0] = 0;
-  for (int i = 0; i < 40; ++i) {
-    t += rng.uniform_duration(milliseconds(10), seconds(2));
-    value = static_cast<double>(rng.uniform_int(0, 100));
-    g.set(t, value);
-    steps[t] = value;
-  }
-  const Time horizon = t + seconds(1);
-  auto brute_average = [&](Time from, Time to) {
-    double integral = 0;
-    double v = 0;
-    Time prev = 0;
-    for (const auto& [at, nv] : steps) {
-      const Time lo = std::max(prev, from);
-      const Time hi = std::min(at, to);
-      if (hi > lo) integral += v * to_seconds(hi - lo);
-      prev = at;
-      v = nv;
-    }
-    if (to > prev) integral += v * to_seconds(to - std::max(prev, from));
-    return integral / to_seconds(to - from);
-  };
-  Rng qrng(GetParam() + 1);
-  for (int q = 0; q < 20; ++q) {
-    const Time a = qrng.uniform_duration(0, horizon - 1);
-    const Time b = a + qrng.uniform_duration(1, horizon - a);
-    EXPECT_NEAR(g.average(a, b), brute_average(a, b), 1e-6)
-        << "window [" << a << ", " << b << "]";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, GaugePropertyTest,
-                         ::testing::Values(11u, 222u, 3333u));
 
 }  // namespace
 }  // namespace jets::sim

@@ -805,14 +805,14 @@ TEST(SnapshotOracle, LiveImagesArePinned) {
   // any image fails here, not only a change to the codec.
   const std::vector<std::vector<std::uint8_t>> images = staged_drill_images();
   const std::vector<std::pair<std::size_t, std::uint64_t>> pinned = {
-      {47'925, 0xbe31d639212a0d73ull}, {48'574, 0x48c02872b5f39342ull},
-      {49'152, 0xeb0440144a2e6fbcull}, {49'746, 0x0f125286a60b251full},
-      {50'359, 0xa17178ed77c07a55ull}, {50'968, 0xe53079f2e10f8d6full},
-      {51'631, 0x9124cd364ef9e762ull}, {52'323, 0xa72ec38f4b613173ull},
-      {52'998, 0xceabb70f4dc2e82eull}, {53'694, 0x52ef6c3a7db0e379ull},
-      {54'390, 0x83367a15b2d681d7ull}, {54'710, 0x6261c1d569d2974dull},
-      {55'038, 0xa88b828812c47f91ull}, {55'277, 0x164d3fe4ed9efec4ull},
-      {55'133, 0x5bf5396b201903c7ull}};
+      {47'896, 0xdd0114b5969b8dfdull}, {48'545, 0x9d973af30a9fb2deull},
+      {49'123, 0x349317e6548eb49cull}, {49'717, 0x9e8d0d953d728f65ull},
+      {50'330, 0xca12ce3b2d67360bull}, {50'939, 0xff48f1b32b9eaf27ull},
+      {51'602, 0x178f16afb60e8af2ull}, {52'294, 0xc704e70f29590e71ull},
+      {52'969, 0x5dcce354fe84fc7cull}, {53'665, 0xd4d4b043b3cae931ull},
+      {54'361, 0x45f23d8108375cd3ull}, {54'681, 0xa7fd31fb2a527759ull},
+      {55'009, 0xde6341e94cb18427ull}, {55'248, 0x5f12cef01f8a8b82ull},
+      {55'104, 0x2e2b189a2da8bf3bull}};
   ASSERT_EQ(images.size(), pinned.size());
   for (std::size_t i = 0; i < images.size(); ++i) {
     EXPECT_EQ(images[i].size(), pinned[i].first) << "image " << i;

@@ -28,6 +28,7 @@
 #include "core/snapshot.hh"
 #include "core/staging.hh"
 #include "core/standalone.hh"
+#include "net/rpc.hh"
 #include "net/staging.hh"
 #include "os/cas.hh"
 #include "testutil.hh"
@@ -330,6 +331,55 @@ TEST(StagingService, WorkerLostMidStageDoesNotStrandTheBatch) {
   const Service& svc = jets.service();
   EXPECT_EQ(svc.stage_acks_lost(), 1u);
   EXPECT_EQ(svc.stage_pushes(), 2u);  // the retry re-stages from scratch
+}
+
+TEST(StagingService, AckFromUnregisteredConnectionChangesNothing) {
+  // A connection that never sent "reg" acks the blob a real job's push is
+  // still carrying. It staged nothing, so its ack must not open the job's
+  // stage gate early: the job's record is the same with or without it.
+  const auto run = [](bool stray_ack) {
+    StagingBed bed(1);
+    bed.machine.shared_fs().put("big_input", 200'000'000);  // ~1.6 s push
+    StandaloneJets jets(bed.machine, bed.apps, StagingBed::fast_options());
+    StagingBed::enlist(jets, 1);
+    JobSpec spec = seq_job({"sleep", "1"});
+    spec.stage_files = {"big_input"};
+    BatchReport report;
+    bed.engine.spawn(
+        "driver",
+        [](StandaloneJets& jets, os::Machine& machine, JobSpec spec,
+           bool stray_ack, BatchReport& out) -> sim::Task<void> {
+          co_await jets.wait_workers();
+          machine.engine().spawn(
+              "stranger",
+              [](os::Machine& machine, net::Address service,
+                 bool stray_ack) -> sim::Task<void> {
+                net::SocketPtr s =
+                    co_await machine.network().connect(0, service);
+                co_await sim::delay(sim::milliseconds(500));
+                if (stray_ack) {
+                  net::rpc::post(*s, net::rpc::StageAck(
+                                         "big_input",
+                                         os::cas_digest("big_input",
+                                                        200'000'000)));
+                }
+                co_await sim::delay(sim::seconds(30));
+              }(machine, jets.service().address(), stray_ack));
+          std::vector<JobSpec> batch;
+          batch.push_back(std::move(spec));
+          out = co_await jets.run_batch(std::move(batch));
+        }(jets, bed.machine, std::move(spec), stray_ack, report));
+    bed.engine.run_until(sim::seconds(600));
+    EXPECT_EQ(report.completed, 1u);
+    EXPECT_EQ(jets.service().stage_pushes(), 1u);
+    return report.records.empty() ? JobRecord{} : report.records[0];
+  };
+  const JobRecord quiet = run(false);
+  const JobRecord stray = run(true);
+  EXPECT_GT(quiet.started_at, 0);
+  EXPECT_EQ(stray.started_at, quiet.started_at);
+  EXPECT_EQ(stray.finished_at, quiet.finished_at);
+  EXPECT_TRUE(stray == quiet);
 }
 
 TEST(StagingService, DataAwareClaimPrefersTheWarmWindow) {

@@ -314,6 +314,48 @@ TEST(SwiftEngine, DestroyedEngineLeavesNothingOnItsVariables) {
   EXPECT_EQ(coasters.service().job_table_size(), 0u);
 }
 
+// A started statement's actor uses its engine when it resumes: one
+// destroyed inside submit_overhead (before the job is submitted) or while
+// the job runs must be killed with the engine, not resume into freed
+// memory (checked under ASan).
+TEST(SwiftEngine, DestroyedEngineKillsStatementInsideSubmitOverhead) {
+  SwiftBed bed(os::Machine::eureka(2));
+  CoasterService coasters(bed.machine, bed.apps, bed.coasters_config());
+  coasters.start_on(SwiftBed::nodes(2));
+  bed.engine.run_until(sim::seconds(1));
+  const std::size_t actors = bed.engine.live_actor_count();
+  auto out = make_data("/gpfs/out");
+  {
+    SwiftEngine swift(bed.machine, coasters);  // submit_overhead: 20 ms
+    swift.app({.argv = {"noop"}, .inputs = {}, .outputs = {out}});
+    bed.engine.run_until(bed.engine.now() + sim::milliseconds(10));
+    EXPECT_EQ(bed.engine.live_actor_count(), actors + 1);
+  }
+  EXPECT_EQ(bed.engine.live_actor_count(), actors);
+  bed.engine.run_until(sim::seconds(3));
+  EXPECT_FALSE(out->is_set());
+  EXPECT_EQ(coasters.service().job_table_size(), 0u);
+}
+
+TEST(SwiftEngine, DestroyedEngineKillsStatementWhoseJobRuns) {
+  SwiftBed bed(os::Machine::eureka(2));
+  CoasterService coasters(bed.machine, bed.apps, bed.coasters_config());
+  coasters.start_on(SwiftBed::nodes(2));
+  bed.engine.run_until(sim::seconds(1));
+  auto out = make_data("/gpfs/out");
+  {
+    SwiftEngine swift(bed.machine, coasters);
+    swift.app({.argv = {"sleep", "5"}, .inputs = {}, .outputs = {out}});
+    bed.engine.run_until(sim::seconds(2));
+    ASSERT_EQ(coasters.service().running_jobs(), 1u);
+  }
+  // The job was already the service's: it still runs to completion, and
+  // nobody is left to take its record or set the output.
+  bed.engine.run_until(sim::seconds(10));
+  EXPECT_EQ(coasters.service().completed_jobs(), 1u);
+  EXPECT_FALSE(out->is_set());
+}
+
 TEST(RemWorkflow, SingleProcessDataflowCompletes) {
   SwiftBed bed(os::Machine::eureka(8));
   CoasterService coasters(bed.machine, bed.apps, bed.coasters_config());

@@ -4,8 +4,8 @@
 
 #include "apps/synthetic.hh"
 #include "core/standalone.hh"
-#include "sim/trace.hh"
 #include "testbed.hh"
+#include "trace_log.hh"
 
 namespace jets::sim {
 namespace {
